@@ -21,7 +21,6 @@
 #include "bench_obs.h"
 #include "common/thread_pool.h"
 #include "ftl/eval.h"
-#include "ftl/interval_cache.h"
 #include "ftl/naive_eval.h"
 #include "ftl/parser.h"
 #include "obs/telemetry.h"
@@ -189,28 +188,6 @@ BENCHMARK(BM_ParallelEval)
     ->ArgsProduct({{8192, 65536}, {1, 2, 4, 8}})
     ->Unit(benchmark::kMillisecond);
 
-// Cache ablation: cold re-solves every object, warm answers from the
-// atomic-interval cache (the continuous-query steady state, where only
-// updated objects miss).
-void BM_CachedEval(benchmark::State& state) {
-  bool warm = state.range(0) == 1;
-  auto db = MakeWorld(8192);
-  auto query = ParseQuery(kQueries[0]);
-  IntervalCache cache;
-  FtlEvaluator::Options opts;
-  opts.interval_cache = &cache;
-  FtlEvaluator eval(*db, opts);
-  for (auto _ : state) {
-    if (!warm) cache.Clear();
-    auto rel = eval.EvaluateQuery(*query, Interval(0, 256));
-    benchmark::DoNotOptimize(rel);
-  }
-  state.counters["warm"] = warm ? 1 : 0;
-  state.counters["cache_entries"] =
-      static_cast<double>(cache.stats().entries);
-}
-BENCHMARK(BM_CachedEval)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -222,7 +199,7 @@ BENCHMARK(BM_CachedEval)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 namespace {
 
 double MeasureNsPerOp(const std::function<void()>& op, int iters = 3) {
-  op();  // Warm-up (also populates caches where the config wants that).
+  op();  // Warm-up.
   double best = std::numeric_limits<double>::infinity();
   for (int i = 0; i < iters; ++i) {
     auto t0 = std::chrono::steady_clock::now();
@@ -247,29 +224,21 @@ void EmitBenchJson(const char* path) {
   auto db = MakeWorld(vehicles);
   auto query = ParseQuery(kQueries[0]);
 
-  auto eval_with = [&](ThreadPool* pool, IntervalCache* cache) {
+  auto eval_with = [&](ThreadPool* pool) {
     FtlEvaluator::Options opts;
     opts.pool = pool;
-    opts.interval_cache = cache;
     FtlEvaluator eval(*db, opts);
     auto rel = eval.EvaluateQuery(*query, window);
     benchmark::DoNotOptimize(rel);
   };
 
-  double serial_ns = MeasureNsPerOp([&] { eval_with(nullptr, nullptr); });
+  double serial_ns = MeasureNsPerOp([&] { eval_with(nullptr); });
   std::map<size_t, double> parallel_ns;
   for (size_t threads : {2u, 4u, 8u}) {
     ThreadPool pool(threads);
     parallel_ns[threads] =
-        MeasureNsPerOp([&] { eval_with(&pool, nullptr); });
+        MeasureNsPerOp([&] { eval_with(&pool); });
   }
-  IntervalCache cache;
-  double cold_ns = MeasureNsPerOp([&] {
-    cache.Clear();
-    eval_with(nullptr, &cache);
-  });
-  // MeasureNsPerOp's warm-up fills the cache; every timed run then hits.
-  double warm_ns = MeasureNsPerOp([&] { eval_with(nullptr, &cache); });
 
   // Instrumentation overhead: the same serial evaluation with the metrics
   // registry armed vs. the MOST_METRICS=off kill switch. CI holds the
@@ -279,13 +248,13 @@ void EmitBenchJson(const char* path) {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   auto time_once = [&] {
     auto t0 = std::chrono::steady_clock::now();
-    eval_with(nullptr, nullptr);
+    eval_with(nullptr);
     auto t1 = std::chrono::steady_clock::now();
     return static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
             .count());
   };
-  eval_with(nullptr, nullptr);  // Shared warm-up.
+  eval_with(nullptr);  // Shared warm-up.
   double instrumented_ns = std::numeric_limits<double>::infinity();
   double uninstrumented_ns = std::numeric_limits<double>::infinity();
   for (int round = 0; round < 7; ++round) {
@@ -310,7 +279,7 @@ void EmitBenchJson(const char* path) {
   Tick telemetry_tick = 1;
   auto time_once_traced = [&] {
     auto t0 = std::chrono::steady_clock::now();
-    eval_with(nullptr, nullptr);
+    eval_with(nullptr);
     telemetry.OnTick(telemetry_tick++);  // No-op when disabled.
     auto t1 = std::chrono::steady_clock::now();
     return static_cast<double>(
@@ -349,8 +318,6 @@ void EmitBenchJson(const char* path) {
   }
   out << "},\n"
       << "  \"speedup_4_threads\": " << serial_ns / parallel_ns[4] << ",\n"
-      << "  \"cache_cold_ns_per_op\": " << cold_ns << ",\n"
-      << "  \"cache_warm_ns_per_op\": " << warm_ns << ",\n"
       << "  \"metrics_on_ns_per_op\": " << instrumented_ns << ",\n"
       << "  \"metrics_off_ns_per_op\": " << uninstrumented_ns << ",\n"
       << "  \"metrics_overhead_pct\": " << overhead_pct << ",\n"

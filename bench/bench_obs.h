@@ -4,8 +4,8 @@
 // Shared plumbing for the BENCH_*.json emitters:
 //
 //  * every summary gains a "metrics" section — the global registry's JSON
-//    snapshot, so a bench artifact carries the engine counters (cache
-//    hits, WAL syncs, retransmissions, ...) that explain its numbers;
+//    snapshot, so a bench artifact carries the engine counters (atomic
+//    solves, WAL syncs, retransmissions, ...) that explain its numbers;
 //  * each run can be appended to the committed result-trajectory files
 //    under bench/trajectories/, one JSON array per benchmark, so headline
 //    numbers are tracked across commits. The append is opt-in via

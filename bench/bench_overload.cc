@@ -83,7 +83,7 @@ QueryManager::Options CommonOpts(bool governed) {
 /// kTicks ticks against a fresh world, timing each per-tick refresh.
 /// `budget_ns` == 0 means ungoverned. The budget is armed through the
 /// process-global governor only after the initial evaluation has warmed
-/// the answer and the cache: an SLO binds steady state, not boot.
+/// the answer: an SLO binds steady state, not boot.
 CellResult RunCell(size_t vehicles, size_t multiplier, uint64_t budget_ns) {
   auto db = MakeWorld(vehicles);
   QueryManager qm(db.get(), CommonOpts(budget_ns > 0));

@@ -79,14 +79,13 @@ struct CellResult {
 
 /// One sweep cell: `shards` shards over a fresh world, kTicks rounds of
 /// enqueue -> Advance -> gather. The first two rounds warm the continuous
-/// answer (registration full refresh + cache) and are not timed: the
+/// answer (registration full refresh) and are not timed: the
 /// steady-state delta path is what sharding is supposed to scale.
 CellResult RunCell(size_t vehicles, size_t updates, size_t shards) {
   auto db = MakeWorld(vehicles);
   ShardedEngine::Options opt;
   opt.shard_count = shards;
   opt.query_options.horizon = kHorizon;
-  opt.query_options.enable_interval_cache = true;
   ShardedEngine engine(db.get(), opt);
   auto query =
       ParseQuery("RETRIEVE o FROM CARS o WHERE EVENTUALLY INSIDE(o, P)");

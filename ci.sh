@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: build the Release and AddressSanitizer configurations and
-# run the full test suite in each. `./ci.sh tsan` additionally runs a
+# CI entry point: build the Release and the combined Address- plus
+# UndefinedBehaviorSanitizer configurations and run the full test suite in
+# each (UBSan halts on the first report, so UB fails the build). `./ci.sh tsan` additionally runs a
 # ThreadSanitizer configuration (slower; exercises the parallel evaluator,
 # thread pool, and query-manager concurrency suites).
 set -euo pipefail
@@ -17,13 +18,15 @@ run_config() {
 }
 
 run_config build-release -DCMAKE_BUILD_TYPE=Release
-run_config build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMOST_SANITIZE=address
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
+run_config build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DMOST_SANITIZE=address,undefined
 
 # Crash-torture stage: re-run the fault-injection suite under ASan with a
 # failpoint armed through the environment (docs/durability.md). The suite
 # itself fails if the armed probe — or its own 240 injections — never
 # fire, so this stage cannot silently become a no-op.
-echo "=== crash-torture stage (env-armed failpoints, ASan) ==="
+echo "=== crash-torture stage (env-armed failpoints, ASan+UBSan) ==="
 MOST_FAILPOINTS="ci/torture_probe=noop" ./build-asan/tests/crash_torture_test
 
 # Partition-torture stage: the distributed protocol under randomized
@@ -31,7 +34,7 @@ MOST_FAILPOINTS="ci/torture_probe=noop" ./build-asan/tests/crash_torture_test
 # checked against a lossless run (docs/distributed.md). The armed probe
 # proves MOST_FAILPOINTS reaches the torture loop; each seed fails if its
 # faults never fired, so this stage cannot silently become a no-op either.
-echo "=== partition-torture stage (env-armed failpoints, ASan) ==="
+echo "=== partition-torture stage (env-armed failpoints, ASan+UBSan) ==="
 MOST_FAILPOINTS="ci/dist_probe=noop" ./build-asan/tests/partition_torture_test
 
 # Crash/restart-torture stage: WAL-backed mobile nodes killed and
@@ -42,7 +45,7 @@ MOST_FAILPOINTS="ci/dist_probe=noop" ./build-asan/tests/partition_torture_test
 # proves MOST_FAILPOINTS reaches the torture loop; the suite's summary
 # test fails if no crash or lease expiry ever happened, so this stage
 # cannot silently become a no-op.
-echo "=== crash-restart-torture stage (env-armed failpoints, ASan) ==="
+echo "=== crash-restart-torture stage (env-armed failpoints, ASan+UBSan) ==="
 MOST_FAILPOINTS="ci/crash_probe=noop" ./build-asan/tests/crash_restart_torture_test
 
 # Overload-torture stage: resource governance under randomized update
@@ -50,10 +53,10 @@ MOST_FAILPOINTS="ci/crash_probe=noop" ./build-asan/tests/crash_restart_torture_t
 # channel storms (docs/robustness.md). The suite differentially checks a
 # governed system against an unconstrained oracle (degraded answers must
 # be marked kStale and stay inside the oracle's reach, and the system must
-# reconverge once limits lift); its summary test fails if no shed, cache
-# eviction, or channel drop ever happened, so this stage cannot silently
-# become a no-op.
-echo "=== overload-torture stage (env-armed failpoints, ASan) ==="
+# reconverge once limits lift); its summary test fails if no refresh shed
+# or channel drop ever happened, so this stage cannot silently become a
+# no-op.
+echo "=== overload-torture stage (env-armed failpoints, ASan+UBSan) ==="
 MOST_FAILPOINTS="ci/overload_probe=noop" ./build-asan/tests/overload_torture_test
 
 # Delta-refresh stage: delta-vs-full differential corpus (200 randomized
@@ -62,18 +65,9 @@ MOST_FAILPOINTS="ci/overload_probe=noop" ./build-asan/tests/overload_torture_tes
 # refreshes (docs/incremental_eval.md). The probe test skips unless
 # MOST_FAILPOINTS names ftl/delta/refresh, so arming it here keeps the
 # stage from silently degrading to full re-evaluation.
-echo "=== delta-refresh stage (env-armed probe, ASan) ==="
+echo "=== delta-refresh stage (env-armed probe, ASan+UBSan) ==="
 MOST_FAILPOINTS="ftl/delta/refresh=noop" ./build-asan/tests/differential_test \
   --gtest_filter='DifferentialTest.DeltaRefresh*'
-
-# Layout-differential stage: the whole differential corpus again with the
-# environment pinned to the legacy (AoS) layout, so every evaluator that
-# resolves EvalLayout::kAuto takes the pre-SoA code path under ASan. The
-# corpus itself cross-checks legacy vs. SoA explicitly
-# (DifferentialTest.LayoutsAgreeByteForByteAcrossPaths); this run keeps
-# the legacy oracle itself sanitizer-clean (docs/eval_internals.md).
-echo "=== layout-differential stage (MOST_EVAL_LAYOUT=legacy, ASan) ==="
-MOST_EVAL_LAYOUT=legacy ./build-asan/tests/differential_test
 
 # Shard-differential stage: the sharded engine's scatter-gather answers
 # against a twin unsharded oracle, pinned at every shard count the bench
@@ -82,7 +76,7 @@ MOST_EVAL_LAYOUT=legacy ./build-asan/tests/differential_test
 # runtime for no added coverage per count. The unit suite then exercises
 # the edge cases (reshard migration, DIST straddling shards, empty-shard
 # gather, WAL round-trip, degraded-shard poisoning) under ASan.
-echo "=== shard-differential stage (MOST_SHARDS sweep, ASan) ==="
+echo "=== shard-differential stage (MOST_SHARDS sweep, ASan+UBSan) ==="
 for shards in 1 2 4 8; do
   MOST_SHARDS="$shards" ./build-asan/tests/differential_test \
     --gtest_filter='DifferentialTest.ShardedEngine*'
@@ -91,12 +85,18 @@ done
 ./build-asan/tests/mpsc_queue_test
 
 # Fuzz-smoke stage: replay the checked-in parser/evaluator corpus and a
-# bounded deterministic mutation loop under ASan. Every input that parses
-# is evaluated in both layouts and must produce byte-identical relations;
-# the harness aborts (and this stage fails) on any divergence or
-# sanitizer report (tests/fuzz/ftl_fuzz.cc).
-echo "=== fuzz-smoke stage (corpus + 2000 mutations, ASan) ==="
-./build-asan/tests/ftl_fuzz tests/fuzz/corpus --mutate 2000
+# bounded deterministic mutation loop per seed under the sanitizers. Every
+# input that parses is evaluated by the interval evaluator and by the
+# per-state reference evaluator (NaiveFtlEvaluator, the paper's
+# semantics); status codes must match, and relations must be
+# byte-identical. The harness aborts (and this stage fails) on any
+# divergence or sanitizer report, and fails if no input reached the row
+# comparison (tests/fuzz/ftl_fuzz.cc).
+echo "=== fuzz-smoke stage (corpus + 2000 mutations x 5 seeds, ASan+UBSan) ==="
+for seed in 1 2 3 7 42; do
+  MOST_TEST_SEED="$seed" ./build-asan/tests/ftl_fuzz tests/fuzz/corpus \
+    --mutate 2000
+done
 
 # Observability stage: the exporter/EXPLAIN goldens re-run explicitly (a
 # ctest filter change can never drop them), then the demo binary's
@@ -105,7 +105,7 @@ echo "=== fuzz-smoke stage (corpus + 2000 mutations, ASan) ==="
 # manager, WAL/storage, network/reliable channel, resource governance /
 # graceful degradation) plus the failpoint collector
 # (docs/observability.md, docs/robustness.md).
-echo "=== observability stage (goldens + exporter allowlist, ASan) ==="
+echo "=== observability stage (goldens + exporter allowlist, ASan+UBSan) ==="
 ./build-asan/tests/obs_test
 ./build-asan/tests/explain_test
 PROM="$(./build-asan/examples/observability_demo)"
@@ -126,7 +126,6 @@ for metric in \
   most_governor_degrades \
   most_governor_storage_degraded \
   most_qm_shed_refreshes_total \
-  most_interval_cache_evictions_total \
   most_shard_updates_routed_total \
   most_shard_updates_applied_total \
   most_shard_queue_depth \
@@ -156,7 +155,7 @@ done
 # timeline suite (sampling semantics, watchdog arm/relax against the
 # governor) re-run explicitly so a ctest filter change can never drop
 # them (docs/observability.md).
-echo "=== trace-golden stage (causal tracing + telemetry, ASan) ==="
+echo "=== trace-golden stage (causal tracing + telemetry, ASan+UBSan) ==="
 ./build-asan/tests/trace_test
 ./build-asan/tests/telemetry_test
 

@@ -308,7 +308,6 @@ class Shell {
     PrintLimit("refresh queue", limits.refresh_queue_limit);
     PrintLimit("degrade cooldown (ticks)",
                static_cast<uint64_t>(limits.degrade_cooldown_ticks));
-    PrintLimit("interval cache bytes", limits.interval_cache_max_bytes);
     PrintLimit("channel unacked messages", limits.channel_max_unacked_messages);
     PrintLimit("channel unacked bytes", limits.channel_max_unacked_bytes);
     PrintLimit("channel dead horizon (ticks)",

@@ -50,12 +50,12 @@ void ClassSnapshot::Build(const ObjectClass& cls, Interval window) {
     const bool spatial = xp != nullptr && yp != nullptr;
     spatial_ok_.push_back(spatial ? 1 : 0);
     // An invalid window produces no motion segments (LinearPieces yields
-    // none), so every kernel returns the empty set — same as the legacy
-    // solvers on an invalid window.
+    // none), so every kernel returns the empty set — same as the
+    // per-object solvers on an invalid window.
     if (!spatial || !window.valid()) continue;
     // Same derivation as MostObject::MotionSegments — identical clamping
     // and identical floating-point expressions, so the coefficients are
-    // bit-equal to the legacy path's.
+    // bit-equal to the per-object solvers'.
     const DynamicAttribute& x = *xp;
     const DynamicAttribute& y = *yp;
     if (x.function().IsLinear() && y.function().IsLinear()) {

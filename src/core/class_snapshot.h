@@ -15,7 +15,7 @@ namespace most {
 /// Structure-of-arrays snapshot of one object class over an evaluation
 /// window.
 ///
-/// The legacy hot path re-derives `MostObject::MotionSegments` (two
+/// The per-object solvers re-derive `MostObject::MotionSegments` (two
 /// string-keyed map lookups, two LinearPieces vectors, one merge vector —
 /// all heap-allocated) for every object inside every atomic predicate.
 /// The snapshot performs that derivation once per class per evaluation and
@@ -27,11 +27,11 @@ namespace most {
 /// tight index loops over these arrays — no maps, no strings, no
 /// per-object allocation.
 ///
-/// Coefficients are byte-identical to the legacy path's: Build() performs
+/// Coefficients are byte-identical to `MotionSegments`': Build() performs
 /// the same LinearPieces clamping and the same `origin = value_at(lo) -
 /// slope * lo` arithmetic in the same order, so every downstream root
-/// solver sees bit-equal doubles and the two layouts produce identical
-/// answers.
+/// solver sees bit-equal doubles and the snapshot kernels return exactly
+/// what the per-object solvers return.
 ///
 /// Lifetime: a snapshot borrows the evaluation's BumpArena for its arrays
 /// and holds pointers into the database; it must not outlive either (it is

@@ -197,8 +197,8 @@ class MostDatabase {
                    Vec2 velocity);
 
   /// Update listeners run after every explicit update (object creation,
-  /// deletion, attribute update). Used for continuous-query maintenance,
-  /// temporal triggers, and atomic-interval cache invalidation. The
+  /// deletion, attribute update). Used for continuous-query maintenance
+  /// and temporal triggers. The
   /// returned id unregisters the listener (components whose lifetime is
   /// shorter than the database's must remove themselves on destruction).
   using UpdateListener = std::function<void(const std::string& class_name,

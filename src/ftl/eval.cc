@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
-#include <cstdlib>
+#include <cmath>
 #include <optional>
 #include <sstream>
-#include <string_view>
 
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
-#include "ftl/interval_cache.h"
 #include "ftl/spatial_eval.h"
 #include "ftl/term_eval.h"
 #include "obs/metrics.h"
@@ -147,59 +144,15 @@ Status EnumerateInstantiations(
 }
 
 // ---------------------------------------------------------------------------
-// Parallel, cache-aware atomic extraction.
+// Parallel atomic extraction.
 //
 // Atomic predicates are solved per variable instantiation, and
 // instantiations are independent of each other, so the extraction is
 // partitioned across a thread pool and the per-binding interval sets are
 // merged back in enumeration order. The merge target is a std::map keyed by
 // the binding, so the resulting relation is byte-identical to the serial
-// path no matter how the work was scheduled. Solved sets are also cached by
-// (predicate fingerprint, binding) so a re-evaluation after an update only
-// re-solves the objects that were invalidated.
+// path no matter how the work was scheduled.
 // ---------------------------------------------------------------------------
-
-/// Lossless fingerprint rendering of a double (hex mantissa), so two
-/// distinct assigned values can never alias in the cache the way a rounded
-/// decimal print could.
-void AppendHexDouble(double v, std::string* out) {
-  char buf[40];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v,
-                                 std::chars_format::hex);
-  out->append(buf, ptr);
-  out->push_back('|');
-}
-
-/// Appends the exact values of every literal in the term. ToString()
-/// renders literals in decimal (fine for printing, lossy for keying);
-/// fingerprints append this suffix to disambiguate.
-void AppendTermLiterals(const TermPtr& term, std::string* out) {
-  if (term == nullptr) return;
-  if (term->kind() == FtlTerm::Kind::kLiteral &&
-      term->literal().is_numeric()) {
-    AppendHexDouble(term->literal().AsDouble().value(), out);
-  }
-  for (const TermPtr& child : term->children()) {
-    AppendTermLiterals(child, out);
-  }
-}
-
-void AppendWindow(Interval window, std::string* out) {
-  out->push_back('@');
-  out->append(std::to_string(window.begin));
-  out->push_back(',');
-  out->append(std::to_string(window.end));
-}
-
-/// Region geometry folded into the fingerprint: DefineRegion may rebind a
-/// name to a new polygon without any object update firing, so the cache
-/// must key on the shape itself, not the name.
-void AppendPolygon(const Polygon& polygon, std::string* out) {
-  for (const Point2& p : polygon.vertices()) {
-    AppendHexDouble(p.x, out);
-    AppendHexDouble(p.y, out);
-  }
-}
 
 /// One unit of atomic-extraction work: a fully materialized instantiation.
 struct AtomicJob {
@@ -225,60 +178,36 @@ Result<std::vector<AtomicJob>> MaterializeJobs(
 /// large enough that the check is free relative to the batch.
 constexpr size_t kBudgetBatchJobs = 4096;
 
-/// Solves one atomic relation over pre-materialized jobs: probes the cache,
-/// partitions the misses across the pool, stores them back, and merges
-/// every row in deterministic binding order. `fingerprint` empty disables
-/// caching for this atom. `solve` must be a pure function of the job (it
-/// runs concurrently on pool workers). `checkpoint` (may be empty) is the
-/// evaluator's budget gate, polled between batches on the calling thread
-/// so the quadratic loop cannot sail past its deadline.
+/// Solves one atomic relation over pre-materialized jobs: partitions them
+/// across the pool and merges every row in deterministic binding order.
+/// `solve` must be a pure function of the job (it runs concurrently on
+/// pool workers). `checkpoint` (may be empty) is the evaluator's budget
+/// gate, polled between batches on the calling thread so the quadratic
+/// loop cannot sail past its deadline.
 Result<TemporalRelation> SolveAtomicRelation(
     std::vector<std::string> vars, const std::vector<AtomicJob>& jobs,
-    const std::string& fingerprint, const FtlEvaluator::Options& options,
-    FtlEvalStats* stats,
+    const FtlEvaluator::Options& options, FtlEvalStats* stats,
     const std::function<Result<IntervalSet>(const AtomicJob&)>& solve,
     const std::function<Status(size_t)>& checkpoint = {}) {
   TemporalRelation out;
   out.vars = std::move(vars);
 
   std::vector<IntervalSet> results(jobs.size());
-  std::vector<char> have(jobs.size(), 0);
-  IntervalCache* cache =
-      fingerprint.empty() ? nullptr : options.interval_cache;
-  if (cache != nullptr) {
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      if (cache->Lookup(fingerprint, jobs[i].binding, &results[i])) {
-        have[i] = 1;
-        ++stats->cache_hits;
-      } else {
-        ++stats->cache_misses;
-      }
-    }
-  }
-  std::vector<size_t> misses;
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    if (!have[i]) misses.push_back(i);
-  }
-
-  std::vector<Status> errors(misses.size());
-  for (size_t base = 0; base < misses.size(); base += kBudgetBatchJobs) {
+  std::vector<Status> errors(jobs.size());
+  for (size_t base = 0; base < jobs.size(); base += kBudgetBatchJobs) {
     if (checkpoint) MOST_RETURN_IF_ERROR(checkpoint(0));
-    const size_t batch = std::min(kBudgetBatchJobs, misses.size() - base);
+    const size_t batch = std::min(kBudgetBatchJobs, jobs.size() - base);
     ParallelFor(options.pool, batch, [&](size_t k) {
-      const size_t m = base + k;
-      const AtomicJob& job = jobs[misses[m]];
-      Result<IntervalSet> r = solve(job);
+      const size_t i = base + k;
+      Result<IntervalSet> r = solve(jobs[i]);
       if (!r.ok()) {
-        errors[m] = r.status();
+        errors[i] = r.status();
         return;
       }
-      results[misses[m]] = std::move(r).value();
-      if (cache != nullptr) {
-        cache->Insert(fingerprint, job.binding, results[misses[m]]);
-      }
+      results[i] = std::move(r).value();
     });
   }
-  stats->atomic_evaluations += misses.size();
+  stats->atomic_evaluations += jobs.size();
   for (const Status& s : errors) {
     MOST_RETURN_IF_ERROR(s);
   }
@@ -564,8 +493,6 @@ void NoteStatsDelta(const FtlEvalStats& before, const FtlEvalStats& after,
   note("join_pairs", before.join_pairs, after.join_pairs);
   note("assign_subevals", before.assign_subevals, after.assign_subevals);
   note("index_pruned", before.index_pruned, after.index_pruned);
-  note("cache_hit", before.cache_hits, after.cache_hits);
-  note("cache_miss", before.cache_misses, after.cache_misses);
 }
 
 /// Registry-owned series the evaluator flushes its per-evaluation stats
@@ -580,8 +507,6 @@ struct FtlRegistrySeries {
   obs::Counter* join_pairs;
   obs::Counter* assign_subevals;
   obs::Counter* index_pruned;
-  obs::Counter* cache_hits;
-  obs::Counter* cache_misses;
   obs::Counter* arena_bytes;
   obs::Counter* arena_heap_fallbacks;
   obs::Histogram* latency;
@@ -605,10 +530,6 @@ struct FtlRegistrySeries {
       s.index_pruned =
           r.GetCounter("most_ftl_index_pruned_total",
                        "Objects skipped thanks to a motion index");
-      s.cache_hits = r.GetCounter("most_ftl_cache_hits_total",
-                                  "Atomic solves answered by the cache");
-      s.cache_misses = r.GetCounter("most_ftl_cache_misses_total",
-                                    "Atomic solves that had to run");
       s.arena_bytes = r.GetCounter(
           "most_ftl_arena_bytes_total",
           "Bump-arena bytes drawn by per-evaluation scratch structures");
@@ -668,20 +589,6 @@ std::string TemporalRelation::ToString() const {
   return os.str();
 }
 
-bool FtlEvaluator::ResolveLayoutSoa(const Options& options) {
-  switch (options.layout) {
-    case EvalLayout::kLegacy:
-      return false;
-    case EvalLayout::kSoa:
-      return true;
-    case EvalLayout::kAuto:
-      break;
-  }
-  const char* env = std::getenv("MOST_EVAL_LAYOUT");
-  if (env != nullptr && std::string_view(env) == "legacy") return false;
-  return true;
-}
-
 const ClassSnapshot& FtlEvaluator::GetSnapshot(const ObjectClass* cls,
                                                Interval window) {
   auto it = snapshots_.find(cls);
@@ -715,6 +622,49 @@ void FtlEvaluator::AccumulateArenaStats() {
   const BumpArena::Stats& as = arena_.stats();
   stats_.arena_bytes += as.bytes_allocated;
   stats_.arena_heap_fallbacks += as.heap_fallbacks;
+}
+
+Result<std::map<std::string, const ObjectClass*>> ValidateQuery(
+    const MostDatabase& db, const FtlQuery& query, Interval window) {
+  if (!window.valid()) {
+    return Status::InvalidArgument("invalid evaluation window");
+  }
+  std::map<std::string, std::string> var_classes;
+  for (const FromBinding& fb : query.from) {
+    if (var_classes.count(fb.var) > 0) {
+      return Status::InvalidArgument("duplicate FROM variable '" + fb.var +
+                                     "'");
+    }
+    var_classes[fb.var] = fb.class_name;
+  }
+  std::map<std::string, const ObjectClass*> classes;
+  for (const auto& [var, cls] : var_classes) {
+    MOST_ASSIGN_OR_RETURN(classes[var], db.GetClass(cls));
+  }
+  if (query.where == nullptr) {
+    return Status::InvalidArgument("query has no WHERE formula");
+  }
+  std::set<std::string> free_vars;
+  query.where->CollectObjectVars(&free_vars);
+  for (const std::string& v : free_vars) {
+    if (classes.count(v) == 0) {
+      return Status::InvalidArgument("object variable '" + v +
+                                     "' is not bound by the FROM clause");
+    }
+  }
+  std::set<std::string> free_value_vars;
+  query.where->CollectFreeValueVars(&free_value_vars);
+  if (!free_value_vars.empty()) {
+    return Status::InvalidArgument("free value variable '" +
+                                   *free_value_vars.begin() + "'");
+  }
+  for (const std::string& v : query.retrieve) {
+    if (classes.count(v) == 0) {
+      return Status::InvalidArgument("RETRIEVE variable '" + v +
+                                     "' is not bound by the FROM clause");
+    }
+  }
+  return classes;
 }
 
 Result<TemporalRelation> FtlEvaluator::EvaluateQuery(const FtlQuery& query,
@@ -764,8 +714,6 @@ Result<TemporalRelation> FtlEvaluator::EvaluateQueryUnprojected(
     s.join_pairs->Inc(stats_.join_pairs - before.join_pairs);
     s.assign_subevals->Inc(stats_.assign_subevals - before.assign_subevals);
     s.index_pruned->Inc(stats_.index_pruned - before.index_pruned);
-    s.cache_hits->Inc(stats_.cache_hits - before.cache_hits);
-    s.cache_misses->Inc(stats_.cache_misses - before.cache_misses);
     s.arena_bytes->Inc(stats_.arena_bytes - before.arena_bytes);
     s.arena_heap_fallbacks->Inc(stats_.arena_heap_fallbacks -
                                 before.arena_heap_fallbacks);
@@ -777,47 +725,10 @@ Result<TemporalRelation> FtlEvaluator::EvaluateQueryUnprojectedImpl(
     const FtlQuery& query, Interval window) {
   ResetEvalScratch();
   gate_.Arm(options_.budget);
-  if (!window.valid()) {
-    return Status::InvalidArgument("invalid evaluation window");
-  }
   Domains domains;
-  std::map<std::string, std::string> var_classes;
-  for (const FromBinding& fb : query.from) {
-    if (var_classes.count(fb.var) > 0) {
-      return Status::InvalidArgument("duplicate FROM variable '" + fb.var +
-                                     "'");
-    }
-    var_classes[fb.var] = fb.class_name;
-  }
-  for (auto& [var, cls] : var_classes) {
-    MOST_ASSIGN_OR_RETURN(const ObjectClass* oc, db_.GetClass(cls));
-    domains.classes[var] = oc;
-  }
+  MOST_ASSIGN_OR_RETURN(domains.classes, ValidateQuery(db_, query, window));
   for (const auto& [var, ids] : options_.domain_restrictions) {
     if (ids != nullptr) domains.filters[var] = ids;
-  }
-  if (query.where == nullptr) {
-    return Status::InvalidArgument("query has no WHERE formula");
-  }
-  std::set<std::string> free_vars;
-  query.where->CollectObjectVars(&free_vars);
-  for (const std::string& v : free_vars) {
-    if (domains.classes.count(v) == 0) {
-      return Status::InvalidArgument("object variable '" + v +
-                                     "' is not bound by the FROM clause");
-    }
-  }
-  std::set<std::string> free_value_vars;
-  query.where->CollectFreeValueVars(&free_value_vars);
-  if (!free_value_vars.empty()) {
-    return Status::InvalidArgument("free value variable '" +
-                                   *free_value_vars.begin() + "'");
-  }
-  for (const std::string& v : query.retrieve) {
-    if (domains.classes.count(v) == 0) {
-      return Status::InvalidArgument("RETRIEVE variable '" + v +
-                                     "' is not bound by the FROM clause");
-    }
   }
 
   MOST_ASSIGN_OR_RETURN(TemporalRelation rel,
@@ -897,14 +808,6 @@ Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
       MOST_ASSIGN_OR_RETURN(const Polygon* region, db_.GetRegion(f->region()));
       const bool is_inside = f->kind() == FtlFormula::Kind::kInside;
 
-      // Cache fingerprint: kind + printed atom (variable and region names)
-      // + exact region geometry + window.
-      std::string fp = is_inside ? "IN|" : "OUT|";
-      fp += f->ToString();
-      fp.push_back('|');
-      AppendPolygon(*region, &fp);
-      AppendWindow(window, &fp);
-
       // Anchored (moving) region with a distinct anchor variable: a
       // two-variable atomic relation over the exact relative motion.
       if (!f->anchor().empty() && f->anchor() != f->var()) {
@@ -916,7 +819,7 @@ Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
                             options_.max_instantiations,
                             &stats_.instantiations));
         return SolveAtomicRelation(
-            std::move(vars), jobs, fp, options_, &stats_,
+            std::move(vars), jobs, options_, &stats_,
             [&](const AtomicJob& job) -> Result<IntervalSet> {
               const MostObject* obj = job.inst.at(f->var());
               const MostObject* anchor = job.inst.at(f->anchor());
@@ -937,122 +840,21 @@ Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
         return Status::InvalidArgument("object variable '" + f->var() +
                                        "' is not bound by the FROM clause");
       }
-      const ObjectClass* cls = domain_it->second;
-
-      if (layout_soa_) {
-        return EvalInsideSoA(*f, domains, window, fp, is_inside,
-                             self_anchored, cls, *region);
-      }
-
-      // Materialize the object list. INSIDE over an indexed class: only
-      // the index's candidates can intersect the region during the window;
-      // everyone else is trivially outside. (OUTSIDE needs the complement,
-      // so the index cannot prune it; neither can it prune a self-anchored
-      // region, which never depends on absolute position.)
-      std::vector<AtomicJob> jobs;
-      MotionIndex* index =
-          (is_inside && !self_anchored && options_.motion_indexes != nullptr)
-              ? options_.motion_indexes->Get(cls->name())
-              : nullptr;
-      if (index != nullptr) {
-        BoundingBox query_box{region->bounding_box().min,
-                              region->bounding_box().max};
-        std::vector<ObjectId> candidates =
-            index->QueryRegionCandidates(query_box, window);
-        // Under a domain restriction (the delta path) the candidate list
-        // is the intersection: outside the restriction the row is excluded
-        // by definition, outside the index's candidates it is trivially
-        // empty.
-        const std::set<ObjectId>* filter = nullptr;
-        auto filter_it = domains.filters.find(f->var());
-        if (filter_it != domains.filters.end() &&
-            filter_it->second != nullptr) {
-          filter = filter_it->second.get();
-        }
-        size_t domain_size = filter != nullptr ? filter->size() : cls->size();
-        jobs.reserve(candidates.size());
-        for (ObjectId id : candidates) {
-          if (filter != nullptr && filter->count(id) == 0) continue;
-          ++stats_.instantiations;
-          MOST_ASSIGN_OR_RETURN(const MostObject* obj, cls->Get(id));
-          jobs.push_back({{id}, {{f->var(), obj}}});
-        }
-        stats_.index_pruned += domain_size - jobs.size();
-      } else {
-        MOST_ASSIGN_OR_RETURN(
-            jobs, MaterializeJobs({f->var()}, domains.classes,
-                                  domains.filters,
-                                  options_.max_instantiations,
-                                  &stats_.instantiations));
-      }
-      for (const AtomicJob& job : jobs) {
-        if (!job.inst.at(f->var())->IsSpatial()) {
-          return Status::TypeError("INSIDE/OUTSIDE over non-spatial object");
-        }
-      }
-
-      // Probe the cache, then extract the misses as one batch partitioned
-      // across the pool (spatial_eval owns the per-object kinematics).
-      TemporalRelation out;
-      out.vars = {f->var()};
-      std::vector<IntervalSet> results(jobs.size());
-      std::vector<char> have(jobs.size(), 0);
-      IntervalCache* cache = options_.interval_cache;
-      if (cache != nullptr) {
-        for (size_t i = 0; i < jobs.size(); ++i) {
-          if (cache->Lookup(fp, jobs[i].binding, &results[i])) {
-            have[i] = 1;
-            ++stats_.cache_hits;
-          } else {
-            ++stats_.cache_misses;
-          }
-        }
-      }
-      std::vector<size_t> misses;
-      std::vector<const MostObject*> miss_objs;
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        if (!have[i]) {
-          misses.push_back(i);
-          miss_objs.push_back(jobs[i].inst.at(f->var()));
-        }
-      }
-      std::vector<IntervalSet> solved = InsideTicksBatch(
-          miss_objs,
-          self_anchored ? miss_objs : std::vector<const MostObject*>{},
-          *region, window, options_.pool);
-      stats_.atomic_evaluations += misses.size();
-      for (size_t m = 0; m < misses.size(); ++m) {
-        IntervalSet when = is_inside ? std::move(solved[m])
-                                     : solved[m].Complement(window);
-        if (cache != nullptr) {
-          cache->Insert(fp, jobs[misses[m]].binding, when);
-        }
-        results[misses[m]] = std::move(when);
-      }
-      for (size_t i = 0; i < jobs.size(); ++i) {
-        if (!results[i].empty()) {
-          out.rows.emplace(jobs[i].binding, std::move(results[i]));
-        }
-      }
-      return out;
+      return EvalInsideSoA(*f, domains, window, is_inside, self_anchored,
+                           domain_it->second, *region);
     }
 
     case FtlFormula::Kind::kWithinSphere: {
       std::set<std::string> var_set(f->sphere_vars().begin(),
                                     f->sphere_vars().end());
       std::vector<std::string> vars = SortedVars(var_set);
-      std::string fp = "SPH|";
-      fp += f->ToString();
-      fp.push_back('|');
-      AppendHexDouble(f->radius(), &fp);
-      AppendWindow(window, &fp);
       MOST_ASSIGN_OR_RETURN(
           std::vector<AtomicJob> jobs,
           MaterializeJobs(vars, domains.classes, domains.filters,
                           options_.max_instantiations,
                           &stats_.instantiations));
       return SolveAtomicRelation(
-          std::move(vars), jobs, fp, options_, &stats_,
+          std::move(vars), jobs, options_, &stats_,
           [&](const AtomicJob& job) -> Result<IntervalSet> {
             std::vector<const MostObject*> objects;
             for (const std::string& v : f->sphere_vars()) {
@@ -1309,16 +1111,6 @@ Result<TemporalRelation> FtlEvaluator::EvalCompare(const FtlFormula& f,
   bool invariant =
       IsTimeInvariant(f.lhs_term()) && IsTimeInvariant(f.rhs_term());
 
-  // Cache fingerprint: printed comparison plus hexfloat renderings of every
-  // literal (assignment substitution may have planted values whose decimal
-  // printout is lossy) and the window.
-  std::string fp = "CMP|";
-  fp += f.ToString();
-  fp.push_back('|');
-  AppendTermLiterals(f.lhs_term(), &fp);
-  AppendTermLiterals(f.rhs_term(), &fp);
-  AppendWindow(window, &fp);
-
   // Index-pruned DIST join: with one side of DIST(a,b) <= c pinned by a
   // domain restriction (a delta re-evaluation pass) and the partner's
   // class indexed, the motion index supplies the partner candidates near
@@ -1389,12 +1181,12 @@ Result<TemporalRelation> FtlEvaluator::EvalCompare(const FtlFormula& f,
   // instantiation-independent bound (the overwhelmingly common shape).
   // The index-pruned join above has priority: when it materialized jobs,
   // the candidate set is not the full cross product.
-  if (layout_soa_ && !jobs_materialized && dist != nullptr &&
-      vars.size() == 2 && dist->var() != dist->var2()) {
+  if (!jobs_materialized && dist != nullptr && vars.size() == 2 &&
+      dist->var() != dist->var2()) {
     std::set<std::string> other_vars;
     other->CollectObjectVars(&other_vars);
     if (other_vars.empty()) {
-      return EvalDistSoA(f, domains, window, fp, dist, other, op, vars);
+      return EvalDistSoA(domains, window, dist, other, op, vars);
     }
   }
   if (!jobs_materialized) {
@@ -1404,7 +1196,7 @@ Result<TemporalRelation> FtlEvaluator::EvalCompare(const FtlFormula& f,
                               &stats_.instantiations));
   }
   return SolveAtomicRelation(
-      std::move(vars), jobs, fp, options_, &stats_,
+      std::move(vars), jobs, options_, &stats_,
       [&](const AtomicJob& job) -> Result<IntervalSet> {
         const Instantiation& inst = job.inst;
         IntervalSet when;
@@ -1471,8 +1263,8 @@ Result<TemporalRelation> FtlEvaluator::EvalCompare(const FtlFormula& f,
 
 Result<TemporalRelation> FtlEvaluator::EvalInsideSoA(
     const FtlFormula& f, const Domains& domains, Interval window,
-    const std::string& fp, bool is_inside, bool self_anchored,
-    const ObjectClass* cls, const Polygon& region) {
+    bool is_inside, bool self_anchored, const ObjectClass* cls,
+    const Polygon& region) {
   // Snapshot builds draw arena memory proportional to the class; check
   // the budget before, and again after so the bytes just drawn count.
   MOST_RETURN_IF_ERROR(BudgetCheckpoint(0));
@@ -1485,9 +1277,11 @@ Result<TemporalRelation> FtlEvaluator::EvalInsideSoA(
     filter = filter_it->second.get();
   }
 
-  // Candidate snapshot indices, ascending. Same candidate set, the same
-  // instantiation / index_pruned counting and the same error behaviour as
-  // the legacy materialization.
+  // Candidate snapshot indices, ascending. INSIDE over an indexed class:
+  // only the index's candidates can intersect the region during the
+  // window; everyone else is trivially outside. (OUTSIDE needs the
+  // complement, so the index cannot prune it; neither can it prune a
+  // self-anchored region, which never depends on absolute position.)
   ArenaVector<uint32_t> cand{ArenaAllocator<uint32_t>(&arena_)};
   MotionIndex* index =
       (is_inside && !self_anchored && options_.motion_indexes != nullptr)
@@ -1498,6 +1292,9 @@ Result<TemporalRelation> FtlEvaluator::EvalInsideSoA(
                           region.bounding_box().max};
     std::vector<ObjectId> candidates =
         index->QueryRegionCandidates(query_box, window);
+    // Under a domain restriction (the delta path) the candidate list is
+    // the intersection: outside the restriction the row is excluded by
+    // definition, outside the index's candidates it is trivially empty.
     size_t domain_size = filter != nullptr ? filter->size() : cls->size();
     cand.reserve(candidates.size());
     for (ObjectId id : candidates) {
@@ -1542,26 +1339,6 @@ Result<TemporalRelation> FtlEvaluator::EvalInsideSoA(
   out.vars = {f.var()};
   const size_t n = cand.size();
   std::vector<IntervalSet> results(n);
-  std::vector<char> have(n, 0);
-  IntervalCache* cache = options_.interval_cache;
-  std::vector<ObjectId> key(1);
-  if (cache != nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      key[0] = snap.id(cand[i]);
-      if (cache->Lookup(fp, key, &results[i])) {
-        have[i] = 1;
-        ++stats_.cache_hits;
-      } else {
-        ++stats_.cache_misses;
-      }
-    }
-  }
-  ArenaVector<uint32_t> misses{ArenaAllocator<uint32_t>(&arena_)};
-  misses.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!have[i]) misses.push_back(static_cast<uint32_t>(i));
-  }
-
   {
     obs::TraceSpan span("ftl/inside_ticks_batch");
     if (self_anchored) {
@@ -1569,40 +1346,32 @@ Result<TemporalRelation> FtlEvaluator::EvalInsideSoA(
       // (cf. InsideTicksRelative).
       IntervalSet base =
           region.Contains({0, 0}) ? IntervalSet(window) : IntervalSet();
-      for (uint32_t m : misses) results[m] = base;
+      for (IntervalSet& r : results) r = base;
     } else {
-      ParallelFor(options_.pool, misses.size(), [&](size_t mi) {
+      ParallelFor(options_.pool, n, [&](size_t i) {
         thread_local SpatialScratch scratch;
-        uint32_t m = misses[mi];
-        results[m] =
-            SnapshotInsideTicks(snap, cand[m], region, window, &scratch);
+        results[i] =
+            SnapshotInsideTicks(snap, cand[i], region, window, &scratch);
       });
     }
   }
-  stats_.atomic_evaluations += misses.size();
-  for (uint32_t m : misses) {
-    IntervalSet when =
-        is_inside ? std::move(results[m]) : results[m].Complement(window);
-    if (cache != nullptr) {
-      key[0] = snap.id(cand[m]);
-      cache->Insert(fp, key, when);
-    }
-    results[m] = std::move(when);
-  }
+  stats_.atomic_evaluations += n;
   auto hint = out.rows.end();
   for (size_t i = 0; i < n; ++i) {
-    if (results[i].empty()) continue;
+    IntervalSet when =
+        is_inside ? std::move(results[i]) : results[i].Complement(window);
+    if (when.empty()) continue;
     hint = out.rows.emplace_hint(hint,
                                  std::vector<ObjectId>{snap.id(cand[i])},
-                                 std::move(results[i]));
+                                 std::move(when));
   }
   return out;
 }
 
 Result<TemporalRelation> FtlEvaluator::EvalDistSoA(
-    const FtlFormula& f, const Domains& domains, Interval window,
-    const std::string& fp, const FtlTerm* dist, const TermPtr& other,
-    FtlFormula::CmpOp op, const std::vector<std::string>& vars) {
+    const Domains& domains, Interval window, const FtlTerm* dist,
+    const TermPtr& other, FtlFormula::CmpOp op,
+    const std::vector<std::string>& vars) {
   TemporalRelation out;
   out.vars = vars;
 
@@ -1655,9 +1424,8 @@ Result<TemporalRelation> FtlEvaluator::EvalDistSoA(
                               ")");
   }
 
-  // The bound is instantiation-independent here; the legacy solver
-  // evaluates it per job (before its spatial check), failing identically
-  // for every miss, so evaluating it once preserves error behaviour.
+  // The bound is instantiation-independent here, so it is evaluated once
+  // (before the spatial check, as the general per-job solver orders them).
   Instantiation empty_inst;
   MOST_ASSIGN_OR_RETURN(Value bound_v,
                         EvalTermAt(other, empty_inst, window.begin));
@@ -1671,31 +1439,6 @@ Result<TemporalRelation> FtlEvaluator::EvalDistSoA(
   }
 
   std::vector<IntervalSet> results(total);
-  std::vector<char> have;
-  IntervalCache* cache = options_.interval_cache;
-  std::vector<ObjectId> key(2);
-  if (cache != nullptr) {
-    have.assign(total, 0);
-    size_t p = 0;
-    for (size_t i0 = 0; i0 < n0; ++i0) {
-      MOST_RETURN_IF_ERROR(BudgetCheckpoint(0));
-      key[0] = snap[0]->id(ext0[i0]);
-      for (size_t i1 = 0; i1 < n1; ++i1, ++p) {
-        key[1] = snap[1]->id(ext1[i1]);
-        if (cache->Lookup(fp, key, &results[p])) {
-          have[p] = 1;
-          ++stats_.cache_hits;
-        } else {
-          ++stats_.cache_misses;
-        }
-      }
-    }
-  }
-  ArenaVector<uint64_t> misses{ArenaAllocator<uint64_t>(&arena_)};
-  misses.reserve(total);
-  for (size_t p = 0; p < total; ++p) {
-    if (have.empty() || !have[p]) misses.push_back(p);
-  }
 
   // Column s of `vars` maps to DIST's (a, b) argument order.
   const bool dist_first = vars[0] == dist->var();
@@ -1704,13 +1447,12 @@ Result<TemporalRelation> FtlEvaluator::EvalDistSoA(
   // The quadratic solve dwarfs the snapshot builds; run it in batches
   // with a budget check between them so a deadline overrun aborts within
   // one batch of extra work instead of sailing to the end.
-  constexpr size_t kBatch = 4096;
-  for (size_t base = 0; base < misses.size(); base += kBatch) {
+  for (size_t base = 0; base < total; base += kBudgetBatchJobs) {
     MOST_RETURN_IF_ERROR(BudgetCheckpoint(0));
-    const size_t batch = std::min(kBatch, misses.size() - base);
+    const size_t batch = std::min(kBudgetBatchJobs, total - base);
     ParallelFor(options_.pool, batch, [&](size_t k) {
       thread_local SpatialScratch scratch;
-      const size_t p = static_cast<size_t>(misses[base + k]);
+      const size_t p = base + k;
       const uint32_t e0 = ext0[p / n1], e1 = ext1[p % n1];
       const uint32_t ai = dist_first ? e0 : e1;
       const uint32_t bi = dist_first ? e1 : e0;
@@ -1718,15 +1460,7 @@ Result<TemporalRelation> FtlEvaluator::EvalDistSoA(
                                         window, &scratch);
     });
   }
-  stats_.atomic_evaluations += misses.size();
-  if (cache != nullptr) {
-    for (uint64_t p64 : misses) {
-      const size_t p = static_cast<size_t>(p64);
-      key[0] = snap[0]->id(ext0[p / n1]);
-      key[1] = snap[1]->id(ext1[p % n1]);
-      cache->Insert(fp, key, results[p]);
-    }
-  }
+  stats_.atomic_evaluations += total;
 
   auto hint = out.rows.end();
   size_t p = 0;

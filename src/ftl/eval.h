@@ -20,7 +20,6 @@
 namespace most {
 
 class ThreadPool;
-class IntervalCache;
 
 /// The relation R_g the appendix associates with a subformula g: one row
 /// per instantiation of g's free object variables, carrying the set of
@@ -45,25 +44,18 @@ struct FtlEvalStats {
   size_t join_pairs = 0;          ///< Row pairs examined by joins.
   size_t assign_subevals = 0;     ///< Body evaluations for [x := q].
   size_t index_pruned = 0;        ///< Objects skipped thanks to an index.
-  size_t cache_hits = 0;          ///< Atomic solves answered by the cache.
-  size_t cache_misses = 0;        ///< Atomic solves that had to run.
   size_t arena_bytes = 0;         ///< Bump-arena bytes drawn by evaluations.
   size_t arena_heap_fallbacks = 0;  ///< Oversize arena requests sent to heap.
 };
 
-/// Memory layout of the atomic-extraction hot path.
-enum class EvalLayout {
-  /// Resolve from the MOST_EVAL_LAYOUT environment variable ("legacy" or
-  /// "soa"); unset or unrecognized means kSoa.
-  kAuto,
-  /// Per-object solves walking MostObject/DynamicAttribute maps — the
-  /// original pointer-chasing path, kept as the differential oracle.
-  kLegacy,
-  /// Structure-of-arrays class snapshots: motion coefficients gathered
-  /// once per evaluation into contiguous arrays (docs/eval_internals.md).
-  /// Answers are byte-identical to kLegacy.
-  kSoa,
-};
+/// Checks a query before evaluation: a valid window, a WHERE formula,
+/// distinct FROM variables over existing classes, every object variable of
+/// the formula and of RETRIEVE bound by FROM, and no free value variable.
+/// Returns each FROM variable's class. FtlEvaluator and NaiveFtlEvaluator
+/// both call it, so they reject exactly the same queries with the same
+/// status.
+Result<std::map<std::string, const ObjectClass*>> ValidateQuery(
+    const MostDatabase& db, const FtlQuery& query, Interval window);
 
 /// Evaluates FTL formulas over the implicit future history of a MOST
 /// database, per the paper's appendix: bottom-up computation of interval
@@ -94,14 +86,9 @@ class FtlEvaluator {
     /// independent until the join stages, so INSIDE / DIST / attribute
     /// range atoms are partitioned across the pool's workers and merged
     /// back in deterministic binding order. Null (or a 1-worker pool) is
-    /// the exact legacy serial path; any thread count produces
+    /// the serial path; any thread count produces
     /// byte-identical relations (see docs/parallel_eval.md). Not owned.
     ThreadPool* pool = nullptr;
-    /// Optional cache of atomic-predicate interval sets, keyed by
-    /// (predicate fingerprint, window, object ids) and invalidated per
-    /// object through the database's update listeners. Shared safely by
-    /// concurrent evaluators. Not owned; may be null.
-    IntervalCache* interval_cache = nullptr;
     /// Restricts the listed object variables to the given candidate ids
     /// for the whole evaluation: the result is exactly the unrestricted
     /// relation filtered to rows whose binding for each listed variable
@@ -120,10 +107,6 @@ class FtlEvaluator {
     /// its wall time, result cardinalities and counter deltas. Null = no
     /// profiling, no clock reads. Not owned; must outlive the evaluation.
     obs::ProfileNode* profile = nullptr;
-    /// Hot-path memory layout (see EvalLayout). Every layout produces
-    /// byte-identical relations; kLegacy exists as the differential oracle
-    /// and escape hatch.
-    EvalLayout layout = EvalLayout::kAuto;
     /// Per-evaluation resource budget. The default (all zero) imposes
     /// nothing. When any field is set, the evaluator checks it at coarse
     /// safe points (per subformula, per snapshot build, per join) and
@@ -137,7 +120,7 @@ class FtlEvaluator {
 
   explicit FtlEvaluator(const MostDatabase& db) : FtlEvaluator(db, Options()) {}
   FtlEvaluator(const MostDatabase& db, Options options)
-      : db_(db), options_(options), layout_soa_(ResolveLayoutSoa(options_)) {}
+      : db_(db), options_(options) {}
 
   /// Evaluates a full query over the window, returning the Answer relation
   /// projected onto the RETRIEVE variables.
@@ -168,8 +151,6 @@ class FtlEvaluator {
  private:
   struct Domains;  // Resolved per-variable object class extents.
 
-  static bool ResolveLayoutSoa(const Options& options);
-
   Result<TemporalRelation> EvaluateQueryUnprojectedImpl(const FtlQuery& query,
                                                         Interval window);
   /// Profiling wrapper: records one ProfileNode per subformula (when
@@ -185,20 +166,18 @@ class FtlEvaluator {
                                       const Domains& domains,
                                       Interval window);
 
-  /// SoA fast paths. Both replicate the legacy path's counting, caching,
-  /// error and result semantics exactly; they differ only in where the
-  /// motion coefficients are read from and how scratch memory is managed.
+  /// Snapshot (structure-of-arrays) extraction of the single-variable
+  /// INSIDE/OUTSIDE atom and of the two-variable DIST comparison against
+  /// an instantiation-independent bound: motion coefficients are read
+  /// from per-class ClassSnapshots (docs/eval_internals.md).
   Result<TemporalRelation> EvalInsideSoA(const FtlFormula& f,
                                          const Domains& domains,
-                                         Interval window,
-                                         const std::string& fp,
-                                         bool is_inside, bool self_anchored,
+                                         Interval window, bool is_inside,
+                                         bool self_anchored,
                                          const ObjectClass* cls,
                                          const Polygon& region);
-  Result<TemporalRelation> EvalDistSoA(const FtlFormula& f,
-                                       const Domains& domains, Interval window,
-                                       const std::string& fp,
-                                       const FtlTerm* dist,
+  Result<TemporalRelation> EvalDistSoA(const Domains& domains,
+                                       Interval window, const FtlTerm* dist,
                                        const TermPtr& other,
                                        FtlFormula::CmpOp op,
                                        const std::vector<std::string>& vars);
@@ -223,7 +202,6 @@ class FtlEvaluator {
   const MostDatabase& db_;
   Options options_;
   FtlEvalStats stats_;
-  const bool layout_soa_;
   BudgetGate gate_;
   BumpArena arena_;
   std::map<const ObjectClass*, ClassSnapshot> snapshots_;

@@ -189,25 +189,16 @@ Result<bool> NaiveFtlEvaluator::Holds(const FormulaPtr& f,
 
 Result<TemporalRelation> NaiveFtlEvaluator::EvaluateQuery(
     const FtlQuery& query, Interval window) const {
-  if (query.where == nullptr) {
-    return Status::InvalidArgument("query has no WHERE formula");
-  }
-  // Bind variables and enumerate the full cross product.
-  std::vector<std::string> vars;
+  MOST_ASSIGN_OR_RETURN(auto var_classes, ValidateQuery(db_, query, window));
+  // Enumerate the full cross product of the FROM classes, one odometer
+  // digit per variable in sorted (column) order.
+  TemporalRelation full;
   std::vector<const ObjectClass*> classes;
-  for (const FromBinding& fb : query.from) {
-    MOST_ASSIGN_OR_RETURN(const ObjectClass* oc, db_.GetClass(fb.class_name));
-    vars.push_back(fb.var);
+  for (const auto& [var, oc] : var_classes) {
+    full.vars.push_back(var);
     classes.push_back(oc);
   }
-
-  TemporalRelation full;
-  full.vars = vars;
-  std::sort(full.vars.begin(), full.vars.end());
-  std::vector<size_t> positions;
-  for (const std::string& v : full.vars) {
-    positions.push_back(std::find(vars.begin(), vars.end(), v) - vars.begin());
-  }
+  const std::vector<std::string>& vars = full.vars;
 
   std::vector<std::map<ObjectId, MostObject>::const_iterator> odometer;
   for (const ObjectClass* oc : classes) {
@@ -232,8 +223,8 @@ Result<TemporalRelation> NaiveFtlEvaluator::EvaluateQuery(
     }
     if (!ticks.empty()) {
       std::vector<ObjectId> binding(vars.size());
-      for (size_t i = 0; i < full.vars.size(); ++i) {
-        binding[i] = odometer[positions[i]]->first;
+      for (size_t i = 0; i < vars.size(); ++i) {
+        binding[i] = odometer[i]->first;
       }
       full.rows.emplace(std::move(binding),
                         IntervalSet::FromIntervals(std::move(ticks)));

@@ -28,6 +28,7 @@ class NaiveFtlEvaluator {
                      Interval window) const;
 
   /// Full query evaluation by brute force: every instantiation, every tick.
+  /// Invalid queries are rejected by ValidateQuery, as FtlEvaluator does.
   Result<TemporalRelation> EvaluateQuery(const FtlQuery& query,
                                          Interval window) const;
 

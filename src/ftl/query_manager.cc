@@ -97,14 +97,6 @@ QueryManager::QueryManager(MostDatabase* db, Options options)
   if (options_.thread_count != 1) {
     pool_ = std::make_unique<ThreadPool>(options_.thread_count);
   }
-  if (options_.enable_interval_cache) {
-    size_t max_bytes = options_.interval_cache_max_bytes != 0
-                           ? options_.interval_cache_max_bytes
-                           : ResourceGovernor::Global()
-                                 .limits()
-                                 .interval_cache_max_bytes;
-    cache_ = std::make_unique<IntervalCache>(1u << 20, max_bytes);
-  }
   if (options_.listen) {
     listener_id_ = db_->AddUpdateListener(
         [this](const std::string& class_name, ObjectId id) {
@@ -121,8 +113,6 @@ FtlEvaluator::Options QueryManager::EvalOptions() const {
   FtlEvaluator::Options o;
   o.motion_indexes = options_.motion_indexes;
   o.pool = pool_.get();
-  o.interval_cache = cache_.get();
-  o.layout = options_.layout;
   o.budget = EffectiveBudget();
   return o;
 }
@@ -209,9 +199,6 @@ void QueryManager::NoteShed(Continuous* cq, DegradeReason reason, Tick now,
 }
 
 void QueryManager::OnUpdate(const std::string& class_name, ObjectId id) {
-  // Drop the updated object's cached interval sets before anything can
-  // re-evaluate against stale entries.
-  if (cache_ != nullptr) cache_->Invalidate(id);
   std::lock_guard<std::mutex> lock(mu_);
   NoteUpdateLocked(class_name, id, db_->Now());
 }
@@ -219,9 +206,6 @@ void QueryManager::OnUpdate(const std::string& class_name, ObjectId id) {
 void QueryManager::NoteUpdates(const std::string& class_name,
                                const std::vector<ObjectId>& ids) {
   if (ids.empty()) return;
-  if (cache_ != nullptr) {
-    for (ObjectId id : ids) cache_->Invalidate(id);
-  }
   std::lock_guard<std::mutex> lock(mu_);
   Tick now = db_->Now();
   for (ObjectId id : ids) NoteUpdateLocked(class_name, id, now);
@@ -412,13 +396,9 @@ Status QueryManager::RefreshFull(Continuous* cq, const char* reason) {
   if (cq->evaluations == 0 || now > cq->expires_at) {
     // Re-anchor the window only at registration and on expiry. Update-
     // triggered refreshes keep the window so delta and full paths stay
-    // byte-identical (and interval-cache fingerprints, which embed the
-    // window, stay warm).
+    // byte-identical.
     cq->window_begin = now;
     cq->expires_at = TickSaturatingAdd(now, options_.horizon);
-    // Entries keyed to windows the clock has outrun can never be probed
-    // again; drop them instead of letting them crowd the cache.
-    if (cache_ != nullptr) cache_->EvictWindowsEndingBefore(now);
   }
   const size_t dirty_total = DirtyTotal(cq->dirty_objects);
   auto profile =

@@ -16,7 +16,6 @@
 #include "core/object_model.h"
 #include "ftl/ast.h"
 #include "ftl/eval.h"
-#include "ftl/interval_cache.h"
 #include "obs/profile.h"
 
 namespace most {
@@ -83,7 +82,7 @@ class QueryManager {
     /// owned; may be null).
     const MotionIndexManager* motion_indexes = nullptr;
     /// Worker threads for atomic-predicate extraction and for batch
-    /// re-evaluation (TickAll). 1 keeps the exact legacy serial path
+    /// re-evaluation (TickAll). 1 keeps the exact serial path
     /// (no pool at all); 0 sizes the pool to
     /// std::thread::hardware_concurrency(); any value produces
     /// byte-identical answers (docs/parallel_eval.md). Earlier releases
@@ -105,10 +104,6 @@ class QueryManager {
     /// which is what makes the sharded engine's union-over-shards gather
     /// byte-identical to a single-shard oracle (docs/sharding.md).
     std::shared_ptr<const std::set<ObjectId>> domain_partition;
-    /// Caches atomic-predicate interval sets across re-evaluations,
-    /// invalidated per object by database update listeners. Off by
-    /// default; safe to combine with any thread_count.
-    bool enable_interval_cache = false;
     /// Degraded-mode staleness horizon: an object that has not received
     /// an explicit update for more than this many ticks is considered
     /// stale, and continuous/persistent answer tuples binding it are
@@ -122,7 +117,7 @@ class QueryManager {
     /// rows and re-derives them with the evaluator's variable domains
     /// restricted to the updated objects, instead of re-running the whole
     /// query (docs/incremental_eval.md). Answers are byte-identical to a
-    /// full re-evaluation; disable to force the legacy full path.
+    /// full re-evaluation; disable to force the full path.
     bool enable_delta_refresh = true;
     /// Fall back to a full re-evaluation when the coalesced dirty set
     /// exceeds this fraction of the query's combined FROM domains — with
@@ -134,10 +129,6 @@ class QueryManager {
     /// per refresh (never touches the per-tuple hot paths) and does not
     /// change any answer.
     bool enable_profiling = true;
-    /// Hot-path memory layout forwarded to the evaluator (SoA snapshots
-    /// vs. the legacy pointer-chasing path; answers are byte-identical —
-    /// docs/eval_internals.md). kAuto reads MOST_EVAL_LAYOUT.
-    EvalLayout layout = EvalLayout::kAuto;
     /// Per-refresh evaluation budget (docs/robustness.md). A refresh that
     /// exhausts it is *shed*: the evaluator aborts, the query keeps its
     /// previous materialized answer (the delta path keeps the surviving —
@@ -155,10 +146,6 @@ class QueryManager {
     /// that repeatedly blows the budget cannot monopolize refresh
     /// capacity. 0 = governor fallback, then no cooldown.
     Tick degrade_cooldown_ticks = 0;
-    /// Byte budget for the shared interval cache (LRU eviction; the
-    /// most_interval_cache_bytes gauge tracks the footprint either way).
-    /// 0 = governor fallback, then unbounded.
-    size_t interval_cache_max_bytes = 0;
     /// Shard this manager serves inside a sharded engine (-1 standalone).
     /// Purely observational: stamped onto trace spans and slow-query-log
     /// entries so a slow line names the shard it ran on.
@@ -299,17 +286,13 @@ class QueryManager {
   /// id order. Database mutations must not run concurrently with this.
   Status TickAll();
 
-  /// The shared atomic-interval cache, or null when not enabled.
-  IntervalCache* interval_cache() { return cache_.get(); }
-
   /// The worker pool, or null when thread_count == 1.
   ThreadPool* pool() { return pool_.get(); }
 
   /// Batch form of the update listener, for managers created with
-  /// Options::listen == false: invalidates the ids' cached interval sets,
-  /// marks continuous-query dirty sets, and extends persistent-query
-  /// recordings — everything OnUpdate does, under one lock acquisition
-  /// for the whole batch. Safe to call concurrently from several threads
+  /// Options::listen == false: marks continuous-query dirty sets and
+  /// extends persistent-query recordings — everything OnUpdate does, under
+  /// one lock acquisition for the whole batch. Safe to call concurrently from several threads
   /// (the sharded engine calls it once per shard per drained tick).
   void NoteUpdates(const std::string& class_name,
                    const std::vector<ObjectId>& ids);
@@ -422,7 +405,7 @@ class QueryManager {
   /// concurrently.
   Status Refresh(Continuous* cq);
   /// Full window re-evaluation; re-anchors the window at registration and
-  /// on expiry (evicting outrun interval-cache windows). `reason` says why
+  /// on expiry. `reason` says why
   /// the full path ran (initial/expired/forced/dirty_fraction/delta_error/
   /// delta_disabled) — recorded in the profile and the fallback counters.
   Status RefreshFull(Continuous* cq, const char* reason);
@@ -494,7 +477,6 @@ class QueryManager {
   MostDatabase* db_;
   Options options_;
   std::unique_ptr<ThreadPool> pool_;     // Null when thread_count <= 1.
-  std::unique_ptr<IntervalCache> cache_; // Null unless enabled.
   MostDatabase::ListenerId listener_id_ = 0;
 
   /// Guards the query registries. Evaluation reads the database without a

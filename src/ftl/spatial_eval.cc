@@ -4,7 +4,6 @@
 
 #include "geometry/kinematics.h"
 #include "geometry/mec.h"
-#include "obs/trace.h"
 
 namespace most {
 
@@ -109,21 +108,6 @@ IntervalSet InsideTicksRelative(const MostObject& obj,
   return out.Clamp(window);
 }
 
-std::vector<IntervalSet> InsideTicksBatch(
-    const std::vector<const MostObject*>& objs,
-    const std::vector<const MostObject*>& anchors, const Polygon& polygon,
-    Interval window, ThreadPool* pool) {
-  obs::TraceSpan span("ftl/inside_ticks_batch");
-  std::vector<IntervalSet> out(objs.size());
-  ParallelFor(pool, objs.size(), [&](size_t i) {
-    out[i] = anchors.empty()
-                 ? InsideTicks(*objs[i], polygon, window)
-                 : InsideTicksRelative(*objs[i], *anchors[i], polygon,
-                                       window);
-  });
-  return out;
-}
-
 IntervalSet DistCmpTicks(const MostObject& a, const MostObject& b,
                          FtlFormula::CmpOp op, double bound,
                          Interval window) {
@@ -193,7 +177,7 @@ IntervalSet SnapshotInsideTicks(const ClassSnapshot& snap, size_t oi,
     AppendClampedTicks(scratch->reals, seg_ticks, &scratch->ticks);
   }
   // Segments arrive in tick order, so the accumulated list is sorted:
-  // normalizing it once equals the legacy per-segment Union chain (the
+  // normalizing it once equals InsideTicks' per-segment Union chain (the
   // normalized form is canonical).
   return IntervalSet::FromSortedIntervals(scratch->ticks.data(),
                                           scratch->ticks.size());

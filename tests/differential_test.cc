@@ -1,17 +1,17 @@
 // Differential test harness for the FTL evaluation engine.
 //
 // Three implementations must agree on randomized worlds and formulas:
-//   1. the interval evaluator, serial path (no pool, no cache),
+//   1. the interval evaluator, serial path (no pool),
 //   2. the state-stepping reference evaluator (NaiveFtlEvaluator), and
-//   3. the parallel path (worker pool + atomic-interval cache), whose
-//      contract is *byte-identical* relations at any thread count, cold or
-//      warm cache, before and after invalidating updates.
+//   3. the parallel path (worker pool), whose contract is *byte-identical*
+//      relations at any thread count.
 //
 // Two corpora: grid worlds (all geometry snapped to a 0.25 grid so the
 // naive oracle computes predicate flips exactly like the interval solver)
 // are checked three ways; fleet worlds (continuous coordinates from the
 // workload generator) are checked serial-vs-parallel only, since both
-// sides share the same kinematic solvers there.
+// sides share the same kinematic solvers there. The snapshot kernels are
+// checked against the per-object solvers on fleets in spatial_eval_test.
 
 #include <gtest/gtest.h>
 
@@ -26,7 +26,6 @@
 #include "core/object_model.h"
 #include "ftl/ast.h"
 #include "ftl/eval.h"
-#include "ftl/interval_cache.h"
 #include "ftl/naive_eval.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -185,7 +184,7 @@ void ExpectSameRelation(const MostDatabase& db, const FtlQuery& query,
 }
 
 // Corpus 1: grid worlds, three-way differential (serial interval evaluator
-// vs naive oracle vs parallel/cached paths) on > 200 random queries.
+// vs naive oracle vs parallel paths) on > 200 random queries.
 TEST(DifferentialTest, SerialNaiveAndParallelAgreeOnGridWorlds) {
   int queries = 0;
   for (uint64_t seed : test::SuiteSeeds("DifferentialTest.GridWorlds",
@@ -196,12 +195,6 @@ TEST(DifferentialTest, SerialNaiveAndParallelAgreeOnGridWorlds) {
       MostDatabase db;
       ASSERT_NO_FATAL_FAILURE(
           BuildGridWorld(&rng, &db, 2 + static_cast<int>(world % 3)));
-
-      // One cache per world, invalidated through the database's update
-      // listeners; reused across rounds so later rounds hit warm entries
-      // from earlier formulas sharing atoms.
-      IntervalCache cache;
-      cache.AttachTo(&db);
 
       for (int round = 0; round < 6; ++round) {
         ++queries;
@@ -226,8 +219,8 @@ TEST(DifferentialTest, SerialNaiveAndParallelAgreeOnGridWorlds) {
             << "\nfast: " << serial_rel->ToString()
             << "\nnaive: " << naive_rel->ToString();
 
-        // Parallel paths must be byte-identical to serial: two thread
-        // counts, then cold + warm cache.
+        // Parallel paths must be byte-identical to serial at two thread
+        // counts.
         FtlEvaluator::Options p2;
         p2.pool = Pool2();
         ExpectSameRelation(db, query, window, p2, *serial_rel, "pool2");
@@ -235,18 +228,10 @@ TEST(DifferentialTest, SerialNaiveAndParallelAgreeOnGridWorlds) {
         FtlEvaluator::Options p4;
         p4.pool = Pool4();
         ExpectSameRelation(db, query, window, p4, *serial_rel, "pool4");
-
-        FtlEvaluator::Options cached;
-        cached.pool = Pool4();
-        cached.interval_cache = &cache;
-        ExpectSameRelation(db, query, window, cached, *serial_rel,
-                           "pool4+cache cold");
-        ExpectSameRelation(db, query, window, cached, *serial_rel,
-                           "pool4+cache warm");
       }
 
-      // An explicit update must invalidate exactly the stale entries: the
-      // cached path must track the serial path across the change.
+      // After an explicit motion update the serial and parallel paths
+      // must still track the oracle.
       ASSERT_TRUE(db.SetMotion("M", ObjectId(0),
                                {Grid(&rng, -20, 20), Grid(&rng, -20, 20)},
                                {Grid(&rng, -2, 2), Grid(&rng, -2, 2)})
@@ -257,14 +242,14 @@ TEST(DifferentialTest, SerialNaiveAndParallelAgreeOnGridWorlds) {
       query.from = {{"M", "o"}, {"M", "n"}};
       query.where = RandomFormula(&rng, 2);
       Interval window(0, 30);
-      FtlEvaluator serial(db);
-      auto serial_rel = serial.EvaluateQuery(query, window);
-      ASSERT_TRUE(serial_rel.ok()) << serial_rel.status();
-      FtlEvaluator::Options cached;
-      cached.pool = Pool4();
-      cached.interval_cache = &cache;
-      ExpectSameRelation(db, query, window, cached, *serial_rel,
-                         "post-update cached");
+      auto naive_rel = NaiveFtlEvaluator(db).EvaluateQuery(query, window);
+      ASSERT_TRUE(naive_rel.ok()) << naive_rel.status();
+      ExpectSameRelation(db, query, window, {}, *naive_rel,
+                         "post-update serial");
+      FtlEvaluator::Options p4;
+      p4.pool = Pool4();
+      ExpectSameRelation(db, query, window, p4, *naive_rel,
+                         "post-update pool4");
     }
   }
   if (!test::SeedOverridden()) {
@@ -338,8 +323,8 @@ TEST(DifferentialTest, InstrumentationOnAndOffAgreeByteForByte) {
 }
 
 // Corpus 2: continuous fleet worlds from the workload generator. The naive
-// oracle is skipped (grid-free geometry), but serial vs parallel vs cached
-// must still be byte-identical, including across motion updates applied
+// oracle is skipped (grid-free geometry), but serial vs parallel must
+// still be byte-identical, including across motion updates applied
 // mid-stream.
 TEST(DifferentialTest, ParallelMatchesSerialOnFleets) {
   for (uint64_t seed :
@@ -357,8 +342,6 @@ TEST(DifferentialTest, ParallelMatchesSerialOnFleets) {
     ASSERT_TRUE(db.DefineRegion("R1", RandomRegion(&rng, fopt.area, 0.2)).ok());
     ASSERT_TRUE(db.DefineRegion("R2", RandomRegion(&rng, fopt.area, 0.1)).ok());
 
-    IntervalCache cache;
-    cache.AttachTo(&db);
     std::vector<MotionUpdate> updates = fleet.GenerateUpdates(64);
     size_t next_update = 0;
 
@@ -388,83 +371,10 @@ TEST(DifferentialTest, ParallelMatchesSerialOnFleets) {
       auto serial_rel = serial.EvaluateQuery(query, window);
       ASSERT_TRUE(serial_rel.ok()) << serial_rel.status();
 
-      FtlEvaluator::Options cached;
-      cached.pool = Pool4();
-      cached.interval_cache = &cache;
-      ExpectSameRelation(db, query, window, cached, *serial_rel,
-                         "fleet pool4+cache cold");
-      ExpectSameRelation(db, query, window, cached, *serial_rel,
-                         "fleet pool4+cache warm");
+      FtlEvaluator::Options p4;
+      p4.pool = Pool4();
+      ExpectSameRelation(db, query, window, p4, *serial_rel, "fleet pool4");
     }
-  }
-}
-
-// Corpus 2b: memory-layout crossing. The SoA snapshot/kernel paths
-// (EvalLayout::kSoa, the default) replicate the legacy per-object solvers
-// bit-for-bit, so every layout x execution-path combination must produce
-// byte-identical relations: legacy/soa x serial, legacy/soa x pool, soa x
-// cache cold/warm. Grid worlds reuse the random-formula generator, so the
-// crossing covers INSIDE/OUTSIDE (anchored and not), DIST comparisons,
-// boolean connectives and the temporal operators.
-TEST(DifferentialTest, LayoutsAgreeByteForByteAcrossPaths) {
-  int queries = 0;
-  for (uint64_t seed : test::SuiteSeeds("DifferentialTest.Layouts",
-                                        {1, 3, 9, 42, 2026})) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    Rng rng(seed * 101 + 7);
-    for (int world = 0; world < 3; ++world) {
-      MostDatabase db;
-      ASSERT_NO_FATAL_FAILURE(BuildGridWorld(&rng, &db, 3 + world));
-      IntervalCache cache;
-      cache.AttachTo(&db);
-      for (int round = 0; round < 8; ++round) {
-        ++queries;
-        FtlQuery query;
-        query.retrieve = {"o", "n"};
-        query.from = {{"M", "o"}, {"M", "n"}};
-        query.where = RandomFormula(&rng, 2);
-        Interval window(0, 30);
-
-        FtlEvaluator::Options legacy_serial;
-        legacy_serial.layout = EvalLayout::kLegacy;
-        FtlEvaluator baseline_eval(db, legacy_serial);
-        auto baseline = baseline_eval.EvaluateQuery(query, window);
-        ASSERT_TRUE(baseline.ok())
-            << baseline.status() << "\nformula: " << query.where->ToString();
-
-        FtlEvaluator::Options soa_serial;
-        soa_serial.layout = EvalLayout::kSoa;
-        ExpectSameRelation(db, query, window, soa_serial, *baseline,
-                           "soa serial");
-
-        FtlEvaluator::Options legacy_pool = legacy_serial;
-        legacy_pool.pool = Pool4();
-        ExpectSameRelation(db, query, window, legacy_pool, *baseline,
-                           "legacy pool4");
-
-        FtlEvaluator::Options soa_pool = soa_serial;
-        soa_pool.pool = Pool4();
-        ExpectSameRelation(db, query, window, soa_pool, *baseline,
-                           "soa pool4");
-
-        FtlEvaluator::Options soa_cached = soa_pool;
-        soa_cached.interval_cache = &cache;
-        ExpectSameRelation(db, query, window, soa_cached, *baseline,
-                           "soa pool4+cache cold");
-        ExpectSameRelation(db, query, window, soa_cached, *baseline,
-                           "soa pool4+cache warm");
-
-        // Cache entries written by the SoA path must serve the legacy
-        // path unchanged (same fingerprints, same value bytes).
-        FtlEvaluator::Options legacy_cached = legacy_serial;
-        legacy_cached.interval_cache = &cache;
-        ExpectSameRelation(db, query, window, legacy_cached, *baseline,
-                           "legacy reading soa-warmed cache");
-      }
-    }
-  }
-  if (!test::SeedOverridden()) {
-    EXPECT_GE(queries, 100) << "layout differential corpus shrank below spec";
   }
 }
 
@@ -517,8 +427,8 @@ void RandomMutations(Rng* rng, MostDatabase* db) {
 
 // Corpus 3: continuous-query maintenance. Three query managers watch the
 // same database through the same randomized update schedule — delta
-// (serial), full re-evaluation (serial), and delta with worker pool +
-// interval cache. Answer(CQ) must be byte-identical across all three after
+// (serial), full re-evaluation (serial), and delta with a worker pool.
+// Answer(CQ) must be byte-identical across all three after
 // every step: coalesced updates, deletions, creations, clock advances and
 // window expiries included. The delta managers must actually serve from
 // the delta path (counters), otherwise this corpus silently degenerates
@@ -549,15 +459,7 @@ TEST(DifferentialTest, DeltaRefreshMatchesFullOnRandomizedUpdateSchedules) {
 
       QueryManager::Options par_opt = delta_opt;
       par_opt.thread_count = 4;
-      par_opt.enable_interval_cache = true;
       QueryManager delta_parallel(&db, par_opt);
-
-      // Delta path on the legacy (AoS) evaluation layout: crosses the
-      // memory-layout axis with the refresh-path axis. Must be
-      // byte-identical to the full-refresh SoA manager.
-      QueryManager::Options legacy_opt = delta_opt;
-      legacy_opt.layout = EvalLayout::kLegacy;
-      QueryManager delta_legacy(&db, legacy_opt);
 
       for (int q = 0; q < 4; ++q) {
         ++schedules;
@@ -569,12 +471,10 @@ TEST(DifferentialTest, DeltaRefreshMatchesFullOnRandomizedUpdateSchedules) {
         auto id_d = delta_serial.RegisterContinuous(query);
         auto id_f = full_serial.RegisterContinuous(query);
         auto id_p = delta_parallel.RegisterContinuous(query);
-        auto id_l = delta_legacy.RegisterContinuous(query);
         ASSERT_TRUE(id_d.ok()) << id_d.status()
                                << "\nformula: " << query.where->ToString();
         ASSERT_TRUE(id_f.ok()) << id_f.status();
         ASSERT_TRUE(id_p.ok()) << id_p.status();
-        ASSERT_TRUE(id_l.ok()) << id_l.status();
 
         for (int step = 0; step < 6; ++step) {
           ASSERT_NO_FATAL_FAILURE(RandomMutations(&rng, &db));
@@ -590,16 +490,11 @@ TEST(DifferentialTest, DeltaRefreshMatchesFullOnRandomizedUpdateSchedules) {
           ASSERT_TRUE(a_d.ok()) << a_d.status();
           auto a_p = delta_parallel.ContinuousAnswer(*id_p);
           ASSERT_TRUE(a_p.ok()) << a_p.status();
-          auto a_l = delta_legacy.ContinuousAnswer(*id_l);
-          ASSERT_TRUE(a_l.ok()) << a_l.status();
           ASSERT_EQ(*a_d, *a_f)
               << "delta diverged from full at step " << step
               << "\nformula: " << query.where->ToString();
           ASSERT_EQ(*a_p, *a_f)
-              << "parallel+cached delta diverged from full at step " << step
-              << "\nformula: " << query.where->ToString();
-          ASSERT_EQ(*a_l, *a_f)
-              << "legacy-layout delta diverged from full at step " << step
+              << "parallel delta diverged from full at step " << step
               << "\nformula: " << query.where->ToString();
         }
 
@@ -611,7 +506,6 @@ TEST(DifferentialTest, DeltaRefreshMatchesFullOnRandomizedUpdateSchedules) {
         ASSERT_TRUE(delta_serial.Cancel(*id_d).ok());
         ASSERT_TRUE(full_serial.Cancel(*id_f).ok());
         ASSERT_TRUE(delta_parallel.Cancel(*id_p).ok());
-        ASSERT_TRUE(delta_legacy.Cancel(*id_l).ok());
       }
     }
   }

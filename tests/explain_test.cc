@@ -9,6 +9,7 @@
 
 #include "ftl/parser.h"
 #include "ftl/query_manager.h"
+#include "obs/metrics.h"
 
 namespace most {
 namespace {

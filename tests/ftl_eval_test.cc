@@ -321,26 +321,37 @@ TEST_F(FtlEvalTest, SemijoinPrunesAndPreservesResults) {
 
 TEST_F(FtlEvalTest, QueryValidationErrors) {
   AddPlane({0, 0}, {0, 0});
-  // Unbound variable in WHERE.
-  EXPECT_FALSE(Run("RETRIEVE o FROM PLANES o WHERE INSIDE(z, P)",
-                   Interval(0, 10))
-                   .ok());
-  // Unbound RETRIEVE variable.
-  EXPECT_FALSE(Run("RETRIEVE z FROM PLANES o WHERE INSIDE(o, P)",
-                   Interval(0, 10))
-                   .ok());
-  // Unknown class.
-  EXPECT_FALSE(Run("RETRIEVE o FROM NOPE o WHERE INSIDE(o, P)",
-                   Interval(0, 10))
-                   .ok());
-  // Unknown region.
-  EXPECT_FALSE(Run("RETRIEVE o FROM PLANES o WHERE INSIDE(o, NOPE)",
-                   Interval(0, 10))
-                   .ok());
-  // Free value variable.
-  EXPECT_FALSE(Run("RETRIEVE o FROM PLANES o WHERE o.PRICE <= x",
-                   Interval(0, 10))
-                   .ok());
+  // Both evaluators validate through ValidateQuery, so every invalid query
+  // fails in both, with the same status code.
+  const char* kInvalid[] = {
+      // Unbound variable in WHERE.
+      "RETRIEVE o FROM PLANES o WHERE INSIDE(z, P)",
+      // Unbound RETRIEVE variable.
+      "RETRIEVE z FROM PLANES o WHERE INSIDE(o, P)",
+      // Unbound RETRIEVE variable beside a valid two-variable formula.
+      "RETRIEVE o, Un FROM PLANES o, PLANES n "
+      "WHERE DIST(o, n) <= 4 AND INSIDE(o, P)",
+      // Unknown class.
+      "RETRIEVE o FROM NOPE o WHERE INSIDE(o, P)",
+      // Unknown region.
+      "RETRIEVE o FROM PLANES o WHERE INSIDE(o, NOPE)",
+      // Unbound variable and unknown region: the binding error wins.
+      "RETRIEVE o FROM PLANES o WHERE INSIDE(z, NOPE)",
+      // Free value variable.
+      "RETRIEVE o FROM PLANES o WHERE o.PRICE <= x",
+  };
+  for (const char* text : kInvalid) {
+    auto query = ParseQuery(text);
+    ASSERT_TRUE(query.ok()) << text << ": " << query.status();
+    auto fast = FtlEvaluator(db_).EvaluateQuery(*query, Interval(0, 10));
+    auto naive = NaiveFtlEvaluator(db_).EvaluateQuery(*query, Interval(0, 10));
+    EXPECT_FALSE(fast.ok()) << text;
+    EXPECT_FALSE(naive.ok()) << text;
+    if (fast.ok() || naive.ok()) continue;
+    EXPECT_EQ(fast.status().code(), naive.status().code())
+        << text << "\nfast: " << fast.status()
+        << "\nnaive: " << naive.status();
+  }
 }
 
 TEST_F(FtlEvalTest, UnconstrainedRetrieveVarRangesOverClass) {

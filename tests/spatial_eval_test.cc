@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "geometry/mec.h"
+#include "workload/fleet.h"
 
 namespace most {
 namespace {
@@ -111,6 +112,91 @@ TEST_F(SpatialEvalTest, SphereTicksMatchesPerTick) {
     double mec = MinimalEnclosingCircle(pts).radius;
     if (std::abs(mec - r) < 1e-6) continue;
     EXPECT_EQ(when.Contains(t), mec <= r) << "t=" << t << " mec=" << mec;
+  }
+}
+
+// The snapshot (structure-of-arrays) kernels against the per-object
+// solvers they replicate, on fleets with continuous coordinates and
+// piecewise routes: SnapshotInsideTicks must equal InsideTicks for every
+// object and region, and SnapshotDistCmpTicks must equal DistCmpTicks for
+// every ordered pair and every comparison operator. Normalized interval
+// sets compare exactly, so this is a bit-for-bit check.
+TEST(SnapshotKernelTest, MatchPerObjectSolversOnFleets) {
+  for (uint64_t seed : {7u, 11u, 4099u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    FleetGenerator::Options fopt;
+    fopt.num_vehicles = 32;
+    fopt.area = 400.0;
+    fopt.change_probability = 0.05;
+    fopt.seed = seed;
+    FleetGenerator fleet(fopt);
+    MostDatabase db;
+    ASSERT_TRUE(fleet.Populate(&db, "V").ok());
+    for (const MotionUpdate& u : fleet.GenerateUpdates(24)) {
+      db.clock().AdvanceTo(u.at);
+      ASSERT_TRUE(FleetGenerator::Apply(&db, "V", u).ok());
+    }
+    const Tick now = db.Now();
+
+    // Every other vehicle gets a route that turns once inside the window,
+    // so the kernels walk multi-segment motion.
+    Rng rng(seed * 31 + 1);
+    auto cls = db.GetClass("V");
+    ASSERT_TRUE(cls.ok());
+    std::vector<ObjectId> ids;
+    for (const auto& [id, obj] : (*cls)->objects()) ids.push_back(id);
+    for (size_t i = 0; i < ids.size(); i += 2) {
+      Point2 p = (*(*cls)->Get(ids[i]))->PositionAt(now);
+      Tick turn = rng.UniformInt(1, 40);
+      auto fx = TimeFunction::Piecewise(
+          {{0, rng.UniformDouble(-3, 3)}, {turn, rng.UniformDouble(-3, 3)}});
+      auto fy = TimeFunction::Piecewise(
+          {{0, rng.UniformDouble(-3, 3)}, {turn, rng.UniformDouble(-3, 3)}});
+      ASSERT_TRUE(fx.ok() && fy.ok());
+      ASSERT_TRUE(db.UpdateDynamic("V", ids[i], kAttrX, p.x, *fx).ok());
+      ASSERT_TRUE(db.UpdateDynamic("V", ids[i], kAttrY, p.y, *fy).ok());
+    }
+
+    auto triangle = Polygon::Create(
+        {{rng.UniformDouble(0, 200), rng.UniformDouble(0, 200)},
+         {rng.UniformDouble(200, 400), rng.UniformDouble(0, 200)},
+         {rng.UniformDouble(100, 300), rng.UniformDouble(200, 400)}});
+    ASSERT_TRUE(triangle.ok());
+    const std::vector<Polygon> regions = {
+        RandomRegion(&rng, fopt.area, 0.2), RandomRegion(&rng, fopt.area, 0.05),
+        *triangle};
+    const Interval window(now, now + 64);
+    ClassSnapshot snap;
+    snap.Build(**cls, window);
+    ASSERT_EQ(snap.size(), ids.size());
+    SpatialScratch scratch;
+
+    for (const Polygon& region : regions) {
+      for (size_t oi = 0; oi < snap.size(); ++oi) {
+        EXPECT_EQ(SnapshotInsideTicks(snap, oi, region, window, &scratch),
+                  InsideTicks(*snap.object(oi), region, window))
+            << "object " << snap.id(oi);
+      }
+    }
+
+    const FtlFormula::CmpOp ops[] = {
+        FtlFormula::CmpOp::kLe, FtlFormula::CmpOp::kLt,
+        FtlFormula::CmpOp::kGe, FtlFormula::CmpOp::kGt,
+        FtlFormula::CmpOp::kEq, FtlFormula::CmpOp::kNe};
+    for (double bound : {12.5, 60.0}) {
+      for (size_t a = 0; a < snap.size(); ++a) {
+        for (size_t b = 0; b < snap.size(); ++b) {
+          for (FtlFormula::CmpOp op : ops) {
+            EXPECT_EQ(SnapshotDistCmpTicks(snap, a, snap, b, op, bound,
+                                           window, &scratch),
+                      DistCmpTicks(*snap.object(a), *snap.object(b), op,
+                                   bound, window))
+                << "pair (" << snap.id(a) << ", " << snap.id(b) << ") op "
+                << static_cast<int>(op) << " bound " << bound;
+          }
+        }
+      }
+    }
   }
 }
 
