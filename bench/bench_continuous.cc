@@ -17,7 +17,6 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -128,6 +127,15 @@ void BM_AnswerCqWithUpdates(benchmark::State& state) {
 BENCHMARK(BM_AnswerCqWithUpdates)->Arg(0)->Arg(4)->Arg(16)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
+// The maintenance mode under test: the default delta path, or a zero dirty
+// fraction that sends every refresh down the full path.
+QueryManager::Options ModeOptions(bool delta) {
+  QueryManager::Options opts;
+  opts.horizon = kHorizon;
+  if (!delta) opts.delta_max_dirty_fraction = 0.0;
+  return opts;
+}
+
 // One op = one tick of a steady update stream: `updates` random motion
 // updates, clock advance, answer read (which refreshes). range(1) selects
 // the maintenance mode.
@@ -136,8 +144,7 @@ void BM_RefreshDeltaVsFull(benchmark::State& state) {
   size_t updates = static_cast<size_t>(state.range(0));
   bool delta = state.range(1) == 1;
   auto db = MakeWorld(vehicles);
-  QueryManager qm(db.get(),
-                  {.horizon = kHorizon, .enable_delta_refresh = delta});
+  QueryManager qm(db.get(), ModeOptions(delta));
   FtlQuery query = TheQuery();
   auto cq = qm.RegisterContinuous(query);
   Rng rng(11);
@@ -202,8 +209,8 @@ void EmitBenchJson(const char* path) {
     size_t answer_rows = 0;
   };
   std::vector<size_t> fleet_sizes = {1000, 10000};
-  if (const char* env = std::getenv("MOST_BENCH_VEHICLES")) {
-    fleet_sizes = {static_cast<size_t>(std::strtoull(env, nullptr, 10))};
+  if (size_t vehicles = benchio::EnvSize("MOST_BENCH_VEHICLES", 0)) {
+    fleet_sizes = {vehicles};
   }
   constexpr int kTicksPerOp = 4;
 
@@ -213,8 +220,7 @@ void EmitBenchJson(const char* path) {
       for (bool delta : {false, true}) {
         Config cfg{vehicles, updates, delta};
         auto db = MakeWorld(vehicles);
-        QueryManager qm(db.get(),
-                        {.horizon = kHorizon, .enable_delta_refresh = delta});
+        QueryManager qm(db.get(), ModeOptions(delta));
         FtlQuery query = TheQuery();
         auto cq = qm.RegisterContinuous(query);
         Rng rng(1997);
@@ -260,7 +266,6 @@ void EmitBenchJson(const char* path) {
       << "  \"benchmark\": \"continuous\",\n"
       << "  \"query\": \"inside_region\",\n"
       << "  \"horizon\": " << kHorizon << ",\n"
-      << "  \"thread_count\": 1,\n"
       << "  \"configs\": [\n";
   for (size_t i = 0; i < configs.size(); ++i) {
     const Config& c = configs[i];

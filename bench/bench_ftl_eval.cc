@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -122,27 +121,6 @@ BENCHMARK(BM_IntervalEvaluatorWithIndex)
     ->ArgsProduct({{1000, 10000}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
-// Ablation: the AND semi-join (evaluate the selective INSIDE side first,
-// restrict the expensive all-pairs DIST side to joinable objects).
-void BM_SemijoinAblation(benchmark::State& state) {
-  bool semijoin = state.range(0) == 1;
-  auto db = MakeWorld(400);
-  auto query = ParseQuery(
-      "RETRIEVE o, n FROM CARS o, CARS n "
-      "WHERE EVENTUALLY WITHIN 30 INSIDE(o, P) AND DIST(o, n) <= 40");
-  FtlEvaluator eval(*db, {.enable_semijoin = semijoin});
-  for (auto _ : state) {
-    eval.ResetStats();
-    auto rel = eval.EvaluateQuery(*query, Interval(0, 256));
-    benchmark::DoNotOptimize(rel);
-    state.counters["atomic_evals"] =
-        static_cast<double>(eval.stats().atomic_evaluations);
-  }
-  state.counters["semijoin"] = semijoin ? 1 : 0;
-}
-BENCHMARK(BM_SemijoinAblation)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 // Two-variable query Q from Section 3.2 (the DIST Until pair query):
 // exercises the join machinery of the interval algorithm.
 void BM_IntervalEvaluatorPairQuery(benchmark::State& state) {
@@ -216,10 +194,7 @@ double MeasureNsPerOp(const std::function<void()>& op, int iters = 3) {
 }  // namespace
 
 void EmitBenchJson(const char* path) {
-  size_t vehicles = 65536;
-  if (const char* env = std::getenv("MOST_BENCH_VEHICLES")) {
-    vehicles = static_cast<size_t>(std::strtoull(env, nullptr, 10));
-  }
+  const size_t vehicles = benchio::EnvSize("MOST_BENCH_VEHICLES", 65536);
   const Interval window(0, 256);
   auto db = MakeWorld(vehicles);
   auto query = ParseQuery(kQueries[0]);

@@ -13,6 +13,9 @@
 //    bench/trajectories; ad-hoc runs leave the files alone). Trajectory
 //    entries omit the bulky metrics section.
 
+#include <cctype>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -22,6 +25,25 @@
 #include "obs/metrics.h"
 
 namespace most::benchio {
+
+// The positive integer in environment variable `name`, or `fallback` when
+// it is unset. Any other value (non-numeric, zero, trailing junk) exits
+// with status 2 and names the variable, so a typo cannot silently
+// benchmark zero objects.
+inline size_t EnvSize(const char* name, size_t fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(env, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(env[0])) || *end != '\0' ||
+      errno == ERANGE || value == 0) {
+    std::fprintf(stderr, "%s must be a positive integer, got '%s'\n", name,
+                 env);
+    std::exit(2);
+  }
+  return static_cast<size_t>(value);
+}
 
 // The global registry's metric series as a JSON array (the "metrics"
 // member's value). JsonSnapshot renders {"metrics": [...]}; splice out the

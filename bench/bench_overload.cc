@@ -23,7 +23,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -42,12 +41,7 @@ constexpr Tick kHorizon = 256;
 constexpr size_t kBaseUpdatesPerTick = 20;
 constexpr int kTicks = 128;
 
-size_t Vehicles() {
-  if (const char* env = std::getenv("MOST_BENCH_VEHICLES")) {
-    return static_cast<size_t>(std::strtoull(env, nullptr, 10));
-  }
-  return 300;
-}
+size_t Vehicles() { return benchio::EnvSize("MOST_BENCH_VEHICLES", 300); }
 
 std::unique_ptr<MostDatabase> MakeWorld(size_t vehicles) {
   auto db = std::make_unique<MostDatabase>();

@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -45,18 +44,11 @@ constexpr Tick kHorizon = 64;
 constexpr int kTicks = 24;
 constexpr double kArea = 1000.0;
 
-size_t Vehicles() {
-  if (const char* env = std::getenv("MOST_BENCH_VEHICLES")) {
-    return static_cast<size_t>(std::strtoull(env, nullptr, 10));
-  }
-  return 2000;
-}
+size_t Vehicles() { return benchio::EnvSize("MOST_BENCH_VEHICLES", 2000); }
 
 size_t UpdatesPerTick(size_t vehicles) {
-  if (const char* env = std::getenv("MOST_BENCH_UPDATES")) {
-    return static_cast<size_t>(std::strtoull(env, nullptr, 10));
-  }
-  return std::max<size_t>(vehicles / 10, 1);
+  return benchio::EnvSize("MOST_BENCH_UPDATES",
+                          std::max<size_t>(vehicles / 10, 1));
 }
 
 std::unique_ptr<MostDatabase> MakeWorld(size_t vehicles) {

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # CI entry point: build the Release and the combined Address- plus
 # UndefinedBehaviorSanitizer configurations and run the full test suite in
-# each (UBSan halts on the first report, so UB fails the build). `./ci.sh tsan` additionally runs a
-# ThreadSanitizer configuration (slower; exercises the parallel evaluator,
-# thread pool, and query-manager concurrency suites).
+# each (UBSan halts on the first report, so UB fails the build), then build
+# and run the tick benchmark with its answer check. `./ci.sh tsan`
+# additionally runs a ThreadSanitizer configuration (slower; exercises the
+# parallel evaluator, thread pool, query-manager registry lock and the
+# sharded engine's parallel phases).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -207,12 +209,30 @@ awk -v base="$baseline" -v fresh="$fresh" 'BEGIN {
   if (pct > 15.0) { print "serial path regressed beyond the 15% budget"; exit 1 }
 }'
 
+# Tick-benchmark stage: build the unmodified tick benchmark from this
+# checkout the way its runner does, and run every workload (fleet, ingest,
+# paper) briefly. The runner's last line is one JSON summary; the stage
+# fails unless its answer check passed ("correct": true, "failed": 0), so
+# a public-API change that breaks the benchmark's build or its answers
+# fails here.
+echo "=== tickbench stage (all workloads, answer check) ==="
+summary="$(CARGO_TARGET_DIR=build-tickbench python3 tickbench/run.py \
+  --workload all --seconds 1 --trace 0 | tail -n 1)"
+python3 - "$summary" <<'PY'
+import json, sys
+r = json.loads(sys.argv[1])
+print(f"tickbench: correct={r['correct']} attempted={r['attempted']} "
+      f"failed={r['failed']}")
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
+PY
+
 if [[ "${1:-}" == "tsan" ]]; then
   run_config build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMOST_SANITIZE=thread
-  # The query-manager concurrency suite (TickAll through the pool, atomic
-  # refresh counters, delta splice under parallel evaluation) is the suite
-  # the delta path most needs under TSan; run it explicitly so a ctest
-  # filter change can never drop it from this configuration.
+  # The query-manager concurrency suite (registration, reads and TickAll
+  # from several threads against the registry lock, refresh totals read
+  # while refreshes run) and the delta differential are what the refresh
+  # path most needs under TSan; run them explicitly so a ctest filter
+  # change can never drop them from this configuration.
   echo "=== query-manager concurrency suite (TSan) ==="
   ./build-tsan/tests/query_manager_test
   ./build-tsan/tests/differential_test \

@@ -12,8 +12,7 @@ MotionIndexManager::MotionIndexManager(MostDatabase* db,
 }
 
 MotionIndexManager::~MotionIndexManager() {
-  // Managers may be torn down before the database (the sharded engine
-  // rebuilds its per-shard managers on reshard); leaving the listener
+  // Managers may be torn down before the database; leaving the listener
   // behind would invoke a dangling callback on the next update.
   db_->RemoveUpdateListener(listener_id_);
 }
@@ -30,10 +29,8 @@ Status MotionIndexManager::IndexClass(const std::string& class_name) {
   }
   auto index = std::make_unique<MotionIndex>(db_->Now(), options_);
   for (const auto& [id, obj] : cls->objects()) {
-    if (filter_ != nullptr && filter_->count(id) == 0) continue;
     index->Upsert(id, *obj.GetDynamic(kAttrX).value(),
                   *obj.GetDynamic(kAttrY).value());
-    sync_operations_.fetch_add(1, std::memory_order_relaxed);
   }
   indexes_.emplace(class_name, std::move(index));
   return Status::OK();
@@ -65,14 +62,6 @@ std::optional<std::vector<ObjectId>> MotionIndexManager::CandidatesNearObject(
 
 void MotionIndexManager::OnUpdate(const std::string& class_name,
                                   ObjectId id) {
-  // Ownership check first: during the sharded engine's parallel drain a
-  // non-owning manager sees foreign updates from other threads, and must
-  // touch nothing mutable for them (docs/sharding.md).
-  if (filter_ != nullptr && filter_->count(id) == 0) return;
-  Resync(class_name, id);
-}
-
-void MotionIndexManager::Resync(const std::string& class_name, ObjectId id) {
   auto it = indexes_.find(class_name);
   if (it == indexes_.end()) return;
   MotionIndex* index = it->second.get();
@@ -81,14 +70,12 @@ void MotionIndexManager::Resync(const std::string& class_name, ObjectId id) {
   auto obj = (*cls)->Get(id);
   if (!obj.ok()) {
     index->Remove(id);  // Object deleted.
-    sync_operations_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   if (!(*obj)->IsSpatial()) return;
   if (index->NeedsRebuild(db_->Now())) index->Rebuild(db_->Now());
   index->Upsert(id, *(*obj)->GetDynamic(kAttrX).value(),
                 *(*obj)->GetDynamic(kAttrY).value());
-  sync_operations_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace most

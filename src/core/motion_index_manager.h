@@ -1,11 +1,9 @@
 #ifndef MOST_CORE_MOTION_INDEX_MANAGER_H_
 #define MOST_CORE_MOTION_INDEX_MANAGER_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -23,19 +21,6 @@ namespace most {
 ///
 /// Horizon expiry is handled lazily: Get() rebuilds an index whose epoch
 /// the clock has outrun.
-///
-/// An *ownership filter* (SetOwnershipFilter) restricts the manager to a
-/// subset of object ids: non-owned updates are ignored before any state
-/// is touched, and IndexClass only indexes owned objects. The sharded
-/// engine gives each shard a filtered manager so (a) index maintenance
-/// cost is partitioned across shards and (b) during the parallel queue
-/// drain each manager is only ever mutated by its own shard's drain
-/// thread — the filter check is the first thing OnUpdate does, so cross-
-/// shard notifications are read-only (docs/sharding.md). A filtered
-/// index covers only the owned partition, so it must NOT be handed to an
-/// FtlEvaluator (whose DIST-partner pruning assumes full class coverage);
-/// union the per-shard candidate sets instead
-/// (ShardedEngine::CandidatesNearObject).
 class MotionIndexManager {
  public:
   explicit MotionIndexManager(MostDatabase* db)
@@ -46,14 +31,7 @@ class MotionIndexManager {
   MotionIndexManager(const MotionIndexManager&) = delete;
   MotionIndexManager& operator=(const MotionIndexManager&) = delete;
 
-  /// Restricts the manager to `filter`'s ids (null = own everything, the
-  /// default). Must be set before IndexClass and never changed while
-  /// updates may be in flight.
-  void SetOwnershipFilter(std::shared_ptr<const std::set<ObjectId>> filter) {
-    filter_ = std::move(filter);
-  }
-
-  /// Starts indexing a spatial class (existing owned objects are indexed
+  /// Starts indexing a spatial class (existing objects are indexed
   /// immediately; later updates are tracked automatically).
   Status IndexClass(const std::string& class_name);
 
@@ -66,35 +44,21 @@ class MotionIndexManager {
   /// nullopt when the class is not indexed, the probe is not spatial, or
   /// `window` escapes the index epoch — the caller must fall back to a
   /// class scan. Used by the FTL evaluator to prune the join partners of a
-  /// restricted DIST atom during delta re-evaluation. With an ownership
-  /// filter the superset only covers owned objects.
+  /// restricted DIST atom during delta re-evaluation.
   std::optional<std::vector<ObjectId>> CandidatesNearObject(
       const std::string& class_name, const MostObject& probe, double radius,
       Interval window) const;
 
-  /// Re-synchronizes one object with its class index (upsert, or removal
-  /// when the object no longer exists), bypassing the ownership filter.
-  /// The sharded engine calls this after *moving* an object into this
-  /// manager's filter: the object's creation event fired before ownership
-  /// was assigned, so the listener dropped it.
-  void Resync(const std::string& class_name, ObjectId id);
-
-  uint64_t sync_operations() const {
-    return sync_operations_.load(std::memory_order_relaxed);
-  }
-
  private:
+  /// Re-synchronizes one object with its class index (upsert, or removal
+  /// when the object no longer exists).
   void OnUpdate(const std::string& class_name, ObjectId id);
 
   MostDatabase* db_;
   MotionIndex::Options options_;
   MostDatabase::ListenerId listener_id_ = 0;
-  std::shared_ptr<const std::set<ObjectId>> filter_;
   // Mutable: Get() performs lazy horizon rebuilds.
   mutable std::map<std::string, std::unique_ptr<MotionIndex>> indexes_;
-  /// Relaxed atomic: with an ownership filter, several filtered managers
-  /// observe the same update stream from different drain threads.
-  std::atomic<uint64_t> sync_operations_{0};
 };
 
 }  // namespace most

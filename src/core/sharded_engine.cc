@@ -51,8 +51,8 @@ ShardedEngine::ShardedEngine(MostDatabase* db, Options options)
       "Gathers that returned an incomplete (kStale) answer because at "
       "least one shard was degraded");
   Status s = BuildShards();
-  // Construction failures (WAL open, index on a non-spatial class) are
-  // surfaced on first use; the shards that did build stay consistent.
+  // Construction failures (WAL open) are surfaced on first use; the
+  // shards that did build stay consistent.
   (void)s;
 }
 
@@ -78,19 +78,10 @@ Status ShardedEngine::BuildShards() {
     shard->partition =
         std::make_shared<const std::set<ObjectId>>(std::move(owned[k]));
     QueryManager::Options qm_opts = options_.query_options;
-    qm_opts.thread_count = 1;  // Parallelism is across shards, not within.
-    qm_opts.listen = false;    // Fed by NoteUpdates batches in phase 2.
+    qm_opts.listen = false;  // Fed by NoteUpdates batches in phase 2.
     qm_opts.domain_partition = shard->partition;
     qm_opts.shard_id = static_cast<int64_t>(k);
     shard->qm = std::make_unique<QueryManager>(db_, qm_opts);
-    if (!options_.index_classes.empty()) {
-      shard->indexes = std::make_unique<MotionIndexManager>(db_);
-      shard->indexes->SetOwnershipFilter(shard->partition);
-      for (const std::string& cls : options_.index_classes) {
-        Status s = shard->indexes->IndexClass(cls);
-        if (!s.ok() && first_error.ok()) first_error = s;
-      }
-    }
     if (!options_.wal_dir.empty()) {
       Status s = shard->wal.Open(options_.wal_dir, k);
       if (!s.ok() && first_error.ok()) first_error = s;
@@ -121,8 +112,6 @@ Status ShardedEngine::BuildShards() {
 
 Result<MostObject*> ShardedEngine::CreateObject(const std::string& class_name) {
   MOST_ASSIGN_OR_RETURN(MostObject * obj, db_->CreateObject(class_name));
-  // The creation event fired before ownership was assigned, so every
-  // filtered listener dropped it; assign it now and resync.
   ReassignAfterStructuralChange(class_name, obj->id());
   Shard& s = *shards_[router_.ShardOf(obj->id())];
   if (s.wal.is_open()) {
@@ -139,9 +128,6 @@ Result<MostObject*> ShardedEngine::CreateObject(const std::string& class_name) {
 
 Status ShardedEngine::DeleteObject(const std::string& class_name,
                                    ObjectId id) {
-  // Delete *before* shrinking the partition: the owner's filtered motion
-  // index still owns the id when the deletion event fires, so it drops
-  // the entry itself.
   MOST_RETURN_IF_ERROR(db_->DeleteObject(class_name, id));
   ReassignAfterStructuralChange(class_name, id);
   Shard& s = *shards_[router_.ShardOf(id)];
@@ -171,10 +157,6 @@ void ShardedEngine::ReassignAfterStructuralChange(const std::string& class_name,
   }
   owner.partition = next;
   owner.qm->SetDomainPartition(next);
-  if (owner.indexes != nullptr) {
-    owner.indexes->SetOwnershipFilter(next);
-    if (exists) owner.indexes->Resync(class_name, id);
-  }
   // Dirty the id everywhere: any shard's multi-variable query can bind it
   // in a non-first column; the delta path evicts or re-derives its rows.
   const std::vector<ObjectId> ids{id};
@@ -235,7 +217,7 @@ Status ShardedEngine::Reshard(size_t new_shard_count) {
   MOST_RETURN_IF_ERROR(DrainAndRefresh());
   std::map<QueryId, EngineQuery> live = std::move(queries_);
   queries_.clear();
-  shards_.clear();  // Closes WALs, unregisters index listeners.
+  shards_.clear();  // Closes WALs.
   router_ = ShardRouter(new_shard_count);
   pool_ = new_shard_count > 1 ? std::make_unique<ThreadPool>(new_shard_count)
                               : nullptr;
@@ -517,25 +499,6 @@ Result<TemporalRelation> ShardedEngine::Evaluate(const FtlQuery& query) {
     }
   }
   return merged;
-}
-
-std::optional<std::vector<ObjectId>> ShardedEngine::CandidatesNearObject(
-    const std::string& class_name, const MostObject& probe, double radius,
-    Interval window) const {
-  std::vector<ObjectId> all;
-  for (const auto& shard : shards_) {
-    if (shard->indexes == nullptr) return std::nullopt;
-    std::optional<std::vector<ObjectId>> part =
-        shard->indexes->CandidatesNearObject(class_name, probe, radius,
-                                             window);
-    // One shard that cannot vouch for its partition makes the union
-    // unsound as a superset.
-    if (!part.has_value()) return std::nullopt;
-    all.insert(all.end(), part->begin(), part->end());
-  }
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-  return all;
 }
 
 QueryManager::RefreshCounters ShardedEngine::TotalRefreshCounters() const {

@@ -10,7 +10,6 @@
 #include "common/mpsc_queue.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
-#include "core/motion_index_manager.h"
 #include "core/object_model.h"
 #include "core/shard_router.h"
 #include "ftl/query_manager.h"
@@ -29,9 +28,8 @@ namespace most {
 ///
 ///  * a QueryManager whose Options::domain_partition restricts the first
 ///    FROM variable of every query to the shard's objects,
-///  * an MPSC handoff queue of pending location updates routed by owner,
-///  * a per-shard write-ahead log (ShardWal), and
-///  * an ownership-filtered MotionIndexManager.
+///  * an MPSC handoff queue of pending location updates routed by owner, and
+///  * a per-shard write-ahead log (ShardWal).
 ///
 /// Safe concurrent mutation of the shared database comes from phase
 /// discipline, not locks: structural operations (object create/delete,
@@ -65,23 +63,14 @@ class ShardedEngine {
   struct Options {
     /// Number of shards; 0 sizes to std::thread::hardware_concurrency().
     size_t shard_count = 0;
-    /// Template for every per-shard QueryManager. thread_count is forced
-    /// to 1 (parallelism comes from the engine fanning out across shards,
-    /// not from nested per-shard pools), listen is forced off (the drain
-    /// feeds coalesced NoteUpdates batches), and domain_partition is
-    /// installed per shard. Options::motion_indexes may point to an
-    /// external *unfiltered* manager — the engine's own per-shard managers
-    /// are ownership-filtered and deliberately kept away from the
-    /// evaluator, whose DIST-partner pruning assumes full class coverage.
+    /// Template for every per-shard QueryManager. listen is forced off
+    /// (the drain feeds coalesced NoteUpdates batches) and
+    /// domain_partition is installed per shard.
     QueryManager::Options query_options;
     /// Directory for per-shard WALs (created if missing). Empty disables
     /// durability. Each drained update is appended to its owner shard's
     /// log, so N drain threads log without sharing a file or a lock.
     std::string wal_dir;
-    /// Spatial classes each shard maintains an ownership-filtered motion
-    /// index for (engine-level CandidatesNearObject unions the per-shard
-    /// candidate sets).
-    std::vector<std::string> index_classes;
   };
 
   /// The database must outlive the engine. Current objects are assigned
@@ -100,9 +89,8 @@ class ShardedEngine {
 
   // ---- Control plane (serial: never concurrent with Tick or enqueues) --
 
-  /// Creates an object, assigns it to its hash shard (partition set,
-  /// query partition, motion index), and dirties it in every shard's
-  /// queries.
+  /// Creates an object, assigns it to its hash shard (partition set and
+  /// query partition), and dirties it in every shard's queries.
   Result<MostObject*> CreateObject(const std::string& class_name);
   /// Deletes an object and retires it from its shard; every shard's
   /// queries evict its rows on next refresh.
@@ -165,14 +153,6 @@ class ShardedEngine {
   /// byte-identical to an unsharded QueryManager::Evaluate.
   Result<TemporalRelation> Evaluate(const FtlQuery& query);
 
-  /// Union of the per-shard motion-index candidate supersets near
-  /// `probe`'s trajectory (sorted). nullopt if any shard cannot vouch for
-  /// its partition (class not indexed, window escapes an epoch) — the
-  /// caller must fall back to a class scan.
-  std::optional<std::vector<ObjectId>> CandidatesNearObject(
-      const std::string& class_name, const MostObject& probe, double radius,
-      Interval window) const;
-
   /// Summed delta/full refresh counters across all shard managers.
   QueryManager::RefreshCounters TotalRefreshCounters() const;
 
@@ -223,7 +203,6 @@ class ShardedEngine {
   struct Shard {
     std::shared_ptr<const std::set<ObjectId>> partition;
     std::unique_ptr<QueryManager> qm;
-    std::unique_ptr<MotionIndexManager> indexes;
     MpscQueue<UpdateOp> queue;
     ShardWal wal;
     uint64_t updates_applied = 0;
@@ -249,9 +228,8 @@ class ShardedEngine {
   /// (Re)builds shards_ for router_.shard_count() shards from the
   /// database's current objects. Callers tear the old shards down first.
   Status BuildShards();
-  /// Replaces the owner's partition set everywhere it is shared (query
-  /// partition + index filter) after a structural change to `id`, then
-  /// dirties `id` in every shard.
+  /// Replaces the owner's partition set (and its query partition) after
+  /// a structural change to `id`, then dirties `id` in every shard.
   void ReassignAfterStructuralChange(const std::string& class_name,
                                      ObjectId id);
   Status ApplyOp(const UpdateOp& op);

@@ -624,6 +624,25 @@ void FtlEvaluator::AccumulateArenaStats() {
   stats_.arena_heap_fallbacks += as.heap_fallbacks;
 }
 
+namespace {
+
+/// Checks that every region an INSIDE/OUTSIDE atom of `f` names exists.
+/// Done up front because an atom over an empty domain is never solved, so
+/// an evaluator would otherwise only notice the missing region when some
+/// object reaches it.
+Status CheckRegions(const MostDatabase& db, const FtlFormula& f) {
+  if (f.kind() == FtlFormula::Kind::kInside ||
+      f.kind() == FtlFormula::Kind::kOutside) {
+    MOST_RETURN_IF_ERROR(db.GetRegion(f.region()).status());
+  }
+  for (const FormulaPtr& child : f.children()) {
+    MOST_RETURN_IF_ERROR(CheckRegions(db, *child));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<std::map<std::string, const ObjectClass*>> ValidateQuery(
     const MostDatabase& db, const FtlQuery& query, Interval window) {
   if (!window.valid()) {
@@ -664,6 +683,19 @@ Result<std::map<std::string, const ObjectClass*>> ValidateQuery(
                                      "' is not bound by the FROM clause");
     }
   }
+  // A FROM variable the query never uses would still range over its class,
+  // emptying the answer when the class is empty. Relations (and the delta
+  // path's dirty tracking) only carry used variables, so reject it.
+  std::set<std::string> used = std::move(free_vars);
+  used.insert(query.retrieve.begin(), query.retrieve.end());
+  for (const auto& [var, cls] : classes) {
+    if (used.count(var) == 0) {
+      return Status::InvalidArgument("FROM variable '" + var +
+                                     "' is used by neither WHERE nor "
+                                     "RETRIEVE");
+    }
+  }
+  MOST_RETURN_IF_ERROR(CheckRegions(db, *query.where));
   return classes;
 }
 
@@ -871,15 +903,6 @@ Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
     }
 
     case FtlFormula::Kind::kAnd: {
-      if (!options_.enable_semijoin) {
-        MOST_ASSIGN_OR_RETURN(TemporalRelation r1,
-                              Eval(f->children()[0], domains, window));
-        MOST_ASSIGN_OR_RETURN(TemporalRelation r2,
-                              Eval(f->children()[1], domains, window));
-        TemporalRelation joined = JoinAnd(r1, r2, &stats_, &arena_);
-        MOST_RETURN_IF_ERROR(BudgetCheckpoint(joined.rows.size()));
-        return joined;
-      }
       // Semi-join: evaluate the side with fewer free variables first and
       // restrict the other side's domains to bindings that can still
       // join. Rows outside the restriction cannot survive the AND.
@@ -936,11 +959,8 @@ Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
     }
 
     case FtlFormula::Kind::kNot: {
-      if (!options_.allow_negation) {
-        return Status::InvalidArgument(
-            "negation is outside the conjunctive subset (enable "
-            "allow_negation to evaluate it by domain complementation)");
-      }
+      // Outside the paper's conjunctive subset: evaluated by complementing
+      // over the full variable domain.
       MOST_ASSIGN_OR_RETURN(TemporalRelation r,
                             Eval(f->children()[0], domains, window));
       TemporalRelation out;

@@ -50,10 +50,11 @@ struct FtlEvalStats {
 
 /// Checks a query before evaluation: a valid window, a WHERE formula,
 /// distinct FROM variables over existing classes, every object variable of
-/// the formula and of RETRIEVE bound by FROM, and no free value variable.
-/// Returns each FROM variable's class. FtlEvaluator and NaiveFtlEvaluator
-/// both call it, so they reject exactly the same queries with the same
-/// status.
+/// the formula and of RETRIEVE bound by FROM, every FROM variable used by
+/// the formula or RETRIEVE, no free value variable, and every region the
+/// formula names defined. Returns each FROM variable's class. FtlEvaluator
+/// and NaiveFtlEvaluator both call it, so they reject exactly the same
+/// queries with the same status.
 Result<std::map<std::string, const ObjectClass*>> ValidateQuery(
     const MostDatabase& db, const FtlQuery& query, Interval window);
 
@@ -69,14 +70,8 @@ Result<std::map<std::string, const ObjectClass*>> ValidateQuery(
 class FtlEvaluator {
  public:
   struct Options {
-    /// Negation is outside the paper's conjunctive subset; when allowed it
-    /// is evaluated by complementation over the full variable domain.
-    bool allow_negation = true;
     /// Safety valve on domain enumeration (cross products).
     size_t max_instantiations = 4u << 20;
-    /// AND evaluates its cheaper side first and restricts the other
-    /// side's variable domains to joinable bindings (a semi-join).
-    bool enable_semijoin = true;
     /// Optional Section 4 motion indexes: INSIDE atoms over indexed
     /// classes examine only the index's candidates instead of every
     /// object (the paper's combination of the index with the FTL

@@ -92,11 +92,6 @@ void SpliceAnswerDelta(
 
 QueryManager::QueryManager(MostDatabase* db, Options options)
     : db_(db), options_(options) {
-  // thread_count == 1 is the exact serial path (no pool); 0 delegates to
-  // ThreadPool's hardware_concurrency sizing (docs/parallel_eval.md).
-  if (options_.thread_count != 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.thread_count);
-  }
   if (options_.listen) {
     listener_id_ = db_->AddUpdateListener(
         [this](const std::string& class_name, ObjectId id) {
@@ -112,7 +107,6 @@ QueryManager::~QueryManager() {
 FtlEvaluator::Options QueryManager::EvalOptions() const {
   FtlEvaluator::Options o;
   o.motion_indexes = options_.motion_indexes;
-  o.pool = pool_.get();
   o.budget = EffectiveBudget();
   return o;
 }
@@ -349,8 +343,6 @@ Status QueryManager::Refresh(Continuous* cq) {
     full_reason = "expired";
   } else if (cq->dirty) {
     full_reason = "forced";
-  } else if (!options_.enable_delta_refresh) {
-    full_reason = "delta_disabled";
   } else {
     // Bail to the full path when most of the domain is dirty: the
     // restricted passes would approach full cost, plus eviction/splice.
@@ -400,22 +392,17 @@ Status QueryManager::RefreshFull(Continuous* cq, const char* reason) {
     cq->window_begin = now;
     cq->expires_at = TickSaturatingAdd(now, options_.horizon);
   }
-  const size_t dirty_total = DirtyTotal(cq->dirty_objects);
-  auto profile =
-      options_.enable_profiling ? std::make_shared<obs::QueryProfile>()
-                                : nullptr;
+  auto profile = std::make_shared<obs::QueryProfile>();
+  profile->query = cq->query.ToString();
+  profile->window = RenderWindow(cq->window_begin, cq->expires_at);
+  profile->path = "full";
+  profile->reason = reason;
+  profile->refresh_seq = cq->evaluations + 1;
+  profile->dirty_objects = DirtyTotal(cq->dirty_objects);
+  profile->root.label = "EvaluateQuery";
   FtlEvaluator::Options opts = EvalOptions();
   ApplyPartition(&opts, cq->query);
-  if (profile != nullptr) {
-    profile->query = cq->query.ToString();
-    profile->window = RenderWindow(cq->window_begin, cq->expires_at);
-    profile->path = "full";
-    profile->reason = reason;
-    profile->refresh_seq = cq->evaluations + 1;
-    profile->dirty_objects = dirty_total;
-    profile->root.label = "EvaluateQuery";
-    opts.profile = &profile->root;
-  }
+  opts.profile = &profile->root;
   const uint64_t t0 = obs::MonotonicNowNs();
   FtlEvaluator eval(*db_, opts);
   Result<TemporalRelation> evaluated = eval.EvaluateQueryUnprojected(
@@ -435,10 +422,8 @@ Status QueryManager::RefreshFull(Continuous* cq, const char* reason) {
     return Status::OK();
   }
   cq->full = std::move(*evaluated);
-  if (profile != nullptr) {
-    profile->arena_bytes = eval.stats().arena_bytes;
-    profile->arena_heap_fallbacks = eval.stats().arena_heap_fallbacks;
-  }
+  profile->arena_bytes = eval.stats().arena_bytes;
+  profile->arena_heap_fallbacks = eval.stats().arena_heap_fallbacks;
   cq->answer = cq->full.Project(cq->query.retrieve);
   cq->evaluated_at = now;
   cq->dirty = false;
@@ -448,14 +433,9 @@ Status QueryManager::RefreshFull(Continuous* cq, const char* reason) {
   cq->first_dirty_at = -1;
   ++cq->evaluations;
   ++cq->full_evaluations;
-  {
-    std::lock_guard<std::mutex> lock(totals_mu_);
-    ++totals_.full_evaluations;
-  }
-  if (profile != nullptr) {
-    profile->total_ns = dur_ns;
-    cq->last_profile = std::move(profile);
-  }
+  ++totals_.full_evaluations;
+  profile->total_ns = dur_ns;
+  cq->last_profile = std::move(profile);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   if (registry.enabled()) {
     const QmRegistrySeries& series = QmRegistrySeries::Get();
@@ -489,18 +469,14 @@ Status QueryManager::RefreshDelta(Continuous* cq) {
   }
   Interval window(cq->window_begin, cq->expires_at);
   const size_t dirty_total = DirtyTotal(cq->dirty_objects);
-  auto profile =
-      options_.enable_profiling ? std::make_shared<obs::QueryProfile>()
-                                : nullptr;
-  if (profile != nullptr) {
-    profile->query = cq->query.ToString();
-    profile->window = RenderWindow(cq->window_begin, cq->expires_at);
-    profile->path = "delta";
-    profile->reason = "coalesced updates";
-    profile->refresh_seq = cq->evaluations + 1;
-    profile->dirty_objects = dirty_total;
-    profile->root.label = "DeltaRefresh";
-  }
+  auto profile = std::make_shared<obs::QueryProfile>();
+  profile->query = cq->query.ToString();
+  profile->window = RenderWindow(cq->window_begin, cq->expires_at);
+  profile->path = "delta";
+  profile->reason = "coalesced updates";
+  profile->refresh_seq = cq->evaluations + 1;
+  profile->dirty_objects = dirty_total;
+  profile->root.label = "DeltaRefresh";
   const uint64_t t0 = obs::MonotonicNowNs();
   const std::vector<std::string>& vars = cq->full.vars;
   // Dirty ids per relation column (null = column's class saw no update).
@@ -557,12 +533,9 @@ Status QueryManager::RefreshDelta(Continuous* cq) {
       opts.domain_restrictions[vars[i]] =
           std::make_shared<const std::set<ObjectId>>(*col_dirty[i]);
     }
-    if (profile != nullptr) {
-      obs::ProfileNode* pass = profile->root.AddChild(
-          "RestrictedPass " + vars[i] + " (" +
-          std::to_string(col_dirty[i]->size()) + " dirty)");
-      opts.profile = pass;
-    }
+    opts.profile = profile->root.AddChild(
+        "RestrictedPass " + vars[i] + " (" +
+        std::to_string(col_dirty[i]->size()) + " dirty)");
     FtlEvaluator eval(*db_, opts);
     Result<TemporalRelation> part =
         eval.EvaluateQueryUnprojected(cq->query, window);
@@ -580,10 +553,8 @@ Status QueryManager::RefreshDelta(Continuous* cq) {
                "delta", obs::MonotonicNowNs() - t0);
       return Status::OK();
     }
-    if (profile != nullptr) {
-      profile->arena_bytes += eval.stats().arena_bytes;
-      profile->arena_heap_fallbacks += eval.stats().arena_heap_fallbacks;
-    }
+    profile->arena_bytes += eval.stats().arena_bytes;
+    profile->arena_heap_fallbacks += eval.stats().arena_heap_fallbacks;
     for (auto& [binding, when] : part->rows) {
       cq->full.rows.emplace(binding, std::move(when));
     }
@@ -597,16 +568,11 @@ Status QueryManager::RefreshDelta(Continuous* cq) {
   cq->first_dirty_at = -1;
   ++cq->evaluations;
   ++cq->delta_evaluations;
-  {
-    std::lock_guard<std::mutex> lock(totals_mu_);
-    ++totals_.delta_evaluations;
-  }
-  if (profile != nullptr) {
-    profile->total_ns = dur_ns;
-    profile->root.duration_ns = dur_ns;
-    profile->root.tuples = cq->full.rows.size();
-    cq->last_profile = std::move(profile);
-  }
+  ++totals_.delta_evaluations;
+  profile->total_ns = dur_ns;
+  profile->root.duration_ns = dur_ns;
+  profile->root.tuples = cq->full.rows.size();
+  cq->last_profile = std::move(profile);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   if (registry.enabled()) {
     const QmRegistrySeries& series = QmRegistrySeries::Get();
@@ -778,7 +744,7 @@ Result<QueryManager::RefreshCounters> QueryManager::QueryRefreshCounters(
 }
 
 QueryManager::RefreshCounters QueryManager::TotalRefreshCounters() const {
-  std::lock_guard<std::mutex> lock(totals_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return totals_;
 }
 
@@ -808,10 +774,11 @@ Result<std::shared_ptr<const obs::QueryProfile>> QueryManager::Profile(
   if (it == continuous_.end()) {
     return Status::NotFound("continuous query " + std::to_string(id));
   }
+  // Only a refresh that completes installs a profile, so a query whose
+  // first refresh was shed has none yet.
   if (it->second.last_profile == nullptr) {
-    return Status::InvalidArgument(
-        "no profile recorded for query " + std::to_string(id) +
-        " (Options::enable_profiling is off)");
+    return Status::NotFound("query " + std::to_string(id) +
+                            " has no completed refresh");
   }
   return it->second.last_profile;
 }
@@ -855,22 +822,14 @@ Status QueryManager::TickAll() {
     }
     stale.erase(stale.begin(), stale.begin() + shed_n);
   }
-  // One batch through the pool: map nodes are stable and each worker
-  // refreshes a distinct entry, so no further locking is needed. Each
-  // refresh may itself fan its atomic extraction out to the same pool
-  // (ParallelFor callers participate, so nesting cannot deadlock).
-  std::vector<Status> statuses(stale.size());
-  const obs::TraceContext batch_ctx = span.context();
-  ParallelFor(pool_.get(), stale.size(), [&](size_t i) {
-    // Pool threads have no ambient context; install the batch span's so
-    // each Refresh's span parents under qm/tick_all across threads.
-    obs::TraceContextGuard guard(batch_ctx);
-    statuses[i] = Refresh(stale[i]);
-  });
-  for (const Status& s : statuses) {
-    MOST_RETURN_IF_ERROR(s);
+  // Every admitted entry is refreshed, even after an error, so one failing
+  // query does not leave the rest of the batch stale.
+  Status first_error = Status::OK();
+  for (Continuous* cq : stale) {
+    Status s = Refresh(cq);
+    if (!s.ok() && first_error.ok()) first_error = s;
   }
-  return Status::OK();
+  return first_error;
 }
 
 Result<QueryManager::QueryId> QueryManager::RegisterTrigger(

@@ -1,7 +1,6 @@
 #ifndef MOST_FTL_QUERY_MANAGER_H_
 #define MOST_FTL_QUERY_MANAGER_H_
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -12,7 +11,6 @@
 
 #include "common/budget.h"
 #include "common/result.h"
-#include "common/thread_pool.h"
 #include "core/object_model.h"
 #include "ftl/ast.h"
 #include "ftl/eval.h"
@@ -81,14 +79,6 @@ class QueryManager {
     /// Optional Section 4 motion indexes consulted by the evaluator (not
     /// owned; may be null).
     const MotionIndexManager* motion_indexes = nullptr;
-    /// Worker threads for atomic-predicate extraction and for batch
-    /// re-evaluation (TickAll). 1 keeps the exact serial path
-    /// (no pool at all); 0 sizes the pool to
-    /// std::thread::hardware_concurrency(); any value produces
-    /// byte-identical answers (docs/parallel_eval.md). Earlier releases
-    /// treated 0 as silently serial — ask for 1 explicitly if that is
-    /// what you want.
-    size_t thread_count = 1;
     /// Register an update listener on the database (the default). The
     /// sharded engine turns this off and instead feeds each shard's
     /// manager coalesced per-tick batches through NoteUpdates, so the
@@ -117,18 +107,12 @@ class QueryManager {
     /// rows and re-derives them with the evaluator's variable domains
     /// restricted to the updated objects, instead of re-running the whole
     /// query (docs/incremental_eval.md). Answers are byte-identical to a
-    /// full re-evaluation; disable to force the full path.
-    bool enable_delta_refresh = true;
-    /// Fall back to a full re-evaluation when the coalesced dirty set
-    /// exceeds this fraction of the query's combined FROM domains — with
-    /// most objects dirty the restricted passes would approach full cost
-    /// while paying eviction and splice overhead on top.
+    /// full re-evaluation. The refresh falls back to a full re-evaluation
+    /// when the coalesced dirty set exceeds this fraction of the query's
+    /// combined FROM domains — with most objects dirty the restricted
+    /// passes would approach full cost while paying eviction and splice
+    /// overhead on top. 0 forces the full path on every refresh.
     double delta_max_dirty_fraction = 0.25;
-    /// Record a per-subformula evaluation profile on every refresh,
-    /// retrievable via Explain(id). Costs one ProfileNode per subformula
-    /// per refresh (never touches the per-tuple hot paths) and does not
-    /// change any answer.
-    bool enable_profiling = true;
     /// Per-refresh evaluation budget (docs/robustness.md). A refresh that
     /// exhausts it is *shed*: the evaluator aborts, the query keeps its
     /// previous materialized answer (the delta path keeps the surviving —
@@ -250,9 +234,8 @@ class QueryManager {
     uint64_t full_evaluations = 0;
   };
   Result<RefreshCounters> QueryRefreshCounters(QueryId id) const;
-  /// Manager-wide totals across all queries (including cancelled ones).
-  /// The pair is taken under one lock, so concurrent refreshes can never
-  /// produce a torn read (a delta counted without its sibling).
+  /// Manager-wide totals across all queries (including cancelled ones),
+  /// read under the registry lock, so the pair is never torn.
   RefreshCounters TotalRefreshCounters() const;
 
   /// Degraded-answer state of one continuous query. `reason` is kNone
@@ -272,22 +255,20 @@ class QueryManager {
   /// counter deltas (the appendix's bottom-up algorithm computes one
   /// interval relation per subformula, so the profile tree mirrors the
   /// formula tree). `include_timings=false` masks wall times for
-  /// deterministic golden output. NotFound for an unknown id,
-  /// InvalidArgument when profiling is disabled.
+  /// deterministic golden output. Every completed refresh records a
+  /// profile: one ProfileNode per subformula, never on the per-tuple hot
+  /// paths, and no answer depends on it. NotFound for an unknown id or a
+  /// query with no completed refresh yet.
   Result<std::string> Explain(QueryId id, bool include_timings = true) const;
   /// The raw profile behind Explain (shared snapshot; safe to hold after
   /// further refreshes, which install a fresh profile object).
   Result<std::shared_ptr<const obs::QueryProfile>> Profile(QueryId id) const;
 
   /// Advances every registered continuous query to the current tick in one
-  /// batch: stale answers (dirty or expired) are re-evaluated, fanned out
-  /// across the worker pool when thread_count > 1. Answers are identical
-  /// to refreshing each query serially; returns the first error in query
-  /// id order. Database mutations must not run concurrently with this.
+  /// batch: stale answers (dirty or expired) are re-evaluated in query id
+  /// order; returns the first error. Database mutations must not run
+  /// concurrently with this.
   Status TickAll();
-
-  /// The worker pool, or null when thread_count == 1.
-  ThreadPool* pool() { return pool_.get(); }
 
   /// Batch form of the update listener, for managers created with
   /// Options::listen == false: marks continuous-query dirty sets and
@@ -371,8 +352,7 @@ class QueryManager {
     /// refresh (-1 = clean, or stale for a non-update reason such as
     /// window expiry, which admission control treats as oldest).
     Tick first_dirty_at = -1;
-    /// Profile of the most recent refresh (null until the first refresh
-    /// or when profiling is disabled).
+    /// Profile of the most recent completed refresh (null until then).
     std::shared_ptr<const obs::QueryProfile> last_profile;
     // Trigger state.
     TriggerAction action;
@@ -400,14 +380,12 @@ class QueryManager {
   bool NeedsRefresh(const Continuous& cq, Tick now) const;
   /// Brings one entry up to date: no-op when clean, delta when only a
   /// small dirty set is pending, full otherwise (or when the delta path
-  /// errors). Callers must either hold mu_ or (TickAll) guarantee
-  /// exclusive access to this entry; distinct entries may be refreshed
-  /// concurrently.
+  /// errors). Caller holds mu_.
   Status Refresh(Continuous* cq);
   /// Full window re-evaluation; re-anchors the window at registration and
   /// on expiry. `reason` says why
-  /// the full path ran (initial/expired/forced/dirty_fraction/delta_error/
-  /// delta_disabled) — recorded in the profile and the fallback counters.
+  /// the full path ran (initial/expired/forced/dirty_fraction/delta_error)
+  /// — recorded in the profile and the fallback counters.
   Status RefreshFull(Continuous* cq, const char* reason);
   /// Delta re-evaluation over the existing window: evicts rows binding a
   /// dirty object, runs one domain-restricted pass per dirty column, and
@@ -476,7 +454,6 @@ class QueryManager {
 
   MostDatabase* db_;
   Options options_;
-  std::unique_ptr<ThreadPool> pool_;     // Null when thread_count <= 1.
   MostDatabase::ListenerId listener_id_ = 0;
 
   /// Guards the query registries. Evaluation reads the database without a
@@ -487,12 +464,7 @@ class QueryManager {
   QueryId next_id_ = 1;
   std::map<QueryId, Continuous> continuous_;
   std::map<QueryId, Persistent> persistent_;
-  /// Manager-wide refresh totals. TickAll fans refreshes of distinct
-  /// entries out across the pool while holding mu_, so the pair lives
-  /// under its own small mutex: writers increment one member, readers
-  /// snapshot both consistently (two independent atomics allowed a torn
-  /// read that counted a refresh in neither or one of the two).
-  mutable std::mutex totals_mu_;
+  /// Manager-wide refresh totals, under mu_ like every refresh.
   RefreshCounters totals_;
 };
 

@@ -36,6 +36,7 @@ using namespace most;
 
 // One deterministic world shared by every input: a spatial class M (with a
 // FUEL attribute so assignment/compare formulas bind), a second class N,
+// an empty spatial class E (so the evaluators also meet an empty domain),
 // and four regions with the names the seed corpus uses. Coordinates are
 // grid-snapped (so the oracle sees predicate flips at exactly the ticks
 // the interval solver computes); motions include stationary and linear
@@ -45,6 +46,7 @@ MostDatabase* World() {
     auto* d = new MostDatabase();
     (void)d->CreateClass("M", {{"FUEL", true, ValueType::kNull}}, true);
     (void)d->CreateClass("N", {}, true);
+    (void)d->CreateClass("E", {}, true);
     (void)d->DefineRegion("R1", Polygon::Rectangle({-10, -10}, {5, 5}));
     (void)d->DefineRegion("R2", Polygon::Rectangle({0, 0}, {15, 12}));
     (void)d->DefineRegion("P", Polygon::Rectangle({2, 2}, {8, 8}));

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/failpoint.h"
-#include "common/thread_pool.h"
 #include "ftl/parser.h"
 
 namespace most {
@@ -609,13 +608,12 @@ TEST_F(StalenessTest, DisabledHorizonKeepsEverythingCertain) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch tick (TickAll) + the parallel evaluation configuration.
+// Batch tick (TickAll) and the registry lock.
 // ---------------------------------------------------------------------------
 
-class ParallelQueryManagerTest : public ::testing::Test {
+class TickAllTest : public ::testing::Test {
  protected:
-  ParallelQueryManagerTest()
-      : qm_(&db_, {.horizon = 200, .thread_count = 4}) {
+  TickAllTest() : qm_(&db_, {.horizon = 200}) {
     EXPECT_TRUE(db_.CreateClass("CARS", {{"PRICE", false, ValueType::kDouble}},
                                 /*spatial=*/true)
                     .ok());
@@ -640,47 +638,7 @@ class ParallelQueryManagerTest : public ::testing::Test {
   QueryManager qm_;
 };
 
-TEST_F(ParallelQueryManagerTest, ParallelAnswersMatchSerialManager) {
-  for (int i = 0; i < 12; ++i) {
-    AddCar({static_cast<double>(-5 * i - 5), 5.0}, {1, 0});
-  }
-  QueryManager serial(&db_, {.horizon = 200});
-  for (const char* text :
-       {"RETRIEVE o FROM CARS o WHERE INSIDE(o, P)",
-        "RETRIEVE o FROM CARS o WHERE EVENTUALLY WITHIN 40 INSIDE(o, P)",
-        "RETRIEVE o, n FROM CARS o, CARS n WHERE DIST(o, n) <= 8"}) {
-    FtlQuery q = Parse(text);
-    auto fast = qm_.Evaluate(q);
-    auto slow = serial.Evaluate(q);
-    ASSERT_TRUE(fast.ok()) << fast.status();
-    ASSERT_TRUE(slow.ok()) << slow.status();
-    EXPECT_EQ(fast->rows, slow->rows) << text;
-  }
-}
-
-// thread_count == 0 means "size the pool to the machine" (explicit 1 is
-// the serial no-pool path). Answers must be independent of that choice.
-TEST_F(ParallelQueryManagerTest, ThreadCountZeroSizesPoolToHardware) {
-  for (int i = 0; i < 8; ++i) {
-    AddCar({static_cast<double>(-4 * i - 4), 5.0}, {1, 0});
-  }
-  QueryManager hw(&db_, {.horizon = 200, .thread_count = 0});
-  QueryManager serial(&db_, {.horizon = 200, .thread_count = 1});
-  FtlQuery q = Parse("RETRIEVE o FROM CARS o WHERE EVENTUALLY INSIDE(o, P)");
-  auto a = hw.Evaluate(q);
-  auto b = serial.Evaluate(q);
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-  EXPECT_EQ(a->rows, b->rows);
-  // The delegation target: a zero-sized pool spawns hardware_concurrency
-  // workers (at least one), never zero.
-  ThreadPool pool(0);
-  EXPECT_GE(pool.thread_count(), 1u);
-  EXPECT_EQ(pool.thread_count(),
-            std::max(1u, std::thread::hardware_concurrency()));
-}
-
-TEST_F(ParallelQueryManagerTest, TickAllRefreshesEveryStaleQuery) {
+TEST_F(TickAllTest, TickAllRefreshesEveryStaleQuery) {
   ObjectId car = AddCar({-20, 5}, {1, 0});  // In P during [20, 30].
   std::vector<QueryManager::QueryId> ids;
   for (int i = 0; i < 8; ++i) {
@@ -706,7 +664,7 @@ TEST_F(ParallelQueryManagerTest, TickAllRefreshesEveryStaleQuery) {
   }
 }
 
-TEST_F(ParallelQueryManagerTest, TickAllTracksMotionUpdates) {
+TEST_F(TickAllTest, TickAllTracksMotionUpdates) {
   ObjectId car = AddCar({-20, 5}, {1, 0});
   FtlQuery q = Parse("RETRIEVE o FROM CARS o WHERE INSIDE(o, P)");
   auto id = qm_.RegisterContinuous(q);
@@ -725,12 +683,12 @@ TEST_F(ParallelQueryManagerTest, TickAllTracksMotionUpdates) {
   EXPECT_EQ((*after)[0].interval, Interval(20, 25));
 }
 
-TEST_F(ParallelQueryManagerTest, TotalRefreshCountersNeverTear) {
-  // Manager-wide refresh totals are read while TickAll fans refreshes out
-  // across the pool. The pair must come from one consistent snapshot —
-  // totals can only grow, and a torn read (two independent atomics) could
-  // go backwards or count a refresh in neither member. Run under
-  // -DMOST_SANITIZE=thread to verify the snapshot is also race-free.
+TEST_F(TickAllTest, TotalRefreshCountersNeverTear) {
+  // Manager-wide refresh totals are read from another thread while TickAll
+  // refreshes. The pair must come from one consistent snapshot — totals
+  // can only grow, and a torn read could go backwards or count a refresh
+  // in neither member. Run under -DMOST_SANITIZE=thread to verify the
+  // snapshot is also race-free.
   std::vector<ObjectId> cars;
   for (int i = 0; i < 6; ++i) {
     cars.push_back(AddCar({static_cast<double>(-3 * i - 2), 5.0}, {1, 0}));
@@ -754,7 +712,7 @@ TEST_F(ParallelQueryManagerTest, TotalRefreshCountersNeverTear) {
   });
   for (int round = 0; round < 30; ++round) {
     // Dirty every query (database mutations stay on this thread, per the
-    // documented contract), then refresh the batch through the pool.
+    // documented contract), then refresh the batch.
     ASSERT_TRUE(db_.SetMotion("CARS", cars[round % cars.size()],
                               {static_cast<double>(-2 - round), 5.0}, {1, 0})
                     .ok());
@@ -766,7 +724,7 @@ TEST_F(ParallelQueryManagerTest, TotalRefreshCountersNeverTear) {
   EXPECT_GT(final.delta_evaluations + final.full_evaluations, 0u);
 }
 
-TEST_F(ParallelQueryManagerTest, ConcurrentRegistrationDuringTicks) {
+TEST_F(TickAllTest, ConcurrentRegistrationDuringTicks) {
   // Registration, polling, and batch ticks from several threads must not
   // race (run under -DMOST_SANITIZE=thread to verify); database mutations
   // stay on this thread, per the documented contract.

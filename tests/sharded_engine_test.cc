@@ -294,32 +294,6 @@ TEST(ShardedEngineTest, DegradedShardPoisonsGatherAsStale) {
   }
 }
 
-// Per-shard ownership-filtered motion indexes: the engine-level union of
-// candidate supersets equals an unfiltered manager's candidates.
-TEST(ShardedEngineTest, CandidatesNearObjectUnionsShardIndexes) {
-  MostDatabase db;
-  FleetGenerator fleet(SmallFleet(30, 37));
-  ASSERT_TRUE(fleet.Populate(&db, "V").ok());
-
-  ShardedEngine::Options opt;
-  opt.shard_count = 4;
-  opt.index_classes = {"V"};
-  ShardedEngine engine(&db, opt);
-
-  MotionIndexManager full(&db);
-  ASSERT_TRUE(full.IndexClass("V").ok());
-
-  auto cls = db.GetClass("V");
-  ASSERT_TRUE(cls.ok());
-  const MostObject* probe = *(*cls)->Get(3);
-  Interval window(0, 16);
-  auto want = full.CandidatesNearObject("V", *probe, 10.0, window);
-  auto got = engine.CandidatesNearObject("V", *probe, 10.0, window);
-  ASSERT_TRUE(want.has_value());
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, *want);
-}
-
 // Durability: every drained update lands in its owner shard's WAL; replay
 // into a fresh database reconstructs the exact object state.
 TEST(ShardedEngineTest, ShardWalRoundTripReplaysExactState) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
@@ -29,6 +30,14 @@ TEST(ThreadPoolTest, RunsSubmittedTasks) {
   std::unique_lock<std::mutex> lock(mu);
   cv.wait(lock, [&] { return count.load() == 100; });
   EXPECT_EQ(count.load(), 100);
+}
+
+TEST(ThreadPoolTest, ZeroSizesPoolToHardware) {
+  // A zero-sized pool spawns hardware_concurrency workers (at least one),
+  // never zero.
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.thread_count(),
+            std::max(1u, std::thread::hardware_concurrency()));
 }
 
 TEST(ThreadPoolTest, ShutdownDrainsQueuedTasks) {
