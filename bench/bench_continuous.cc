@@ -23,9 +23,11 @@
 #include <sstream>
 #include <vector>
 
+#include "../tests/scoped_governor_limits.h"
 #include "bench_obs.h"
 #include "ftl/parser.h"
 #include "ftl/query_manager.h"
+#include "obs/governor.h"
 #include "workload/fleet.h"
 
 namespace most {
@@ -129,11 +131,10 @@ BENCHMARK(BM_AnswerCqWithUpdates)->Arg(0)->Arg(4)->Arg(16)->Arg(64)
 
 // The maintenance mode under test: the default delta path, or a zero dirty
 // fraction that sends every refresh down the full path.
-QueryManager::Options ModeOptions(bool delta) {
-  QueryManager::Options opts;
-  opts.horizon = kHorizon;
-  if (!delta) opts.delta_max_dirty_fraction = 0.0;
-  return opts;
+ResourceGovernor::Limits ModeLimits(bool delta) {
+  ResourceGovernor::Limits limits;
+  if (!delta) limits.delta_max_dirty_fraction = 0.0;
+  return limits;
 }
 
 // One op = one tick of a steady update stream: `updates` random motion
@@ -144,7 +145,8 @@ void BM_RefreshDeltaVsFull(benchmark::State& state) {
   size_t updates = static_cast<size_t>(state.range(0));
   bool delta = state.range(1) == 1;
   auto db = MakeWorld(vehicles);
-  QueryManager qm(db.get(), ModeOptions(delta));
+  test::ScopedGovernorLimits mode(ModeLimits(delta));
+  QueryManager qm(db.get(), {.horizon = kHorizon});
   FtlQuery query = TheQuery();
   auto cq = qm.RegisterContinuous(query);
   Rng rng(11);
@@ -220,7 +222,8 @@ void EmitBenchJson(const char* path) {
       for (bool delta : {false, true}) {
         Config cfg{vehicles, updates, delta};
         auto db = MakeWorld(vehicles);
-        QueryManager qm(db.get(), ModeOptions(delta));
+        test::ScopedGovernorLimits mode(ModeLimits(delta));
+        QueryManager qm(db.get(), {.horizon = kHorizon});
         FtlQuery query = TheQuery();
         auto cq = qm.RegisterContinuous(query);
         Rng rng(1997);

@@ -27,6 +27,7 @@
 #include <sstream>
 #include <vector>
 
+#include "../tests/scoped_governor_limits.h"
 #include "bench_obs.h"
 #include "common/rng.h"
 #include "obs/governor.h"
@@ -60,17 +61,18 @@ struct CellResult {
   uint64_t sheds = 0;
 };
 
-QueryManager::Options CommonOpts(bool governed) {
-  QueryManager::Options opts;
-  opts.horizon = kHorizon;
+/// The governor's limits for a cell; `budget_ns` == 0 means ungoverned.
+ResourceGovernor::Limits CellLimits(uint64_t budget_ns) {
+  ResourceGovernor::Limits limits;
   // Let a 1x storm ride the delta path while heavy storms (most of the
   // fleet dirty every tick) fall back to full re-evaluation.
-  opts.delta_max_dirty_fraction = 0.5;
-  if (governed) {
-    opts.refresh_queue_limit = 4;
-    opts.degrade_cooldown_ticks = 2;
+  limits.delta_max_dirty_fraction = 0.5;
+  if (budget_ns > 0) {
+    limits.refresh_budget.deadline_ns = budget_ns;
+    limits.refresh_queue_limit = 4;
+    limits.degrade_cooldown_ticks = 2;
   }
-  return opts;
+  return limits;
 }
 
 /// Drives one grid cell: `multiplier` x the baseline update rate for
@@ -80,7 +82,8 @@ QueryManager::Options CommonOpts(bool governed) {
 /// the answer: an SLO binds steady state, not boot.
 CellResult RunCell(size_t vehicles, size_t multiplier, uint64_t budget_ns) {
   auto db = MakeWorld(vehicles);
-  QueryManager qm(db.get(), CommonOpts(budget_ns > 0));
+  test::ScopedGovernorLimits limits(CellLimits(0));
+  QueryManager qm(db.get(), {.horizon = kHorizon});
   auto query = ParseQuery("RETRIEVE o, n FROM CARS o, CARS n WHERE DIST(o, n) <= 15");
   auto cq = qm.RegisterContinuous(*query);
   for (int t = 0; t < 2; ++t) {
@@ -89,9 +92,7 @@ CellResult RunCell(size_t vehicles, size_t multiplier, uint64_t budget_ns) {
     (void)qm.ContinuousAnswer(*cq);
   }
   if (budget_ns > 0) {
-    ResourceGovernor::Limits limits;
-    limits.refresh_budget.deadline_ns = budget_ns;
-    ResourceGovernor::Global().set_limits(limits);
+    ResourceGovernor::Global().set_limits(CellLimits(budget_ns));
   }
 
   Rng rng(1997 + multiplier);
@@ -118,7 +119,6 @@ CellResult RunCell(size_t vehicles, size_t multiplier, uint64_t budget_ns) {
             t1 - t0).count()) * 1e-6);
     result.answer_rows = answer.ok() ? answer->size() : 0;
   }
-  ResourceGovernor::Global().set_limits({});
   std::sort(latencies_ms.begin(), latencies_ms.end());
   result.p50_ms = latencies_ms[latencies_ms.size() / 2];
   result.p99_ms = latencies_ms[latencies_ms.size() * 99 / 100];
@@ -132,7 +132,8 @@ CellResult RunCell(size_t vehicles, size_t multiplier, uint64_t budget_ns) {
 /// state): the yardstick the governed budget is derived from.
 uint64_t BaselineRefreshNs(size_t vehicles) {
   auto db = MakeWorld(vehicles);
-  QueryManager qm(db.get(), CommonOpts(false));
+  test::ScopedGovernorLimits limits(CellLimits(0));
+  QueryManager qm(db.get(), {.horizon = kHorizon});
   auto query = ParseQuery("RETRIEVE o, n FROM CARS o, CARS n WHERE DIST(o, n) <= 15");
   auto cq = qm.RegisterContinuous(*query);
   for (int t = 0; t < 2; ++t) {

@@ -61,10 +61,11 @@ MOST_FAILPOINTS="ci/crash_probe=noop" ./build-asan/tests/crash_restart_torture_t
 echo "=== overload-torture stage (env-armed failpoints, ASan+UBSan) ==="
 MOST_FAILPOINTS="ci/overload_probe=noop" ./build-asan/tests/overload_torture_test
 
-# Delta-refresh stage: delta-vs-full differential corpus (200 randomized
-# update schedules, byte-identical answers) plus the env-armed probe that
-# proves the delta path — not the full-refresh fallback — served the
-# refreshes (docs/incremental_eval.md). The probe test skips unless
+# Delta-refresh stage: delta differential corpus (200 randomized update
+# schedules, each answer byte-identical to a fresh evaluation over the
+# query's window) plus the env-armed probe that proves the delta path —
+# not the full-refresh fallback — served the refreshes
+# (docs/incremental_eval.md). The probe test skips unless
 # MOST_FAILPOINTS names ftl/delta/refresh, so arming it here keeps the
 # stage from silently degrading to full re-evaluation.
 echo "=== delta-refresh stage (env-armed probe, ASan+UBSan) ==="
@@ -240,6 +241,9 @@ if [[ "${1:-}" == "tsan" ]]; then
   # The sharded engine's lock-free handoff queue and parallel
   # drain/refresh phases are memory-ordering claims; TSan is the tool
   # that checks them (docs/sharding.md).
+  # ShardedEngineTest.WatchdogArmingDuringParallelTickDegradesSoundly arms
+  # the telemetry watchdog from inside one shard's TickAll while the other
+  # shards read the governor's limits on pool threads.
   echo "=== sharded-engine concurrency suite (TSan) ==="
   ./build-tsan/tests/mpsc_queue_test
   ./build-tsan/tests/sharded_engine_test

@@ -312,6 +312,8 @@ class Shell {
     PrintLimit("channel unacked bytes", limits.channel_max_unacked_bytes);
     PrintLimit("channel dead horizon (ticks)",
                static_cast<uint64_t>(limits.channel_peer_dead_horizon));
+    std::cout << "  delta max dirty fraction: "
+              << limits.delta_max_dirty_fraction << " (0 = always full)\n";
     std::cout << "storage: "
               << (gov.storage_degraded() ? "DEGRADED" : "ok");
     if (gov.storage_degraded()) {

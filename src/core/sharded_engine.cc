@@ -38,10 +38,6 @@ ShardedEngine::ShardedEngine(MostDatabase* db, Options options)
   if (router_.shard_count() > 1) {
     pool_ = std::make_unique<ThreadPool>(router_.shard_count());
   }
-  if (!options_.wal_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(options_.wal_dir, ec);
-  }
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
   gather_merges_total_ =
       reg.GetCounter("most_shard_gather_merges_total",
@@ -50,10 +46,7 @@ ShardedEngine::ShardedEngine(MostDatabase* db, Options options)
       "most_shard_degraded_gathers_total",
       "Gathers that returned an incomplete (kStale) answer because at "
       "least one shard was degraded");
-  Status s = BuildShards();
-  // Construction failures (WAL open) are surfaced on first use; the
-  // shards that did build stay consistent.
-  (void)s;
+  build_status_ = BuildShards();
 }
 
 ShardedEngine::~ShardedEngine() = default;
@@ -70,6 +63,11 @@ Status ShardedEngine::BuildShards() {
     }
   }
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
+  if (!options_.wal_dir.empty()) {
+    // A failure here shows up as the shard WALs' open errors.
+    std::error_code ec;
+    std::filesystem::create_directories(options_.wal_dir, ec);
+  }
   shards_.clear();
   shards_.reserve(n);
   Status first_error = Status::OK();
@@ -213,15 +211,17 @@ Status ShardedEngine::Reshard(size_t new_shard_count) {
     return Status::InvalidArgument("shard count must be positive");
   }
   // Flush every pending enqueued update into the database first; queued
-  // ops must not be lost when their home queue is destroyed.
-  MOST_RETURN_IF_ERROR(DrainAndRefresh());
+  // ops must not be lost when their home queue is destroyed. A failed WAL
+  // open fails every drain until a rebuild, so it must not stop this one.
+  Status drained = DrainAndRefresh();
+  if (!drained.ok() && build_status_.ok()) return drained;
   std::map<QueryId, EngineQuery> live = std::move(queries_);
   queries_.clear();
   shards_.clear();  // Closes WALs.
   router_ = ShardRouter(new_shard_count);
   pool_ = new_shard_count > 1 ? std::make_unique<ThreadPool>(new_shard_count)
                               : nullptr;
-  MOST_RETURN_IF_ERROR(BuildShards());
+  build_status_ = BuildShards();
   // Re-register every live query under its old engine id. Windows
   // re-anchor at the current tick (docs/sharding.md): post-reshard
   // answers equal a fresh oracle registered now.
@@ -243,7 +243,7 @@ Status ShardedEngine::Reshard(size_t new_shard_count) {
     }
     queries_.emplace(id, std::move(eq));
   }
-  return Status::OK();
+  return build_status_;
 }
 
 void ShardedEngine::Route(UpdateOp op) {
@@ -405,6 +405,7 @@ Status ShardedEngine::DrainAndRefresh() {
   // per-shard TickAll calls above already tried under the same tick).
   obs::TelemetryRecorder::Global().OnTick(now);
 
+  if (!build_status_.ok()) return build_status_;
   for (const Status& s : drain_sts) {
     if (!s.ok()) return s;
   }

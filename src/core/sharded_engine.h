@@ -69,7 +69,9 @@ class ShardedEngine {
     QueryManager::Options query_options;
     /// Directory for per-shard WALs (created if missing). Empty disables
     /// durability. Each drained update is appended to its owner shard's
-    /// log, so N drain threads log without sharing a file or a lock.
+    /// log, so N drain threads log without sharing a file or a lock. A
+    /// log that cannot be opened fails every DrainAndRefresh until a
+    /// Reshard opens them all.
     std::string wal_dir;
   };
 
@@ -132,7 +134,9 @@ class ShardedEngine {
   /// dirty marks fan out; single-variable queries drop non-owned marks
   /// inside the manager); (3) in parallel per shard, refresh all queries
   /// against the now read-only database. An update whose object vanished
-  /// between enqueue and drain is counted dropped, not an error.
+  /// between enqueue and drain is counted dropped, not an error. If a
+  /// shard WAL failed to open (at construction or the last Reshard), the
+  /// round still runs and then returns that failure.
   Status DrainAndRefresh();
 
   // ---- Queries ---------------------------------------------------------
@@ -246,6 +250,10 @@ class ShardedEngine {
   std::map<QueryId, EngineQuery> queries_;
   obs::Counter* gather_merges_total_ = nullptr;
   obs::Counter* degraded_gathers_total_ = nullptr;
+  /// What the last BuildShards returned. A shard WAL that failed to open
+  /// leaves that shard without durability, so every DrainAndRefresh (and
+  /// Advance) returns this status until a Reshard rebuilds cleanly.
+  Status build_status_;
 };
 
 }  // namespace most

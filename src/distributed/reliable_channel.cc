@@ -96,24 +96,10 @@ ReliableEndpoint::Stats ReliableEndpoint::stats() const {
   return s;
 }
 
-size_t ReliableEndpoint::EffectiveMaxUnackedMessages() const {
-  if (options_.max_unacked_messages != 0) return options_.max_unacked_messages;
-  return ResourceGovernor::Global().limits().channel_max_unacked_messages;
-}
-
-size_t ReliableEndpoint::EffectiveMaxUnackedBytes() const {
-  if (options_.max_unacked_bytes != 0) return options_.max_unacked_bytes;
-  return ResourceGovernor::Global().limits().channel_max_unacked_bytes;
-}
-
-Tick ReliableEndpoint::EffectivePeerDeadHorizon() const {
-  if (options_.peer_dead_horizon != 0) return options_.peer_dead_horizon;
-  return ResourceGovernor::Global().limits().channel_peer_dead_horizon;
-}
-
 Backpressure ReliableEndpoint::GradePressure(const SendState& state) const {
-  const size_t max_msgs = EffectiveMaxUnackedMessages();
-  const size_t max_bytes = EffectiveMaxUnackedBytes();
+  const ResourceGovernor::Limits limits = ResourceGovernor::Global().limits();
+  const size_t max_msgs = limits.channel_max_unacked_messages;
+  const size_t max_bytes = limits.channel_max_unacked_bytes;
   if (max_msgs == 0 && max_bytes == 0) return Backpressure::kOpen;
   if ((max_msgs > 0 && state.pending.size() >= max_msgs) ||
       (max_bytes > 0 && state.pending_bytes >= max_bytes)) {
@@ -324,7 +310,8 @@ void ReliableEndpoint::OnMessage(const Message& message) {
 
 void ReliableEndpoint::OnTick() {
   Tick now = clock_->Now();
-  const Tick horizon = EffectivePeerDeadHorizon();
+  const Tick horizon =
+      ResourceGovernor::Global().limits().channel_peer_dead_horizon;
   for (auto& [peer, state] : send_) {
     if (horizon > 0 && !state.pending.empty() &&
         now >= TickSaturatingAdd(state.last_heard, horizon)) {

@@ -36,15 +36,17 @@ namespace most {
 /// (docs/robustness.md): each peer's unacked buffer is capped in messages
 /// and bytes (SendReliable returns Backpressure and sheds the frame at
 /// capacity instead of queueing without bound), and a peer that has been
-/// silent past `peer_dead_horizon` ticks while frames are pending has its
-/// buffer evicted outright. Eviction restarts the stream under a new
+/// silent past the dead-peer horizon while frames are pending has its
+/// buffer evicted outright. The caps and the horizon are the channel_*
+/// fields of ResourceGovernor::Limits, read on every send and tick; the
+/// endpoint keeps no copy of them. Eviction restarts the stream under a new
 /// epoch: the next frame the revived peer sees carries a higher
 /// ReliableFrame::epoch, the receiver adopts it and resets its sequence
 /// state, so the pair resynchronizes instead of waiting forever on frames
 /// that no longer exist. Callers that need the evicted state to converge
 /// anyway (the coordinator) rely on the protocol-level partition-heal
 /// re-sync, which re-issues continuous queries to revived nodes. With
-/// every cap at 0 (the default, and no governor limits), buffers are
+/// every channel limit at 0 (the governor's default), buffers are
 /// unbounded and retransmission never gives up — the pre-governance
 /// behaviour, on which post-heal convergence to the lossless run rests.
 ///
@@ -60,18 +62,10 @@ class ReliableEndpoint {
     Tick rto_initial = 4;
     /// Backoff cap: retransmission interval doubles per retry up to this.
     Tick rto_max = 32;
-    /// Caps on one peer's unacked buffer: SendReliable sheds (returns
-    /// Backpressure::kShed without sending) once either is reached.
-    /// 0 = fall back to ResourceGovernor limits, then unbounded.
-    size_t max_unacked_messages = 0;
-    size_t max_unacked_bytes = 0;
-    /// Fraction of either cap at which SendReliable starts reporting
-    /// kThrottle (the frame is still sent).
+    /// Fraction of either unacked-buffer cap
+    /// (ResourceGovernor::Limits::channel_max_unacked_*) at which
+    /// SendReliable starts reporting kThrottle (the frame is still sent).
     double throttle_fraction = 0.75;
-    /// Evict a peer's whole send buffer after this many ticks without
-    /// hearing any traffic from it while frames are pending; the stream
-    /// restarts under a new epoch. 0 = governor fallback, then never.
-    Tick peer_dead_horizon = 0;
     /// Reclaim this existing network node id instead of registering a new
     /// one — how a durable node restarting from its WAL keeps its
     /// identity (the SimNetwork entry outlives the crashed endpoint,
@@ -197,11 +191,6 @@ class ReliableEndpoint {
     std::map<uint64_t, BufferedFrame> buffer;  ///< Out-of-order arrivals.
   };
 
-  /// Per-field knob resolution: Options when non-zero, else the global
-  /// ResourceGovernor limit (0 stays 0 = unbounded).
-  size_t EffectiveMaxUnackedMessages() const;
-  size_t EffectiveMaxUnackedBytes() const;
-  Tick EffectivePeerDeadHorizon() const;
   Backpressure GradePressure(const SendState& state) const;
   /// Lazy SendState creation honoring Options::initial_epoch.
   SendState& GetSendState(NodeId peer);

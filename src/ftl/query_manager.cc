@@ -104,49 +104,14 @@ QueryManager::~QueryManager() {
   if (options_.listen) db_->RemoveUpdateListener(listener_id_);
 }
 
-FtlEvaluator::Options QueryManager::EvalOptions() const {
+FtlEvaluator::Options QueryManager::EvalOptions(const Budget& budget) const {
   FtlEvaluator::Options o;
   o.motion_indexes = options_.motion_indexes;
-  o.budget = EffectiveBudget();
+  o.budget = budget;
   return o;
 }
 
-Budget QueryManager::EffectiveBudget() const {
-  Budget b = options_.refresh_budget;
-  if (b.deadline_ns != 0 && b.max_arena_bytes != 0 && b.max_rows != 0) {
-    return b;  // Fully specified; skip the governor lock.
-  }
-  const Budget fallback =
-      ResourceGovernor::Global().limits().refresh_budget;
-  if (b.deadline_ns == 0) b.deadline_ns = fallback.deadline_ns;
-  if (b.max_arena_bytes == 0) b.max_arena_bytes = fallback.max_arena_bytes;
-  if (b.max_rows == 0) b.max_rows = fallback.max_rows;
-  return b;
-}
-
-size_t QueryManager::EffectiveQueueLimit() const {
-  if (options_.refresh_queue_limit != 0) return options_.refresh_queue_limit;
-  return ResourceGovernor::Global().limits().refresh_queue_limit;
-}
-
-Tick QueryManager::EffectiveCooldown() const {
-  if (options_.degrade_cooldown_ticks != 0) {
-    return options_.degrade_cooldown_ticks;
-  }
-  return ResourceGovernor::Global().limits().degrade_cooldown_ticks;
-}
-
-double QueryManager::EffectiveDeltaFraction() const {
-  // Unlike the other knobs (whose Options default is 0 = unset), the
-  // fraction has a meaningful default, so the governor's value *overrides*
-  // when set: the telemetry watchdog arms it engine-wide under pressure
-  // and a 0 governor value (the default) leaves Options untouched.
-  const double governed =
-      ResourceGovernor::Global().limits().delta_max_dirty_fraction;
-  return governed > 0.0 ? governed : options_.delta_max_dirty_fraction;
-}
-
-bool QueryManager::InCooldown(const Continuous& cq, Tick now) const {
+bool QueryManager::InCooldown(const Continuous& cq, Tick now, Tick cooldown) {
   // Only evaluation-budget sheds cool down; a queue shed just waits for
   // the next admission round, and kNone means nothing was shed at all.
   if (cq.degrade != DegradeReason::kDeadline &&
@@ -154,7 +119,6 @@ bool QueryManager::InCooldown(const Continuous& cq, Tick now) const {
       cq.degrade != DegradeReason::kRows) {
     return false;
   }
-  Tick cooldown = EffectiveCooldown();
   if (cooldown <= 0 || cq.degraded_at < 0) return false;
   return now < TickSaturatingAdd(cq.degraded_at, cooldown);
 }
@@ -266,7 +230,8 @@ void QueryManager::ApplyPartition(FtlEvaluator::Options* opts,
 
 Result<TemporalRelation> QueryManager::Evaluate(const FtlQuery& query) {
   Tick now = db_->Now();
-  FtlEvaluator::Options opts = EvalOptions();
+  FtlEvaluator::Options opts =
+      EvalOptions(ResourceGovernor::Global().limits().refresh_budget);
   ApplyPartition(&opts, query);
   FtlEvaluator eval(*db_, opts);
   return eval.EvaluateQuery(
@@ -301,18 +266,19 @@ QueryManager::FirstSatisfactionTimes(const FtlQuery& query) {
 
 Result<QueryManager::QueryId> QueryManager::RegisterContinuous(
     const FtlQuery& query) {
+  const ResourceGovernor::Limits limits = ResourceGovernor::Global().limits();
   std::lock_guard<std::mutex> lock(mu_);
-  return RegisterContinuousLocked(query);
+  return RegisterContinuousLocked(query, limits);
 }
 
 Result<QueryManager::QueryId> QueryManager::RegisterContinuousLocked(
-    const FtlQuery& query) {
+    const FtlQuery& query, const ResourceGovernor::Limits& limits) {
   QueryId id = next_id_++;
   Continuous cq;
   cq.id = id;
   cq.query = query;
   auto [it, inserted] = continuous_.emplace(id, std::move(cq));
-  MOST_RETURN_IF_ERROR(Refresh(&it->second));
+  MOST_RETURN_IF_ERROR(Refresh(&it->second, limits));
   return id;
 }
 
@@ -327,13 +293,14 @@ bool QueryManager::NeedsRefresh(const Continuous& cq, Tick now) const {
   return cq.dirty || !cq.dirty_objects.empty() || now > cq.expires_at;
 }
 
-Status QueryManager::Refresh(Continuous* cq) {
+Status QueryManager::Refresh(Continuous* cq,
+                             const ResourceGovernor::Limits& limits) {
   Tick now = db_->Now();
   if (!NeedsRefresh(*cq, now)) return Status::OK();
   // A query whose last refresh blew its budget keeps serving the stale
   // answer through the cooldown instead of burning the budget again; its
   // dirty set is retained, so the first post-cooldown read recovers.
-  if (InCooldown(*cq, now)) return Status::OK();
+  if (InCooldown(*cq, now, limits.degrade_cooldown_ticks)) return Status::OK();
   // Decide the path and remember why, so the profile and the
   // most_qm_full_refresh_reason_total counters can say which guard fired.
   const char* full_reason = nullptr;
@@ -363,8 +330,9 @@ Status QueryManager::Refresh(Continuous* cq) {
     }
     if (domain_total > 0 &&
         static_cast<double>(dirty_total) <=
-            EffectiveDeltaFraction() * static_cast<double>(domain_total)) {
-      Status delta = RefreshDelta(cq);
+            limits.delta_max_dirty_fraction *
+                static_cast<double>(domain_total)) {
+      Status delta = RefreshDelta(cq, limits.refresh_budget);
       if (delta.ok()) return delta;
       // Delta failed (e.g. an injected fault): the relation may be
       // half-spliced, so fall through to a full re-evaluation.
@@ -373,10 +341,11 @@ Status QueryManager::Refresh(Continuous* cq) {
       full_reason = "dirty_fraction";
     }
   }
-  return RefreshFull(cq, full_reason);
+  return RefreshFull(cq, full_reason, limits.refresh_budget);
 }
 
-Status QueryManager::RefreshFull(Continuous* cq, const char* reason) {
+Status QueryManager::RefreshFull(Continuous* cq, const char* reason,
+                                 const Budget& budget) {
   obs::TraceSpan span("qm/refresh_full", "ftl");
   Tick now = db_->Now();
   span.AnnotateU64("query_id", cq->id);
@@ -400,7 +369,7 @@ Status QueryManager::RefreshFull(Continuous* cq, const char* reason) {
   profile->refresh_seq = cq->evaluations + 1;
   profile->dirty_objects = DirtyTotal(cq->dirty_objects);
   profile->root.label = "EvaluateQuery";
-  FtlEvaluator::Options opts = EvalOptions();
+  FtlEvaluator::Options opts = EvalOptions(budget);
   ApplyPartition(&opts, cq->query);
   opts.profile = &profile->root;
   const uint64_t t0 = obs::MonotonicNowNs();
@@ -458,7 +427,7 @@ Status QueryManager::RefreshFull(Continuous* cq, const char* reason) {
   return Status::OK();
 }
 
-Status QueryManager::RefreshDelta(Continuous* cq) {
+Status QueryManager::RefreshDelta(Continuous* cq, const Budget& budget) {
   MOST_FAILPOINT("ftl/delta/refresh");
   obs::TraceSpan span("qm/refresh_delta", "ftl");
   Tick now = db_->Now();
@@ -516,7 +485,7 @@ Status QueryManager::RefreshDelta(Continuous* cq) {
           : nullptr;
   for (size_t i = 0; i < vars.size(); ++i) {
     if (col_dirty[i] == nullptr) continue;
-    FtlEvaluator::Options opts = EvalOptions();
+    FtlEvaluator::Options opts = EvalOptions(budget);
     ApplyPartition(&opts, cq->query);
     if (part_var != nullptr && vars[i] == *part_var) {
       auto owned_dirty = std::make_shared<std::set<ObjectId>>();
@@ -596,12 +565,14 @@ Status QueryManager::RefreshDelta(Continuous* cq) {
 }
 
 Result<std::vector<AnswerTuple>> QueryManager::ContinuousAnswer(QueryId id) {
+  const ResourceGovernor::Limits limits = ResourceGovernor::Global().limits();
   std::lock_guard<std::mutex> lock(mu_);
-  return ContinuousAnswerLocked(id);
+  return ContinuousAnswerLocked(id, limits);
 }
 
 Result<QueryManager::AnswerSnapshot> QueryManager::SnapshotContinuousAnswer(
     QueryId id) {
+  const ResourceGovernor::Limits limits = ResourceGovernor::Global().limits();
   std::lock_guard<std::mutex> lock(mu_);
   auto it = continuous_.find(id);
   if (it == continuous_.end()) {
@@ -609,7 +580,7 @@ Result<QueryManager::AnswerSnapshot> QueryManager::SnapshotContinuousAnswer(
   }
   Continuous& cq = it->second;
   if (NeedsRefresh(cq, db_->Now())) {
-    MOST_RETURN_IF_ERROR(Refresh(&cq));
+    MOST_RETURN_IF_ERROR(Refresh(&cq, limits));
   }
   return AnswerSnapshot{cq.answer, cq.degrade, cq.evaluated_at};
 }
@@ -680,14 +651,14 @@ void QueryManager::SetDomainPartition(
 }
 
 Result<std::vector<AnswerTuple>> QueryManager::ContinuousAnswerLocked(
-    QueryId id) {
+    QueryId id, const ResourceGovernor::Limits& limits) {
   auto it = continuous_.find(id);
   if (it == continuous_.end()) {
     return Status::NotFound("continuous query " + std::to_string(id));
   }
   Continuous& cq = it->second;
   if (NeedsRefresh(cq, db_->Now())) {
-    MOST_RETURN_IF_ERROR(Refresh(&cq));
+    MOST_RETURN_IF_ERROR(Refresh(&cq, limits));
   }
   // While degraded the materialized relation is a previous or partial
   // answer: the engine will not vouch for any of it, so every tuple is
@@ -698,9 +669,10 @@ Result<std::vector<AnswerTuple>> QueryManager::ContinuousAnswerLocked(
 
 Result<std::vector<std::vector<ObjectId>>> QueryManager::CurrentAnswer(
     QueryId id) {
+  const ResourceGovernor::Limits limits = ResourceGovernor::Global().limits();
   std::lock_guard<std::mutex> lock(mu_);
   MOST_ASSIGN_OR_RETURN(std::vector<AnswerTuple> tuples,
-                        ContinuousAnswerLocked(id));
+                        ContinuousAnswerLocked(id, limits));
   Tick now = db_->Now();
   std::vector<std::vector<ObjectId>> out;
   for (const AnswerTuple& t : tuples) {
@@ -712,9 +684,10 @@ Result<std::vector<std::vector<ObjectId>>> QueryManager::CurrentAnswer(
 
 Result<std::vector<std::vector<ObjectId>>> QueryManager::PossibleAnswer(
     QueryId id) {
+  const ResourceGovernor::Limits limits = ResourceGovernor::Global().limits();
   std::lock_guard<std::mutex> lock(mu_);
   MOST_ASSIGN_OR_RETURN(std::vector<AnswerTuple> tuples,
-                        ContinuousAnswerLocked(id));
+                        ContinuousAnswerLocked(id, limits));
   Tick now = db_->Now();
   std::vector<std::vector<ObjectId>> out;
   for (const AnswerTuple& t : tuples) {
@@ -792,6 +765,9 @@ Status QueryManager::TickAll() {
     span.AnnotateU64("shard", static_cast<uint64_t>(options_.shard_id));
   }
   obs::TelemetryRecorder::Global().OnTick(now);
+  // Read after OnTick, so a watchdog that arms on this tick already
+  // governs it; one snapshot serves the whole batch.
+  const ResourceGovernor::Limits limits = ResourceGovernor::Global().limits();
   std::vector<Continuous*> stale;
   for (auto& [id, cq] : continuous_) {
     if (NeedsRefresh(cq, now)) stale.push_back(&cq);
@@ -802,7 +778,7 @@ Status QueryManager::TickAll() {
   // Longest-stale-first shedding keeps the bound from making *every*
   // answer a little stale: the freshest work completes, the oldest (whose
   // answers are already furthest behind) degrades explicitly.
-  const size_t queue_limit = EffectiveQueueLimit();
+  const size_t queue_limit = limits.refresh_queue_limit;
   if (queue_limit > 0 && stale.size() > queue_limit) {
     std::stable_sort(stale.begin(), stale.end(),
                      [](const Continuous* a, const Continuous* b) {
@@ -826,7 +802,7 @@ Status QueryManager::TickAll() {
   // query does not leave the rest of the batch stale.
   Status first_error = Status::OK();
   for (Continuous* cq : stale) {
-    Status s = Refresh(cq);
+    Status s = Refresh(cq, limits);
     if (!s.ok() && first_error.ok()) first_error = s;
   }
   return first_error;
@@ -834,8 +810,9 @@ Status QueryManager::TickAll() {
 
 Result<QueryManager::QueryId> QueryManager::RegisterTrigger(
     const FtlQuery& query, TriggerAction action) {
+  const ResourceGovernor::Limits limits = ResourceGovernor::Global().limits();
   std::lock_guard<std::mutex> lock(mu_);
-  MOST_ASSIGN_OR_RETURN(QueryId id, RegisterContinuousLocked(query));
+  MOST_ASSIGN_OR_RETURN(QueryId id, RegisterContinuousLocked(query, limits));
   continuous_.at(id).action = std::move(action);
   continuous_.at(id).last_polled = db_->Now() - 1;
   return id;
@@ -851,13 +828,14 @@ Status QueryManager::Poll() {
     Tick at;
   };
   std::vector<PendingFire> pending;
+  const ResourceGovernor::Limits limits = ResourceGovernor::Global().limits();
   {
     std::lock_guard<std::mutex> lock(mu_);
     Tick now = db_->Now();
     for (auto& [id, cq] : continuous_) {
       if (!cq.action) continue;
       if (NeedsRefresh(cq, now)) {
-        MOST_RETURN_IF_ERROR(Refresh(&cq));
+        MOST_RETURN_IF_ERROR(Refresh(&cq, limits));
       }
       for (const auto& [binding, when] : cq.answer.rows) {
         for (const Interval& iv : when.intervals()) {

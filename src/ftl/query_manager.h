@@ -14,6 +14,7 @@
 #include "core/object_model.h"
 #include "ftl/ast.h"
 #include "ftl/eval.h"
+#include "obs/governor.h"
 #include "obs/profile.h"
 
 namespace most {
@@ -70,6 +71,23 @@ void SpliceAnswerDelta(
 ///
 /// Temporal triggers (Section 2.3) are continuous queries coupled with an
 /// action fired when a tuple's interval is entered.
+///
+/// Delta re-evaluation: an update to object o only invalidates the
+/// Answer(CQ) rows that bind o (FTL relations are pointwise in their
+/// bindings), so a refresh triggered purely by updates evicts those rows
+/// and re-derives them with the evaluator's variable domains restricted to
+/// the updated objects, byte-identical to a full re-evaluation
+/// (docs/incremental_eval.md).
+///
+/// Refreshes are governed by ResourceGovernor::Global().limits() and by
+/// nothing else (docs/robustness.md): every entry point that can refresh
+/// (TickAll, the answer reads, Poll, registration) reads the limits once
+/// and applies that snapshot to all the refreshes it runs. The per-refresh
+/// budget sheds a refresh that exhausts it (the query keeps its previous
+/// answer, every tuple kStale, until a later refresh completes), the
+/// queue limit sheds a TickAll batch's longest-stale surplus, the cooldown
+/// holds a budget-shed query back, and the dirty fraction sends a refresh
+/// whose coalesced dirty set is too large down the full path.
 class QueryManager {
  public:
   struct Options {
@@ -93,7 +111,7 @@ class QueryManager {
     /// answers filtered to rows whose first-variable binding is owned —
     /// which is what makes the sharded engine's union-over-shards gather
     /// byte-identical to a single-shard oracle (docs/sharding.md).
-    std::shared_ptr<const std::set<ObjectId>> domain_partition;
+    std::shared_ptr<const std::set<ObjectId>> domain_partition = nullptr;
     /// Degraded-mode staleness horizon: an object that has not received
     /// an explicit update for more than this many ticks is considered
     /// stale, and continuous/persistent answer tuples binding it are
@@ -101,35 +119,6 @@ class QueryManager {
     /// retained in PossibleAnswer). Negative disables staleness tracking
     /// (every tuple is kCertain, the pre-degraded-mode behaviour).
     Tick staleness_horizon = -1;
-    /// Delta re-evaluation: an update to object o only invalidates the
-    /// Answer(CQ) rows that bind o (FTL relations are pointwise in their
-    /// bindings), so a refresh triggered purely by updates evicts those
-    /// rows and re-derives them with the evaluator's variable domains
-    /// restricted to the updated objects, instead of re-running the whole
-    /// query (docs/incremental_eval.md). Answers are byte-identical to a
-    /// full re-evaluation. The refresh falls back to a full re-evaluation
-    /// when the coalesced dirty set exceeds this fraction of the query's
-    /// combined FROM domains — with most objects dirty the restricted
-    /// passes would approach full cost while paying eviction and splice
-    /// overhead on top. 0 forces the full path on every refresh.
-    double delta_max_dirty_fraction = 0.25;
-    /// Per-refresh evaluation budget (docs/robustness.md). A refresh that
-    /// exhausts it is *shed*: the evaluator aborts, the query keeps its
-    /// previous materialized answer (the delta path keeps the surviving —
-    /// still exactly correct — subset), and every tuple reads as kStale
-    /// with a DegradeReason until a later refresh completes. Fields left
-    /// at zero fall back to ResourceGovernor::Global().limits(); all-zero
-    /// everywhere means unlimited, the pre-governance behaviour.
-    Budget refresh_budget;
-    /// Cap on refreshes admitted per TickAll batch. Beyond it the entries
-    /// that have waited longest are shed (reason kQueue) to may-answers
-    /// and retried next tick. 0 = governor fallback, then unlimited.
-    size_t refresh_queue_limit = 0;
-    /// After a refresh exhausts its budget the query is not retried for
-    /// this many ticks (it keeps serving its stale answer), so a query
-    /// that repeatedly blows the budget cannot monopolize refresh
-    /// capacity. 0 = governor fallback, then no cooldown.
-    Tick degrade_cooldown_ticks = 0;
     /// Shard this manager serves inside a sharded engine (-1 standalone).
     /// Purely observational: stamped onto trace spans and slow-query-log
     /// entries so a slow line names the shard it ran on.
@@ -380,17 +369,18 @@ class QueryManager {
   bool NeedsRefresh(const Continuous& cq, Tick now) const;
   /// Brings one entry up to date: no-op when clean, delta when only a
   /// small dirty set is pending, full otherwise (or when the delta path
-  /// errors). Caller holds mu_.
-  Status Refresh(Continuous* cq);
+  /// errors), under the caller's snapshot of the governor's limits.
+  /// Caller holds mu_.
+  Status Refresh(Continuous* cq, const ResourceGovernor::Limits& limits);
   /// Full window re-evaluation; re-anchors the window at registration and
   /// on expiry. `reason` says why
   /// the full path ran (initial/expired/forced/dirty_fraction/delta_error)
   /// — recorded in the profile and the fallback counters.
-  Status RefreshFull(Continuous* cq, const char* reason);
+  Status RefreshFull(Continuous* cq, const char* reason, const Budget& budget);
   /// Delta re-evaluation over the existing window: evicts rows binding a
   /// dirty object, runs one domain-restricted pass per dirty column, and
   /// splices the results back into the unprojected relation.
-  Status RefreshDelta(Continuous* cq);
+  Status RefreshDelta(Continuous* cq, const Budget& budget);
 
   /// Per-column staleness lookup state, resolved once per relation read
   /// instead of rescanning query.from and the class registry for every
@@ -409,7 +399,7 @@ class QueryManager {
   Confidence BindingConfidence(const ConfidenceColumns& cols,
                                const std::vector<ObjectId>& binding,
                                Tick now) const;
-  FtlEvaluator::Options EvalOptions() const;
+  FtlEvaluator::Options EvalOptions(const Budget& budget) const;
   /// Composes Options::domain_partition into an evaluation: restricts the
   /// query's first FROM variable to the partition (no-op when
   /// unpartitioned or variable-free).
@@ -421,20 +411,10 @@ class QueryManager {
   void NoteUpdateLocked(const std::string& class_name, ObjectId id,
                         Tick now);
 
-  /// Per-field resolution of the governance knobs: the Options value when
-  /// non-zero, else the global governor's limit (zero-for-zero, so the
-  /// all-defaults configuration stays byte-identical to pre-governance).
-  Budget EffectiveBudget() const;
-  size_t EffectiveQueueLimit() const;
-  Tick EffectiveCooldown() const;
-  /// Delta→full fallback threshold: the governor's value *overrides* the
-  /// Options default when set (> 0) — this is the knob the telemetry
-  /// watchdog tightens under observed refresh-latency pressure.
-  double EffectiveDeltaFraction() const;
   /// True while a budget-exhausted query must keep serving its stale
   /// answer instead of being re-attempted (queue sheds don't cool down —
   /// the entry just waits for the next TickAll round).
-  bool InCooldown(const Continuous& cq, Tick now) const;
+  static bool InCooldown(const Continuous& cq, Tick now, Tick cooldown);
   /// Records one shed refresh: flips the entry into degraded mode, feeds
   /// the governor's event ring and most_qm_shed_refreshes_total, and logs
   /// a degrade-tagged slow-query entry.
@@ -443,8 +423,10 @@ class QueryManager {
                 uint64_t dur_ns);
 
   // mu_-held implementations behind the public locking wrappers.
-  Result<QueryId> RegisterContinuousLocked(const FtlQuery& query);
-  Result<std::vector<AnswerTuple>> ContinuousAnswerLocked(QueryId id);
+  Result<QueryId> RegisterContinuousLocked(
+      const FtlQuery& query, const ResourceGovernor::Limits& limits);
+  Result<std::vector<AnswerTuple>> ContinuousAnswerLocked(
+      QueryId id, const ResourceGovernor::Limits& limits);
 
   /// Builds the shadow database representing the history recorded by a
   /// persistent query: dynamic attributes become stitched piecewise

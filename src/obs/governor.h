@@ -15,48 +15,55 @@
 
 namespace most {
 
-/// Process-wide owner of the resource-governance knobs and degraded-mode
+/// Process-wide owner of the resource-governance limits and degraded-mode
 /// health state (docs/robustness.md).
 ///
-/// Components do not reach into each other under pressure; they meet here:
+/// set_limits() is the only place a governed limit can be set; no
+/// component keeps its own copy to fall back from. Components do not reach
+/// into each other under pressure; they meet here:
 ///
-/// * the query manager consults limits().refresh_budget /
-///   refresh_queue_limit / degrade_cooldown_ticks for any knob its own
-///   Options left at zero, and reports every shed refresh via
-///   NoteDegrade();
-/// * reliable endpoints take their buffer caps from the channel_* limits,
-///   and register a backpressure probe so `most_shell health` (or any
-///   operator tooling) can enumerate per-peer pressure without holding a
-///   pointer to every endpoint;
+/// * the query manager reads limits() once per refresh entry point
+///   (TickAll, answer reads, Poll, registration) for its budget, queue
+///   limit, cooldown and delta dirty fraction, and reports every shed
+///   refresh via NoteDegrade();
+/// * reliable endpoints take their buffer caps and dead-peer horizon from
+///   the channel_* limits, and register a backpressure probe so
+///   `most_shell health` (or any operator tooling) can enumerate per-peer
+///   pressure without holding a pointer to every endpoint;
+/// * the telemetry watchdog tightens refresh_queue_limit and
+///   delta_max_dirty_fraction under refresh-latency pressure and restores
+///   the saved limits when it relaxes (docs/observability.md);
 /// * the storage layer raises the sticky storage-degraded flag when a WAL
 ///   append or checkpoint hits ENOSPC/EIO, and clears it when a checkpoint
 ///   succeeds again.
 ///
-/// Every knob defaults to 0 = unlimited, so a process that never touches
-/// the governor behaves exactly as before (the differential guarantee).
-/// State is exported through most_governor_* series on the global metrics
-/// registry.
+/// Every shedding limit defaults to 0 = unlimited, so a process that never
+/// touches the governor never sheds (the differential guarantee). State is
+/// exported through most_governor_* series on the global metrics registry.
 class ResourceGovernor {
  public:
-  /// The knobs. Zero always means "unlimited / disabled".
+  /// The limits. Zero means "unlimited / disabled" for every field except
+  /// delta_max_dirty_fraction, where 0 means "always take the full path".
   struct Limits {
-    /// Fallback per-refresh evaluation budget for query managers whose
-    /// Options::refresh_budget fields are unset.
-    Budget refresh_budget;
-    /// Fallback cap on refreshes admitted per TickAll batch.
+    /// Per-refresh evaluation budget. A refresh that exhausts it is shed:
+    /// the query keeps serving its previous answer as kStale.
+    Budget refresh_budget = {};
+    /// Cap on refreshes admitted per TickAll batch; the longest-stale
+    /// surplus is shed (reason kQueue) and retried next tick.
     size_t refresh_queue_limit = 0;
-    /// Fallback per-query cooldown (ticks) after an exhausted refresh.
+    /// Ticks a query is not retried after a refresh exhausted its budget.
     Tick degrade_cooldown_ticks = 0;
-    /// Fallback caps on a reliable endpoint's per-peer unacked buffer.
+    /// Caps on a reliable endpoint's per-peer unacked buffer: SendReliable
+    /// sheds once either is reached.
     size_t channel_max_unacked_messages = 0;
     size_t channel_max_unacked_bytes = 0;
-    /// Fallback horizon after which a silent peer's send buffer is evicted.
+    /// Ticks of silence after which a peer's pending send buffer is
+    /// evicted and its stream restarts under a new epoch.
     Tick channel_peer_dead_horizon = 0;
-    /// Fallback dirty-fraction threshold above which a delta refresh falls
-    /// back to a full re-evaluation, for query managers whose
-    /// Options::delta_max_dirty_fraction is unset. The telemetry
-    /// watchdog's arm/relax cycle drives this knob (docs/observability.md).
-    double delta_max_dirty_fraction = 0.0;
+    /// A delta refresh falls back to a full re-evaluation when the
+    /// coalesced dirty set exceeds this fraction of the query's combined
+    /// FROM domains (docs/incremental_eval.md).
+    double delta_max_dirty_fraction = 0.25;
   };
 
   static ResourceGovernor& Global();

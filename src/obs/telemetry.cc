@@ -196,7 +196,9 @@ void TelemetryRecorder::WatchdogLocked(Tick now) {
       saved_limits_ = governor.limits();
       most::ResourceGovernor::Limits armed = saved_limits_;
       armed.refresh_queue_limit = watchdog_.armed_queue_limit;
-      armed.delta_max_dirty_fraction = watchdog_.armed_delta_fraction;
+      if (watchdog_.armed_delta_fraction > 0.0) {
+        armed.delta_max_dirty_fraction = watchdog_.armed_delta_fraction;
+      }
       governor.set_limits(armed);
       watchdog_armed_ = true;
       armed_at_ = now;

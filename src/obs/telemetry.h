@@ -60,7 +60,8 @@ class TelemetryRecorder {
     double arm_mean_seconds = 0.0;
     /// Relax when mean latency falls below this; 0 = arm threshold / 2.
     double relax_mean_seconds = 0.0;
-    /// Governor limits installed while armed.
+    /// Governor limits installed while armed. An armed_delta_fraction of
+    /// 0 leaves the governor's dirty fraction as it was.
     size_t armed_queue_limit = 0;
     double armed_delta_fraction = 0.0;
     /// Minimum ticks armed before a relax is considered (hysteresis).

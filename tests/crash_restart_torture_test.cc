@@ -30,139 +30,29 @@
 
 #include "common/failpoint.h"
 #include "common/rng.h"
-#include "distributed/coordinator.h"
-#include "distributed/mobile_node.h"
-#include "ftl/parser.h"
 #include "test_seed.h"
-#include "workload/fleet.h"
+#include "torture_world.h"
 
 namespace most {
 namespace {
 
-constexpr size_t kVehicles = 6;
+using test::MustParse;
+using test::SerializeCollected;
+using test::SerializeReported;
+using World = test::TortureWorld;
+
+constexpr size_t kVehicles = World::kVehicles;
+
+// Milder than the partition suite: the protagonists here are crashes, but
+// loss/dup/reorder must still not break rejoin or catch-up.
+constexpr test::FaultRates kFaults = {.loss = 0.1,
+                                      .duplicate = 0.05,
+                                      .reorder = 0.05,
+                                      .reorder_jitter = 3};
 
 // Crashes and lease expiries actually observed across all torture seeds.
 uint64_t g_crashes_observed = 0;
 uint64_t g_lease_expiries_observed = 0;
-
-SimNetwork::Options NetOptions(bool faulty, uint64_t seed) {
-  SimNetwork::Options o;
-  o.latency = 1;
-  o.seed = seed;
-  if (faulty) {
-    // Milder than the partition suite: the protagonists here are crashes,
-    // but loss/dup/reorder must still not break rejoin or catch-up.
-    o.loss_probability = 0.1;
-    o.duplicate_probability = 0.05;
-    o.reorder_probability = 0.05;
-    o.reorder_jitter = 3;
-  }
-  return o;
-}
-
-std::string WalPath(const std::string& tag, uint64_t seed, size_t i) {
-  return ::testing::TempDir() + "/crash_restart_" + tag + "_" +
-         std::to_string(seed) + "_" + std::to_string(i) + ".wal";
-}
-
-/// One complete simulation. In the durable world every node is backed by
-/// its own WAL; Crash() kills a node (destroying the object — its network
-/// entry stays, handler nulled, exactly like a dead process whose address
-/// keeps routing), Restart() re-creates it on the same log.
-struct World {
-  Clock clock;
-  SimNetwork net;
-  std::map<std::string, Polygon> regions;
-  std::unique_ptr<Coordinator> coordinator;
-  std::vector<std::unique_ptr<MobileNode>> nodes;
-  std::vector<ObjectState> initial;
-  std::vector<std::string> wal_paths;
-  MobileNode::Options node_options;
-
-  World(bool faulty, uint64_t net_seed, const std::string& wal_tag)
-      : net(&clock, NetOptions(faulty, net_seed)),
-        regions({{"P", Polygon::Rectangle({40, 40}, {160, 160})}}) {
-    Coordinator::Options copts;
-    copts.liveness_timeout = 40;  // Same false-death math as the
-                                  // partition suite: ~0.1^10.
-    coordinator = std::make_unique<Coordinator>(&net, &clock, regions, copts);
-    FleetGenerator fleet(
-        {.num_vehicles = kVehicles, .area = 200.0, .seed = 77});
-    node_options.beacon_interval = 4;
-    node_options.home = coordinator->node_id();
-    initial = fleet.initial_states();
-    for (size_t i = 0; i < initial.size(); ++i) {
-      MobileNode::Options opts = node_options;
-      if (!wal_tag.empty()) {
-        opts.wal_path = WalPath(wal_tag, net_seed, i);
-        std::remove(opts.wal_path.c_str());  // Fresh log per run.
-        wal_paths.push_back(opts.wal_path);
-      }
-      nodes.push_back(std::make_unique<MobileNode>(&net, &clock, initial[i],
-                                                   regions, opts));
-    }
-  }
-
-  void Crash(size_t i) { nodes[i].reset(); }
-
-  void Restart(size_t i) {
-    MobileNode::Options opts = node_options;
-    opts.wal_path = wal_paths[i];
-    // The "initial" state passed here is the stale boot-time one; the
-    // node must recover its real pre-crash state from the WAL instead.
-    nodes[i] = std::make_unique<MobileNode>(&net, &clock, initial[i],
-                                            regions, opts);
-  }
-
-  void StepTo(Tick until) {
-    while (clock.Now() < until) {
-      clock.Advance();
-      net.DeliverDue();
-    }
-  }
-
-  bool Quiescent() const {
-    if (coordinator->channel().unacked() > 0) return false;
-    for (const auto& node : nodes) {
-      if (node != nullptr && node->channel().unacked() > 0) return false;
-    }
-    return true;
-  }
-};
-
-FtlQuery MustParse(const std::string& s) {
-  auto q = ParseQuery(s);
-  EXPECT_TRUE(q.ok()) << q.status();
-  return *q;
-}
-
-std::string SerializeReported(const Coordinator& c, uint64_t qid) {
-  auto answer = c.ReportedMatches(qid);
-  if (!answer.ok()) return "error: " + answer.status().ToString();
-  std::ostringstream out;
-  out << "confidence="
-      << (answer->confidence == Confidence::kCertain ? "certain" : "stale");
-  out << " missing={";
-  for (NodeId id : answer->missing) out << id << ",";
-  out << "}";
-  for (const auto& [id, when] : answer->matches) {
-    out << " " << id << "->" << when.ToString();
-  }
-  return out.str();
-}
-
-std::string SerializeCollected(const Coordinator& c, uint64_t qid) {
-  auto answer = c.EvaluateCollected(qid);
-  if (!answer.ok()) return "error: " + answer.status().ToString();
-  std::ostringstream out;
-  out << "confidence="
-      << (answer->confidence == Confidence::kCertain ? "certain" : "stale");
-  out << " missing={";
-  for (NodeId id : answer->missing) out << id << ",";
-  out << "}\n";
-  out << answer->relation.ToString();
-  return out.str();
-}
 
 std::string SerializeMirror(const std::map<ObjectId, IntervalSet>& mirror) {
   std::ostringstream out;
@@ -184,8 +74,8 @@ void RunDifferential(uint64_t seed) {
   constexpr Tick kIssueOneShots = 390;
   constexpr Tick kFinal = 620;
 
-  World faulty(/*faulty=*/true, seed, /*wal_tag=*/"f");
-  World oracle(/*faulty=*/false, seed, /*wal_tag=*/"");
+  World faulty(kFaults, seed, /*wal_prefix=*/"crash_restart_f");
+  World oracle(/*faults=*/{}, seed);
   auto step_both = [&](Tick until) {
     faulty.StepTo(until);
     oracle.StepTo(until);
@@ -385,7 +275,7 @@ TEST(CrashRestartTortureTest, DifferentialAgainstCrashFreeWorldSeed2) {
 // restart it, and watch certainty return — with the node's recovered
 // state, not its boot state.
 TEST(CrashRestartTortureTest, LeaseExpiryDegradesAndRejoinRestores) {
-  World world(/*faulty=*/false, 9, /*wal_tag=*/"lease");
+  World world(/*faults=*/{}, 9, /*wal_prefix=*/"crash_restart_lease");
   world.StepTo(8);
 
   FtlQuery cq = MustParse(

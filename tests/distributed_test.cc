@@ -12,6 +12,7 @@
 #include "distributed/transmission.h"
 #include "ftl/parser.h"
 #include "obs/governor.h"
+#include "scoped_governor_limits.h"
 
 namespace most {
 namespace {
@@ -295,9 +296,9 @@ TEST(ReliableChannelTest, RetransmitsAcrossPartitionUntilHealed) {
 TEST(ReliableChannelTest, BoundedBufferThrottlesThenSheds) {
   Clock clock;
   SimNetwork net(&clock, {.latency = 1});
-  ReliableEndpoint::Options opts;
-  opts.max_unacked_messages = 4;  // Throttle from 3 (0.75 * 4).
-  ReliableEndpoint sender(&net, &clock, opts);
+  // Throttle from 3 (0.75 * 4).
+  test::ScopedGovernorLimits limits({.channel_max_unacked_messages = 4});
+  ReliableEndpoint sender(&net, &clock);
   ReliableEndpoint receiver(&net, &clock);
   // The receiver never acks, so the sender's buffer only grows.
   net.SetConnected(receiver.node_id(), false);
@@ -328,9 +329,8 @@ TEST(ReliableChannelTest, BoundedBufferThrottlesThenSheds) {
 TEST(ReliableChannelTest, DeadPeerEvictionRestartsStreamUnderNewEpoch) {
   Clock clock;
   SimNetwork net(&clock, {.latency = 1});
-  ReliableEndpoint::Options opts;
-  opts.peer_dead_horizon = 20;
-  ReliableEndpoint sender(&net, &clock, opts);
+  test::ScopedGovernorLimits limits({.channel_peer_dead_horizon = 20});
+  ReliableEndpoint sender(&net, &clock);
   ReliableEndpoint receiver(&net, &clock);
   std::vector<uint64_t> got;
   receiver.SetHandler([&](const Message& m) {
@@ -372,26 +372,28 @@ TEST(ReliableChannelTest, DeadPeerEvictionRestartsStreamUnderNewEpoch) {
       << "post-eviction stream must deliver exactly the new frame";
 }
 
-TEST(ReliableChannelTest, GovernorLimitsApplyWhenOptionsUnset) {
-  // Channel caps left at 0 fall back to the global governor's limits —
-  // the knob `most_shell health` surfaces. Restore 0 afterwards so other
-  // tests keep the unbounded default.
-  ResourceGovernor& gov = ResourceGovernor::Global();
-  ResourceGovernor::Limits limits = gov.limits();
-  limits.channel_max_unacked_messages = 2;
-  gov.set_limits(limits);
+TEST(ReliableChannelTest, GovernorLimitsApplyToLiveEndpoints) {
+  // The endpoint keeps no copy of its caps: a limit set on the governor
+  // after the endpoints exist governs their very next send, and lifting
+  // it reopens the peer — the knob `most_shell health` surfaces.
   Clock clock;
   SimNetwork net(&clock, {.latency = 1});
   ReliableEndpoint sender(&net, &clock);
   ReliableEndpoint receiver(&net, &clock);
   net.SetConnected(receiver.node_id(), false);
+  test::ScopedGovernorLimits limits({});
+  ResourceGovernor& gov = ResourceGovernor::Global();
   sender.SendReliable(receiver.node_id(), CancelQuery{0});
   sender.SendReliable(receiver.node_id(), CancelQuery{1});
+  gov.set_limits({.channel_max_unacked_messages = 2});
   EXPECT_EQ(sender.SendReliable(receiver.node_id(), CancelQuery{2}),
             Backpressure::kShed);
   EXPECT_EQ(sender.unacked(), 2u);
-  limits.channel_max_unacked_messages = 0;
-  gov.set_limits(limits);
+  gov.set_limits({});
+  EXPECT_EQ(sender.PeerBackpressure(receiver.node_id()), Backpressure::kOpen);
+  EXPECT_EQ(sender.SendReliable(receiver.node_id(), CancelQuery{3}),
+            Backpressure::kOpen);
+  EXPECT_EQ(sender.unacked(), 3u);
 }
 
 TEST(ReliableChannelTest, BestEffortBypassesSequencing) {
@@ -1081,9 +1083,8 @@ TEST(ReliableChannelTest, EpochBumpRacingInFlightRetransmission) {
 TEST(ReliableChannelTest, EvictionThenImmediateReconnectResynchronizes) {
   Clock clock;
   SimNetwork net(&clock, {.latency = 1});
-  ReliableEndpoint::Options opts;
-  opts.peer_dead_horizon = 15;
-  ReliableEndpoint sender(&net, &clock, opts);
+  test::ScopedGovernorLimits limits({.channel_peer_dead_horizon = 15});
+  ReliableEndpoint sender(&net, &clock);
   ReliableEndpoint receiver(&net, &clock);
   std::vector<uint64_t> got;
   receiver.SetHandler([&](const Message& m) {

@@ -1,7 +1,7 @@
 // Overload-torture harness (docs/robustness.md): drive the engine with
 // randomized update storms under deliberately tiny resource budgets and
 // armed failpoints, and verify graceful degradation against an
-// unconstrained oracle:
+// unconstrained oracle (a fresh, unbudgeted evaluation):
 //
 //   * soundness — a query whose refresh was shed serves its previous
 //     answer with every tuple tagged kStale (excluded from the must
@@ -9,9 +9,9 @@
 //     the oracle. Emitted bindings never stray outside what the oracle
 //     has ever emitted — degradation may lose freshness, never invent
 //     tuples;
-//   * recovery — when the pressure lifts (governor limits cleared, quiet
-//     ticks past the cooldown), every query converges back to the
-//     oracle's exact answer;
+//   * recovery — when the pressure lifts (the governor's row budget
+//     cleared, quiet ticks past the cooldown), every query converges back
+//     to the oracle's exact answer;
 //   * storage pressure — an armed wal/append/enospc failpoint degrades
 //     the database to read-only-in-effect (writes fail and roll back,
 //     reads keep working, the governor's sticky flag goes up) until a
@@ -42,9 +42,11 @@
 #include "common/rng.h"
 #include "distributed/network.h"
 #include "distributed/reliable_channel.h"
+#include "ftl/eval.h"
 #include "ftl/parser.h"
 #include "ftl/query_manager.h"
 #include "obs/governor.h"
+#include "scoped_governor_limits.h"
 #include "storage/durable_database.h"
 #include "test_seed.h"
 
@@ -63,9 +65,8 @@ class OverloadTortureTest : public ::testing::Test {
  protected:
   void TearDown() override {
     FailpointRegistry::Instance().DisarmAll();
-    // Leave no limits or sticky health state behind for other suites in
-    // this binary.
-    ResourceGovernor::Global().set_limits({});
+    // Leave no sticky health state behind for other suites in this binary
+    // (each test's ScopedGovernorLimits restores the limits).
     ResourceGovernor::Global().ResetStateForTest();
   }
 };
@@ -76,9 +77,7 @@ FtlQuery MustParse(const std::string& s) {
   return *q;
 }
 
-/// A world both managers share: one database, kCars cars with randomized
-/// motion, one region. The governed and oracle managers both listen to
-/// its updates.
+/// One database with kCars cars in randomized motion and one region.
 struct QueryWorld {
   MostDatabase db;
   std::vector<ObjectId> cars;
@@ -112,9 +111,11 @@ std::string Key(const std::vector<ObjectId>& binding) {
 }
 
 // The central differential check: the same queries over the same world in
-// a governed manager (tiny budgets through the governor + its own queue
-// and cooldown knobs) and an oracle manager that opts out of the governor
-// with explicitly enormous budgets.
+// a governed manager (tiny budget, queue limit and cooldown, all through
+// the governor) and an oracle that is a fresh, unbudgeted evaluation over
+// the manager's window, flattened the way the manager flattens its own
+// answer. The test tracks the window itself: the registration tick,
+// re-anchored to now once now passes anchor + horizon.
 TEST_F(OverloadTortureTest, GovernedStormDegradesSoundlyAndRecovers) {
   const std::vector<uint64_t> seeds =
       test::SuiteSeeds("Overload.Storm", {1997, 42, 20260809});
@@ -125,6 +126,11 @@ TEST_F(OverloadTortureTest, GovernedStormDegradesSoundlyAndRecovers) {
       // governor's max_rows while the single-variable queries fit.
       "RETRIEVE o, n FROM CARS o, CARS n WHERE DIST(o, n) <= 25",
   };
+  constexpr Tick kHorizon = 4096;  // No window expiry inside the run.
+  // The queue limit and cooldown stay in force after the storm lifts the
+  // row budget, so recovery is paced by them.
+  const ResourceGovernor::Limits calm = {.refresh_queue_limit = 2,
+                                         .degrade_cooldown_ticks = 3};
 
   for (uint64_t seed : seeds) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -132,35 +138,35 @@ TEST_F(OverloadTortureTest, GovernedStormDegradesSoundlyAndRecovers) {
     QueryWorld world(&rng);
 
     // Storm-phase pressure comes from the governor so it can be lifted
-    // later without touching the managers.
+    // later without touching the manager.
     ResourceGovernor::Global().ResetStateForTest();
-    ResourceGovernor::Limits limits;
-    limits.refresh_budget.max_rows = 64;  // < kCars^2, > kCars.
-    ResourceGovernor::Global().set_limits(limits);
+    ResourceGovernor::Limits storm = calm;
+    storm.refresh_budget.max_rows = 64;  // < kCars^2, > kCars.
+    test::ScopedGovernorLimits guard(storm);
 
-    QueryManager::Options governed_opts;
-    governed_opts.horizon = 4096;  // No window expiry inside the run.
-    governed_opts.refresh_queue_limit = 2;
-    governed_opts.degrade_cooldown_ticks = 3;
-    QueryManager governed(&world.db, governed_opts);
-
-    QueryManager::Options oracle_opts;
-    oracle_opts.horizon = 4096;
-    // Fully-specified huge budget: skips the governor fallback entirely,
-    // so the oracle stays unconstrained while the governor is armed.
-    oracle_opts.refresh_budget = {uint64_t{1} << 60, size_t{1} << 50,
-                                  size_t{1} << 50};
-    QueryManager oracle(&world.db, oracle_opts);
-
-    std::vector<QueryManager::QueryId> gq, oq;
+    QueryManager governed(&world.db, {.horizon = kHorizon});
+    std::vector<FtlQuery> queries;
+    std::vector<QueryManager::QueryId> gq;
     for (const std::string& text : query_texts) {
-      FtlQuery q = MustParse(text);
-      auto g = governed.RegisterContinuous(q);
-      auto o = oracle.RegisterContinuous(q);
-      ASSERT_TRUE(g.ok() && o.ok());
+      queries.push_back(MustParse(text));
+      auto g = governed.RegisterContinuous(queries.back());
+      ASSERT_TRUE(g.ok()) << g.status();
       gq.push_back(*g);
-      oq.push_back(*o);
     }
+    Tick anchor = world.db.Now();
+
+    // The oracle's Answer(CQ) for query i at the current tick.
+    auto oracle_answer = [&](size_t i) -> Result<std::vector<AnswerTuple>> {
+      FtlEvaluator fresh(world.db);
+      MOST_ASSIGN_OR_RETURN(
+          TemporalRelation rel,
+          fresh.EvaluateQuery(queries[i], Interval(anchor, anchor + kHorizon)));
+      return governed.FlattenAnswer(queries[i], rel, /*force_stale=*/false);
+    };
+    auto advance = [&](Tick ticks) {
+      world.db.clock().Advance(ticks);
+      if (world.db.Now() > anchor + kHorizon) anchor = world.db.Now();
+    };
 
     // Every binding the oracle has ever emitted, per query: the governed
     // manager's (possibly stale) tuples must never leave this set.
@@ -168,7 +174,7 @@ TEST_F(OverloadTortureTest, GovernedStormDegradesSoundlyAndRecovers) {
 
     auto check_round = [&]() {
       for (size_t i = 0; i < gq.size(); ++i) {
-        auto oans = oracle.ContinuousAnswer(oq[i]);
+        auto oans = oracle_answer(i);
         ASSERT_TRUE(oans.ok()) << oans.status();
         for (const AnswerTuple& t : *oans) {
           oracle_seen[i].insert(Key(t.binding));
@@ -211,8 +217,7 @@ TEST_F(OverloadTortureTest, GovernedStormDegradesSoundlyAndRecovers) {
                    world.cars[static_cast<size_t>(
                        rng.UniformInt(0, static_cast<int64_t>(kCars) - 1))]);
       }
-      world.db.clock().Advance(rng.UniformInt(1, 3));
-      ASSERT_TRUE(oracle.TickAll().ok());
+      advance(rng.UniformInt(1, 3));
       ASSERT_TRUE(governed.TickAll().ok());
       check_round();
     }
@@ -225,14 +230,13 @@ TEST_F(OverloadTortureTest, GovernedStormDegradesSoundlyAndRecovers) {
     EXPECT_GT(sheds, 0u) << "storm ran pressure-free: harness is a no-op";
     g_query_sheds += sheds;
 
-    // Lift the pressure: clear the governor and let quiet ticks drain the
-    // cooldowns and the refresh queue. Every query must converge back to
-    // the oracle's exact answer.
-    ResourceGovernor::Global().set_limits({});
+    // Lift the pressure: drop the row budget and let quiet ticks drain
+    // the cooldowns and the refresh queue. Every query must converge back
+    // to the oracle's exact answer.
+    ResourceGovernor::Global().set_limits(calm);
     bool converged = false;
     for (int t = 0; t < 32 && !converged; ++t) {
-      world.db.clock().Advance(1);
-      ASSERT_TRUE(oracle.TickAll().ok());
+      advance(1);
       ASSERT_TRUE(governed.TickAll().ok());
       converged = true;
       for (QueryManager::QueryId id : gq) {
@@ -244,7 +248,7 @@ TEST_F(OverloadTortureTest, GovernedStormDegradesSoundlyAndRecovers) {
     ASSERT_TRUE(converged) << "queries still degraded after pressure lifted";
     for (size_t i = 0; i < gq.size(); ++i) {
       auto gans = governed.ContinuousAnswer(gq[i]);
-      auto oans = oracle.ContinuousAnswer(oq[i]);
+      auto oans = oracle_answer(i);
       ASSERT_TRUE(gans.ok() && oans.ok());
       EXPECT_EQ(*gans, *oans)
           << "post-recovery answer diverged (query " << query_texts[i] << ")";
@@ -260,10 +264,10 @@ TEST_F(OverloadTortureTest, GovernedStormDegradesSoundlyAndRecovers) {
 TEST_F(OverloadTortureTest, EvalCheckpointFailpointSurfacesAndRecovers) {
   Rng rng(7);
   QueryWorld world(&rng);
-  QueryManager::Options opts;
-  opts.horizon = 1024;
-  opts.refresh_budget.max_rows = 1u << 20;  // Gate active, never trips.
-  QueryManager qm(&world.db, opts);
+  ResourceGovernor::Limits limits;
+  limits.refresh_budget.max_rows = 1u << 20;  // Gate active, never trips.
+  test::ScopedGovernorLimits guard(limits);
+  QueryManager qm(&world.db, {.horizon = 1024});
   auto id = qm.RegisterContinuous(
       MustParse("RETRIEVE o FROM CARS o WHERE INSIDE(o, P)"));
   ASSERT_TRUE(id.ok());
@@ -369,10 +373,11 @@ TEST_F(OverloadTortureTest, BoundedChannelStormRespectsCapsAndNeverDuplicates) {
                             .reorder_probability = 0.1,
                             .reorder_jitter = 3,
                             .seed = seed});
-    ReliableEndpoint::Options opts;
-    opts.max_unacked_messages = 8;
-    opts.peer_dead_horizon = 24;
-    ReliableEndpoint sender(&net, &clock, opts);
+    constexpr size_t kMaxUnacked = 8;
+    test::ScopedGovernorLimits guard(
+        {.channel_max_unacked_messages = kMaxUnacked,
+         .channel_peer_dead_horizon = 24});
+    ReliableEndpoint sender(&net, &clock);
     ReliableEndpoint receiver(&net, &clock);
     std::vector<uint64_t> delivered;
     receiver.SetHandler([&](const Message& m) {
@@ -401,7 +406,7 @@ TEST_F(OverloadTortureTest, BoundedChannelStormRespectsCapsAndNeverDuplicates) {
           sent.insert(qid);
         }
       }
-      EXPECT_LE(sender.unacked(), opts.max_unacked_messages)
+      EXPECT_LE(sender.unacked(), kMaxUnacked)
           << "bounded buffer exceeded its cap";
       clock.Advance();
       net.DeliverDue();

@@ -20,120 +20,32 @@
 #include "metrics_dump_listener.h"
 
 #include <cstdlib>
-#include <cstring>
-#include <sstream>
+#include <set>
 
 #include "common/failpoint.h"
 #include "common/rng.h"
-#include "distributed/coordinator.h"
-#include "distributed/mobile_node.h"
-#include "ftl/parser.h"
 #include "test_seed.h"
-#include "workload/fleet.h"
+#include "torture_world.h"
 
 namespace most {
 namespace {
 
-constexpr size_t kVehicles = 6;
+using test::MustParse;
+using test::SerializeCollected;
+using test::SerializeReported;
+using World = test::TortureWorld;
+
+constexpr size_t kVehicles = World::kVehicles;
+
+// Message fates of the faulty world.
+constexpr test::FaultRates kFaults = {.loss = 0.15,
+                                      .duplicate = 0.1,
+                                      .reorder = 0.1,
+                                      .reorder_jitter = 4};
 
 // Faults actually observed across all torture seeds; the summary test at
 // the bottom fails loudly if the whole suite ran fault-free.
 uint64_t g_faults_observed = 0;
-
-SimNetwork::Options NetOptions(bool faulty, uint64_t seed) {
-  SimNetwork::Options o;
-  o.latency = 1;
-  o.seed = seed;
-  if (faulty) {
-    o.loss_probability = 0.15;
-    o.duplicate_probability = 0.1;
-    o.reorder_probability = 0.1;
-    o.reorder_jitter = 4;
-  }
-  return o;
-}
-
-/// One complete simulation: a coordinator and kVehicles mobile nodes over
-/// either a faulty or a lossless network. Both worlds of a differential
-/// pair are built from the same FleetGenerator seed, so object state is
-/// identical; only message fate differs.
-struct World {
-  Clock clock;
-  SimNetwork net;
-  std::map<std::string, Polygon> regions;
-  std::unique_ptr<Coordinator> coordinator;
-  std::vector<std::unique_ptr<MobileNode>> nodes;
-
-  World(bool faulty, uint64_t net_seed)
-      : net(&clock, NetOptions(faulty, net_seed)),
-        regions({{"P", Polygon::Rectangle({40, 40}, {160, 160})}}) {
-    Coordinator::Options copts;
-    // 10 beacon periods: a *false* death verdict needs 10 consecutive
-    // beacon losses (~0.15^10), so post-heal re-syncs fire only for
-    // genuine partition-induced deaths. That keeps the two worlds'
-    // post-barrier reports aligned for the byte-identical comparison.
-    copts.liveness_timeout = 40;
-    coordinator = std::make_unique<Coordinator>(&net, &clock, regions, copts);
-    FleetGenerator fleet(
-        {.num_vehicles = kVehicles, .area = 200.0, .seed = 77});
-    MobileNode::Options opts;
-    opts.beacon_interval = 4;  // Heartbeats drive liveness + re-sync.
-    opts.home = coordinator->node_id();
-    for (const ObjectState& s : fleet.initial_states()) {
-      nodes.push_back(
-          std::make_unique<MobileNode>(&net, &clock, s, regions, opts));
-    }
-  }
-
-  void StepTo(Tick until) {
-    while (clock.Now() < until) {
-      clock.Advance();
-      net.DeliverDue();
-    }
-  }
-
-  bool Quiescent() const {
-    if (coordinator->channel().unacked() > 0) return false;
-    for (const auto& node : nodes) {
-      if (node->channel().unacked() > 0) return false;
-    }
-    return true;
-  }
-};
-
-FtlQuery MustParse(const std::string& s) {
-  auto q = ParseQuery(s);
-  EXPECT_TRUE(q.ok()) << q.status();
-  return *q;
-}
-
-std::string SerializeReported(const Coordinator& c, uint64_t qid) {
-  auto answer = c.ReportedMatches(qid);
-  if (!answer.ok()) return "error: " + answer.status().ToString();
-  std::ostringstream out;
-  out << "confidence="
-      << (answer->confidence == Confidence::kCertain ? "certain" : "stale");
-  out << " missing={";
-  for (NodeId id : answer->missing) out << id << ",";
-  out << "}";
-  for (const auto& [id, when] : answer->matches) {
-    out << " " << id << "->" << when.ToString();
-  }
-  return out.str();
-}
-
-std::string SerializeCollected(const Coordinator& c, uint64_t qid) {
-  auto answer = c.EvaluateCollected(qid);
-  if (!answer.ok()) return "error: " + answer.status().ToString();
-  std::ostringstream out;
-  out << "confidence="
-      << (answer->confidence == Confidence::kCertain ? "certain" : "stale");
-  out << " missing={";
-  for (NodeId id : answer->missing) out << id << ",";
-  out << "}\n";
-  out << answer->relation.ToString();
-  return out.str();
-}
 
 /// Runs the full torture scenario for one seed: warmup, continuous
 /// queries, a randomized fault + partition schedule, heal, a barrier
@@ -147,8 +59,8 @@ void RunDifferential(uint64_t seed) {
   constexpr Tick kIssueOneShots = 430;
   constexpr Tick kFinal = 700;
 
-  World faulty(/*faulty=*/true, seed);
-  World lossless(/*faulty=*/false, seed);
+  World faulty(kFaults, seed);
+  World lossless(/*faults=*/{}, seed);
   auto step_both = [&](Tick until) {
     faulty.StepTo(until);
     lossless.StepTo(until);
@@ -313,7 +225,7 @@ TEST(PartitionTortureTest, DifferentialAgainstLosslessWorldSeed3) {
 // the unreachable nodes and must never claim certainty while any are
 // missing — under an active partition AND after arbitrary polling.
 TEST(PartitionTortureTest, PartialAnswersNameTheMissingNodes) {
-  World world(/*faulty=*/false, 5);
+  World world(/*faults=*/{}, 5);
   world.StepTo(4);
   std::set<NodeId> cut = {world.nodes[1]->node_id(),
                           world.nodes[4]->node_id()};

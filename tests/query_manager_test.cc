@@ -9,6 +9,7 @@
 
 #include "common/failpoint.h"
 #include "ftl/parser.h"
+#include "scoped_governor_limits.h"
 
 namespace most {
 namespace {
@@ -414,7 +415,8 @@ TEST_F(QueryManagerTest, MultiVariableTriggerFiresOncePerIntervalUnderDelta) {
   // approaches. The (a, b) interval starts at [25, 35]; an update between
   // polls shifts it earlier to [19, 29] through the delta path, and the
   // trigger must still fire exactly once per (binding, interval).
-  QueryManager qm(&db_, {.horizon = 200, .delta_max_dirty_fraction = 1.0});
+  test::ScopedGovernorLimits limits({.delta_max_dirty_fraction = 1.0});
+  QueryManager qm(&db_, {.horizon = 200});
   ObjectId a = AddCar({0, 5}, {0, 0});
   ObjectId b = AddCar({30, 5}, {-1, 0});
   std::map<std::vector<ObjectId>, std::vector<Tick>> fires;

@@ -7,15 +7,22 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/shard_router.h"
 #include "ftl/ast.h"
+#include "ftl/eval.h"
 #include "ftl/query_manager.h"
+#include "obs/governor.h"
+#include "obs/telemetry.h"
+#include "scoped_governor_limits.h"
 #include "workload/fleet.h"
 
 namespace most {
@@ -70,9 +77,9 @@ void RunScheduleAndCompare(const FleetGenerator::Options& fopt,
   MostDatabase engine_db;
   ASSERT_NO_FATAL_FAILURE(BuildTwinWorlds(fopt, &oracle_db, &engine_db));
 
+  test::ScopedGovernorLimits limits({.delta_max_dirty_fraction = 1.0});
   QueryManager::Options qm_opt;
   qm_opt.horizon = 32;
-  qm_opt.delta_max_dirty_fraction = 1.0;
   QueryManager oracle(&oracle_db, qm_opt);
 
   ShardedEngine::Options eng_opt;
@@ -280,7 +287,9 @@ TEST(ShardedEngineTest, DegradedShardPoisonsGatherAsStale) {
   // One arena byte: every shard's refresh trips the memory gate at its
   // first budget checkpoint. (max_rows would need a join to materialize a
   // row-counted relation; the arena knob sheds any evaluation shape.)
-  opt.query_options.refresh_budget.max_arena_bytes = 1;
+  ResourceGovernor::Limits limits;
+  limits.refresh_budget.max_arena_bytes = 1;
+  test::ScopedGovernorLimits guard(limits);
   ShardedEngine engine(&db, opt);
   auto id = engine.RegisterContinuous(InsideQuery());
   ASSERT_TRUE(id.ok());
@@ -350,6 +359,134 @@ TEST(ShardedEngineTest, ShardWalRoundTripReplaysExactState) {
     EXPECT_EQ(want.y, got.y);
     EXPECT_EQ(obj.last_update(), (*copy)->last_update());
   }
+}
+
+// A shard WAL that cannot be opened must not leave the engine silently
+// running without durability: every tick reports the failure until a
+// Reshard opens all the logs.
+TEST(ShardedEngineTest, UnopenableShardWalFailsEveryTickUntilReshard) {
+  const std::string blocker = ::testing::TempDir() + "/shard_wal_blocker_" +
+                              std::to_string(getpid());
+  std::filesystem::remove_all(blocker);
+  { std::ofstream(blocker) << "not a directory"; }
+  MostDatabase db;
+  FleetGenerator fleet(SmallFleet(8, 23));
+  ASSERT_TRUE(fleet.Populate(&db, "V").ok());
+
+  ShardedEngine::Options opt;
+  opt.shard_count = 2;
+  opt.wal_dir = blocker + "/wal";  // A path under a regular file.
+  ShardedEngine engine(&db, opt);
+  engine.EnqueueMotion("V", 0, {1, 1}, {0, 0});
+  EXPECT_FALSE(engine.Advance(1).ok());
+  EXPECT_FALSE(engine.Advance(1).ok()) << "the failure must not be one-shot";
+  EXPECT_EQ(db.Now(), 2);
+
+  // The operator clears the path; a rebuild opens every log.
+  std::filesystem::remove(blocker);
+  EXPECT_TRUE(engine.Reshard(2).ok());
+  engine.EnqueueMotion("V", 0, {2, 2}, {0, 0});
+  EXPECT_TRUE(engine.Advance(1).ok());
+  EXPECT_TRUE(std::filesystem::exists(opt.wal_dir));
+  std::filesystem::remove_all(blocker);
+}
+
+// The telemetry watchdog arms from inside one shard's TickAll while the
+// other shards' TickAll calls are reading the governor's limits — the
+// only copy of them — on pool threads. Under the armed queue limit every
+// gather is either complete and byte-identical to a fresh unsharded
+// evaluation, or incomplete with every tuple kStale: never a kCertain
+// tuple the oracle does not have. Disarming brings the next tick back to
+// the oracle byte for byte. ci.sh runs this binary under TSan.
+TEST(ShardedEngineTest, WatchdogArmingDuringParallelTickDegradesSoundly) {
+  constexpr size_t kVehicles = 16;
+  constexpr Tick kHorizon = 64;  // No window expiry inside the run.
+  MostDatabase db;
+  FleetGenerator fleet(SmallFleet(kVehicles, 41));
+  ASSERT_TRUE(fleet.Populate(&db, "V").ok());
+  ASSERT_TRUE(
+      db.DefineRegion("R1", Polygon::Rectangle({10, 10}, {60, 60})).ok());
+  test::ScopedGovernorLimits limits({});
+
+  obs::TelemetryRecorder& rec = obs::TelemetryRecorder::Global();
+  rec.Clear();
+  rec.set_enabled(true);
+  obs::TelemetryRecorder::WatchdogOptions wd;
+  wd.window = 2;
+  wd.arm_mean_seconds = 1e-12;  // Any refresh at all arms it.
+  wd.armed_queue_limit = 1;
+  wd.min_hold_ticks = 1000;  // Armed until DisarmWatchdog.
+  rec.ConfigureWatchdog(wd);
+
+  ShardedEngine::Options opt;
+  opt.shard_count = 4;
+  opt.query_options.horizon = kHorizon;
+  ShardedEngine engine(&db, opt);
+  const std::vector<FtlQuery> queries = {InsideQuery(), DistQuery(25.0)};
+  std::vector<ShardedEngine::QueryId> ids;
+  for (const FtlQuery& q : queries) {
+    auto id = engine.RegisterContinuous(q);
+    ASSERT_TRUE(id.ok()) << id.status();
+    ids.push_back(*id);
+  }
+  const Tick anchor = db.Now();
+  QueryManager::Options flat_opt;
+  flat_opt.listen = false;
+  QueryManager flattener(&db, flat_opt);
+
+  // Moves every vehicle, so both queries are stale in every shard and a
+  // queue limit of 1 sheds one of them per shard per tick.
+  auto tick = [&](Tick t) {
+    for (ObjectId id = 0; id < kVehicles; ++id) {
+      engine.EnqueueMotion("V", id,
+                           {static_cast<double>((id * 7 + t * 3) % 80),
+                            static_cast<double>((id * 11 + t) % 80)},
+                           {1.0, -0.5});
+    }
+    return engine.Advance(1);
+  };
+  auto oracle = [&](const FtlQuery& q) {
+    FtlEvaluator fresh(db);
+    auto rel = fresh.EvaluateQuery(q, Interval(anchor, anchor + kHorizon));
+    EXPECT_TRUE(rel.ok()) << rel.status();
+    return flattener.FlattenAnswer(q, rel.ok() ? *rel : TemporalRelation(),
+                                   /*force_stale=*/false);
+  };
+
+  const uint64_t sheds_before = ResourceGovernor::Global().degrades_total();
+  for (Tick t = 1; t <= 6; ++t) {
+    SCOPED_TRACE("tick " + std::to_string(t));
+    ASSERT_TRUE(tick(t).ok());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      auto got = engine.ContinuousAnswer(ids[i]);
+      ASSERT_TRUE(got.ok()) << got.status();
+      const std::vector<AnswerTuple> want = oracle(queries[i]);
+      if (got->complete()) {
+        EXPECT_EQ(got->tuples, want);
+        continue;
+      }
+      for (const AnswerTuple& tuple : got->tuples) {
+        EXPECT_EQ(tuple.confidence, Confidence::kStale)
+            << "an incomplete gather must not vouch for any tuple";
+      }
+    }
+  }
+  ASSERT_TRUE(rec.watchdog_armed());
+  EXPECT_EQ(ResourceGovernor::Global().limits().refresh_queue_limit, 1u);
+  EXPECT_GT(ResourceGovernor::Global().degrades_total(), sheds_before)
+      << "the armed queue limit never shed a refresh";
+
+  rec.DisarmWatchdog();
+  EXPECT_EQ(ResourceGovernor::Global().limits().refresh_queue_limit, 0u);
+  ASSERT_TRUE(tick(7).ok());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto got = engine.ContinuousAnswer(ids[i]);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_TRUE(got->complete());
+    EXPECT_EQ(got->tuples, oracle(queries[i]));
+  }
+  rec.set_enabled(false);
+  rec.Clear();
 }
 
 }  // namespace

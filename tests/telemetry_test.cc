@@ -11,6 +11,7 @@
 #include "obs/governor.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "scoped_governor_limits.h"
 
 namespace most {
 namespace {
@@ -149,9 +150,7 @@ TEST(TelemetryWatchdogTest, ArmsOnLatencyAndRelaxesRestoringLimits) {
   rec.set_enabled(true);
 
   ResourceGovernor& governor = ResourceGovernor::Global();
-  ResourceGovernor::Limits baseline;
-  baseline.refresh_queue_limit = 77;
-  governor.set_limits(baseline);
+  test::ScopedGovernorLimits baseline({.refresh_queue_limit = 77});
 
   TelemetryRecorder::WatchdogOptions wd;
   wd.latency_metric = "t_wd_latency_seconds";
@@ -180,9 +179,7 @@ TEST(TelemetryWatchdogTest, ArmsOnLatencyAndRelaxesRestoringLimits) {
   EXPECT_FALSE(rec.watchdog_armed());
   EXPECT_EQ(rec.watchdog_relaxes(), 1u);
   EXPECT_EQ(governor.limits().refresh_queue_limit, 77u);
-  EXPECT_EQ(governor.limits().delta_max_dirty_fraction, 0.0);
-
-  governor.set_limits({});
+  EXPECT_EQ(governor.limits().delta_max_dirty_fraction, 0.25);
 }
 
 TEST(TelemetryWatchdogTest, UnconfiguredWatchdogNeverTouchesTheGovernor) {
@@ -194,9 +191,7 @@ TEST(TelemetryWatchdogTest, UnconfiguredWatchdogNeverTouchesTheGovernor) {
   rec.Track("t_wd2_latency_seconds");
 
   ResourceGovernor& governor = ResourceGovernor::Global();
-  ResourceGovernor::Limits baseline;
-  baseline.refresh_queue_limit = 55;
-  governor.set_limits(baseline);
+  test::ScopedGovernorLimits baseline({.refresh_queue_limit = 55});
 
   for (Tick t = 1; t <= 6; ++t) {
     h->Observe(10.0);  // Catastrophic latency — but nobody is watching.
@@ -205,7 +200,6 @@ TEST(TelemetryWatchdogTest, UnconfiguredWatchdogNeverTouchesTheGovernor) {
   EXPECT_FALSE(rec.watchdog_armed());
   EXPECT_EQ(rec.watchdog_arms(), 0u);
   EXPECT_EQ(governor.limits().refresh_queue_limit, 55u);
-  governor.set_limits({});
 }
 
 TEST(TelemetryWatchdogTest, DisarmWhileArmedRestoresSavedLimits) {
@@ -216,9 +210,7 @@ TEST(TelemetryWatchdogTest, DisarmWhileArmedRestoresSavedLimits) {
   rec.set_enabled(true);
 
   ResourceGovernor& governor = ResourceGovernor::Global();
-  ResourceGovernor::Limits baseline;
-  baseline.refresh_queue_limit = 99;
-  governor.set_limits(baseline);
+  test::ScopedGovernorLimits baseline({.refresh_queue_limit = 99});
 
   TelemetryRecorder::WatchdogOptions wd;
   wd.latency_metric = "t_wd3_latency_seconds";
@@ -231,11 +223,13 @@ TEST(TelemetryWatchdogTest, DisarmWhileArmedRestoresSavedLimits) {
   h->Observe(0.9);
   rec.OnTick(2, registry);
   ASSERT_TRUE(rec.watchdog_armed());
+  EXPECT_EQ(governor.limits().refresh_queue_limit, 1u);
+  // armed_delta_fraction was left at 0: the fraction keeps its default.
+  EXPECT_EQ(governor.limits().delta_max_dirty_fraction, 0.25);
 
   rec.DisarmWatchdog();
   EXPECT_FALSE(rec.watchdog_armed());
   EXPECT_EQ(governor.limits().refresh_queue_limit, 99u);
-  governor.set_limits({});
 }
 
 TEST(TelemetryRecorderTest, ClearDropsSamplesButKeepsTrackingAndCounters) {
