@@ -24,42 +24,16 @@ export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 run_config build-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DMOST_SANITIZE=address,undefined
 
-# Crash-torture stage: re-run the fault-injection suite under ASan with a
-# failpoint armed through the environment (docs/durability.md). The suite
-# itself fails if the armed probe — or its own 240 injections — never
-# fire, so this stage cannot silently become a no-op.
-echo "=== crash-torture stage (env-armed failpoints, ASan+UBSan) ==="
-MOST_FAILPOINTS="ci/torture_probe=noop" ./build-asan/tests/crash_torture_test
-
-# Partition-torture stage: the distributed protocol under randomized
-# loss/duplication/reordering/partition schedules (3 seeds), differentially
-# checked against a lossless run (docs/distributed.md). The armed probe
-# proves MOST_FAILPOINTS reaches the torture loop; each seed fails if its
-# faults never fired, so this stage cannot silently become a no-op either.
-echo "=== partition-torture stage (env-armed failpoints, ASan+UBSan) ==="
-MOST_FAILPOINTS="ci/dist_probe=noop" ./build-asan/tests/partition_torture_test
-
-# Crash/restart-torture stage: WAL-backed mobile nodes killed and
-# restarted on randomized schedules over a lossy network, differentially
-# checked byte-for-byte against a crash-free world, with the
-# never-kCertain-while-a-lease-is-expired invariant polled every tick
-# (docs/distributed.md "Crash, rejoin, and catch-up"). The armed probe
-# proves MOST_FAILPOINTS reaches the torture loop; the suite's summary
-# test fails if no crash or lease expiry ever happened, so this stage
-# cannot silently become a no-op.
-echo "=== crash-restart-torture stage (env-armed failpoints, ASan+UBSan) ==="
-MOST_FAILPOINTS="ci/crash_probe=noop" ./build-asan/tests/crash_restart_torture_test
-
-# Overload-torture stage: resource governance under randomized update
-# storms with starvation-level budgets, plus the WAL ENOSPC and bounded-
-# channel storms (docs/robustness.md). The suite differentially checks a
-# governed system against an unconstrained oracle (degraded answers must
-# be marked kStale and stay inside the oracle's reach, and the system must
-# reconverge once limits lift); its summary test fails if no refresh shed
-# or channel drop ever happened, so this stage cannot silently become a
-# no-op.
-echo "=== overload-torture stage (env-armed failpoints, ASan+UBSan) ==="
-MOST_FAILPOINTS="ci/overload_probe=noop" ./build-asan/tests/overload_torture_test
+# Fault-simulation stage: the seeded sweep of tests/fault_sim_test.cc
+# under ASan — one schedule per seed drawing network loss, partitions,
+# crash/restart, node-WAL faults, governor storms, evaluator faults and
+# Reshards onto one timeline, checked tick by tick against a fault-free
+# twin and the engine's oracle (docs/robustness.md). Its summary test
+# fails unless every family fired, the families overlapped, and the
+# armed probe below fired once per simulated tick, so this stage cannot
+# silently become a no-op.
+echo "=== fault-sim stage (env-armed probe, ASan+UBSan) ==="
+MOST_FAILPOINTS="ci/sim_probe=noop" ./build-asan/tests/fault_sim_test
 
 # Delta-refresh stage: delta differential corpus (200 randomized update
 # schedules, each answer byte-identical to a fresh evaluation over the
@@ -249,4 +223,8 @@ if [[ "${1:-}" == "tsan" ]]; then
   ./build-tsan/tests/sharded_engine_test
   MOST_SHARDS=4 ./build-tsan/tests/differential_test \
     --gtest_filter='DifferentialTest.ShardedEngine*'
+  # One pinned seed of the fault simulation: Reshard and the engine's
+  # parallel phases under storms and evaluator faults.
+  echo "=== fault-sim pinned seed (TSan) ==="
+  MOST_TEST_SEED=42 ./build-tsan/tests/fault_sim_test
 fi

@@ -161,32 +161,40 @@ void ShardedEngine::ReassignAfterStructuralChange(const std::string& class_name,
   for (auto& shard : shards_) shard->qm->NoteUpdates(class_name, ids);
 }
 
-Result<ShardedEngine::QueryId> ShardedEngine::RegisterContinuous(
-    const FtlQuery& query) {
+Status ShardedEngine::RegisterInShards(EngineQuery* eq) {
   const size_t n = shards_.size();
-  EngineQuery eq;
-  eq.query = query;
-  eq.shard_ids.assign(n, 0);
+  eq->shard_ids.assign(n, 0);
   std::vector<Status> sts(n, Status::OK());
   // Registration runs the initial (partition-restricted) evaluation per
   // shard; the database is read-only here, so shards evaluate in
   // parallel.
   ParallelFor(pool_.get(), n, [&](size_t k) {
-    Result<QueryManager::QueryId> r = shards_[k]->qm->RegisterContinuous(query);
+    Result<QueryManager::QueryId> r =
+        shards_[k]->qm->RegisterContinuous(eq->query);
     if (r.ok()) {
-      eq.shard_ids[k] = *r;
+      eq->shard_ids[k] = *r;
     } else {
       sts[k] = r.status();
     }
   });
   for (size_t k = 0; k < n; ++k) {
     if (!sts[k].ok()) {
+      // All or nothing: a shard that did register must not keep an
+      // orphan the engine no longer tracks.
       for (size_t j = 0; j < n; ++j) {
-        if (sts[j].ok()) (void)shards_[j]->qm->Cancel(eq.shard_ids[j]);
+        if (sts[j].ok()) (void)shards_[j]->qm->Cancel(eq->shard_ids[j]);
       }
       return sts[k];
     }
   }
+  return Status::OK();
+}
+
+Result<ShardedEngine::QueryId> ShardedEngine::RegisterContinuous(
+    const FtlQuery& query) {
+  EngineQuery eq;
+  eq.query = query;
+  MOST_RETURN_IF_ERROR(RegisterInShards(&eq));
   QueryId id = next_query_id_++;
   queries_.emplace(id, std::move(eq));
   return id;
@@ -224,26 +232,21 @@ Status ShardedEngine::Reshard(size_t new_shard_count) {
   build_status_ = BuildShards();
   // Re-register every live query under its old engine id. Windows
   // re-anchor at the current tick (docs/sharding.md): post-reshard
-  // answers equal a fresh oracle registered now.
+  // answers equal a fresh oracle registered now. A query that fails to
+  // re-register is dropped (its partial registrations cancelled); the
+  // rest still re-register, and the first failure names its query.
+  Status first_error = build_status_;
   for (auto& [id, eq] : live) {
-    const size_t n = shards_.size();
-    eq.shard_ids.assign(n, 0);
-    std::vector<Status> sts(n, Status::OK());
-    ParallelFor(pool_.get(), n, [&](size_t k) {
-      Result<QueryManager::QueryId> r =
-          shards_[k]->qm->RegisterContinuous(eq.query);
-      if (r.ok()) {
-        eq.shard_ids[k] = *r;
-      } else {
-        sts[k] = r.status();
-      }
-    });
-    for (const Status& s : sts) {
-      if (!s.ok()) return s;
+    Status s = RegisterInShards(&eq);
+    if (s.ok()) {
+      queries_.emplace(id, std::move(eq));
+    } else if (first_error.ok()) {
+      first_error = Status(s.code(), "re-registering sharded query " +
+                                         std::to_string(id) + ": " +
+                                         s.message());
     }
-    queries_.emplace(id, std::move(eq));
   }
-  return build_status_;
+  return first_error;
 }
 
 void ShardedEngine::Route(UpdateOp op) {

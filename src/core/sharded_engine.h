@@ -108,8 +108,11 @@ class ShardedEngine {
   /// pending update, tears the shards down, re-partitions, and re-
   /// registers every live query. Query windows re-anchor at the current
   /// tick — answers afterwards equal a *fresh* oracle registered now, not
-  /// the pre-reshard state. Old WAL files beyond the new count are left
-  /// in place (replay probes up to the maximum shard count ever used).
+  /// the pre-reshard state. A query that fails to re-register is dropped
+  /// (no shard keeps a partial registration) while the others still
+  /// re-register; the first such failure is returned, naming its query
+  /// id. Old WAL files beyond the new count are left in place (replay
+  /// probes up to the maximum shard count ever used).
   Status Reshard(size_t new_shard_count);
 
   // ---- Data plane (lock-free, any thread) ------------------------------
@@ -229,6 +232,10 @@ class ShardedEngine {
     std::vector<QueryManager::QueryId> shard_ids;  ///< One per shard.
   };
 
+  /// Registers eq->query in every shard, filling eq->shard_ids. All or
+  /// nothing: on a shard's failure the others' registrations are
+  /// cancelled and that failure returned.
+  Status RegisterInShards(EngineQuery* eq);
   /// (Re)builds shards_ for router_.shard_count() shards from the
   /// database's current objects. Callers tear the old shards down first.
   Status BuildShards();

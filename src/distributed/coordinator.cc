@@ -60,6 +60,7 @@ Coordinator::Coordinator(SimNetwork* network, Clock* clock,
       completion_lag_({1, 2, 4, 8, 16, 32, 64, 128, 256}) {
   channel_.SetHandler([this](const Message& m) { HandleMessage(m); });
   channel_.SetRawObserver([this](const Message& m) { ObserveTraffic(m); });
+  channel_.SetLossObserver([this](NodeId peer) { lost_streams_.insert(peer); });
   tick_hook_id_ = network_->AddTickHook([this] { OnTick(); });
   obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
   attach_ids_ = {
@@ -367,6 +368,16 @@ void Coordinator::OnTick() {
     }
   }
   leases_active_gauge_.Set(active);
+  for (auto it = lost_streams_.begin(); it != lost_streams_.end();) {
+    const NodeId peer = *it;
+    if (!IsLive(peer) ||
+        channel_.PeerBackpressure(peer) != Backpressure::kOpen) {
+      ++it;
+      continue;
+    }
+    it = lost_streams_.erase(it);
+    ResyncLostStream(peer);  // May shed again and re-enter the set.
+  }
   // Steady-state mirror pushes: one per-object delta per tick to each
   // lease-valid subscriber whose mirror fell behind. Dead subscribers are
   // skipped — their catch-up happens at rejoin, from the anchor they
@@ -379,6 +390,23 @@ void Coordinator::OnTick() {
     for (NodeId sub : subs) {
       if (!IsLive(sub)) continue;
       FlushMirror(qid, &state, sub, /*full=*/false, /*rejoin_catchup=*/false);
+    }
+  }
+}
+
+void Coordinator::ResyncLostStream(NodeId peer) {
+  for (auto& [qid, state] : queries_) {
+    if (state.expected.count(peer) == 0) continue;
+    if (state.cancelled) {
+      if (state.continuous) channel_.SendReliable(peer, CancelQuery{qid});
+      continue;
+    }
+    if (state.continuous || state.responded.count(peer) == 0) {
+      SendRequest(qid, state, peer);
+      resyncs_.Inc();
+    }
+    if (state.mirror_subs.count(peer) != 0) {
+      FlushMirror(qid, &state, peer, /*full=*/true, /*rejoin_catchup=*/false);
     }
   }
 }

@@ -232,6 +232,12 @@ class Coordinator {
   /// continuous query also misses every expected node whose lease has
   /// expired, responded or not.
   std::set<NodeId> EffectiveMissing(const QueryState& state) const;
+  /// Re-sends everything `peer` may have lost with frames its channel
+  /// dropped (shed at capacity or evicted): the request of every
+  /// continuous query and of every one-shot it still owes an answer, the
+  /// cancellation of every cancelled subscription, and a full mirror to a
+  /// mirror subscriber. All idempotent at the node.
+  void ResyncLostStream(NodeId peer);
   /// Sends `subscriber` one AnswerDelta: the objects dirtied since its
   /// synced-through tick (or the full mirror when `full`), advancing its
   /// synced-through mark. Skipped when nothing changed (delta mode).
@@ -251,6 +257,9 @@ class Coordinator {
   uint64_t next_qid_ = 1;
   uint64_t tick_hook_id_ = 0;
   Tick last_sweep_tick_ = -1;
+  /// Peers whose stream dropped frames; re-synced by OnTick once live
+  /// with room in their send buffer.
+  std::set<NodeId> lost_streams_;
   std::map<uint64_t, QueryState> queries_;
   std::map<NodeId, Tick> last_heard_;
   std::map<NodeId, Lease> leases_;

@@ -64,7 +64,12 @@ MobileNode::MobileNode(SimNetwork* network, Clock* clock, ObjectState initial,
         if (recovered.home != kInvalidNodeId) home_ = recovered.home;
         incarnation_ = recovered.incarnation + 1;
         channel_options.reclaim_node_id = recovered.node_id;
-        channel_options.initial_epoch = incarnation_;
+        // Each incarnation owns its own block of epochs: a dead-peer
+        // eviction bumps the stream's epoch by one, so with plain
+        // incarnation numbers an evicted stream of incarnation k would
+        // collide with incarnation k + 1's fresh one, and the receiver
+        // would drop the reborn stream's first frames as duplicates.
+        channel_options.initial_epoch = incarnation_ << 32;
       }
     } else {
       store_.reset();  // Unusable log: degrade to the in-memory node.
@@ -73,6 +78,9 @@ MobileNode::MobileNode(SimNetwork* network, Clock* clock, ObjectState initial,
   channel_ =
       std::make_unique<ReliableEndpoint>(network_, clock_, channel_options);
   channel_->SetHandler([this](const Message& m) { HandleMessage(m); });
+  // Frames dropped for good (shed at capacity, evicted with a silent
+  // home) may have carried reports or a JoinRequest: OnTick re-syncs.
+  channel_->SetLossObserver([this](NodeId) { resync_pending_ = true; });
   tick_hook_id_ = network_->AddTickHook([this] { OnTick(); });
   obs::MetricsRegistry& r = obs::MetricsRegistry::Global();
   attach_ids_ = {
@@ -93,7 +101,7 @@ MobileNode::MobileNode(SimNetwork* network, Clock* clock, ObjectState initial,
           Subscription{sub.request, sub.issuer, false, {}};
     }
     for (auto& [qid, mirror] : recovered.mirrors) {
-      mirrors_[qid] = Mirror{mirror.anchor, std::move(mirror.rows)};
+      mirrors_[qid] = Mirror{mirror.anchor, std::move(mirror.rows), false};
     }
     Rejoin();
   }
@@ -107,9 +115,12 @@ MobileNode::~MobileNode() {
 
 void MobileNode::PersistIdentity() {
   if (!store_) return;
-  // Best-effort: an injected append failure (wal/append/enospc) leaves the
-  // previous durable identity standing, which a restart then recovers.
-  (void)store_->SaveIdentity(channel_->node_id(), home_, incarnation_);
+  // A failed write (ENOSPC, an injected append fault) leaves the previous
+  // durable identity standing. OnTick retries until this one is durable:
+  // a restart that recovered the old incarnation would bump it to this
+  // incarnation's epoch again, and the dead stream would not be fenced.
+  identity_pending_ =
+      !store_->SaveIdentity(channel_->node_id(), home_, incarnation_).ok();
 }
 
 void MobileNode::PersistState() {
@@ -252,27 +263,39 @@ void MobileNode::ApplyAnswerDelta(const AnswerDelta& delta) {
   // duplicate (at-least-once across a crash boundary) or arrived out of
   // band: skip it rather than regress the anchor.
   if (mirror.anchor != 0 && delta.anchor <= mirror.anchor) return;
-  if (delta.full) {
-    mirror.rows.clear();
-    if (store_) (void)store_->ClearMirror(delta.qid);
-  }
+  if (delta.full) mirror.rows.clear();
   SpliceAnswerDelta(&mirror.rows, delta.upserts, delta.removals);
+  mirror.anchor = delta.anchor;
   if (store_) {
+    bool rows_ok = !delta.full || store_->ClearMirror(delta.qid).ok();
     for (const auto& [obj, when] : delta.upserts) {
-      if (when.empty()) {
-        (void)store_->RemoveMirrorRow(delta.qid, obj);
-      } else {
-        (void)store_->UpsertMirrorRow(delta.qid, obj, when);
-      }
+      rows_ok &= (when.empty() ? store_->RemoveMirrorRow(delta.qid, obj)
+                               : store_->UpsertMirrorRow(delta.qid, obj, when))
+                     .ok();
     }
     for (ObjectId obj : delta.removals) {
-      (void)store_->RemoveMirrorRow(delta.qid, obj);
+      rows_ok &= store_->RemoveMirrorRow(delta.qid, obj).ok();
+    }
+    // A stored anchor vouches for every row before it: a restart catches
+    // up only objects dirtied after it. So after a failed row write the
+    // stored mirror is rewritten whole before any anchor is trusted; a
+    // failed anchor write merely makes catch-up resend more.
+    if (rows_ok && !mirror.store_behind) {
+      (void)store_->SaveMirrorAnchor(delta.qid, delta.anchor);
+    } else {
+      mirror.store_behind = !RewriteStoredMirror(delta.qid, mirror);
     }
   }
-  mirror.anchor = delta.anchor;
-  if (store_) (void)store_->SaveMirrorAnchor(delta.qid, delta.anchor);
   ++deltas_applied_;
   deltas_applied_counter_.Inc();
+}
+
+bool MobileNode::RewriteStoredMirror(uint64_t qid, const Mirror& mirror) {
+  bool ok = store_->ClearMirror(qid).ok();
+  for (const auto& [obj, when] : mirror.rows) {
+    ok &= store_->UpsertMirrorRow(qid, obj, when).ok();
+  }
+  return ok && store_->SaveMirrorAnchor(qid, mirror.anchor).ok();
 }
 
 void MobileNode::HandleMessage(const Message& message) {
@@ -331,6 +354,15 @@ void MobileNode::ServiceSubscriptions() {
 }
 
 void MobileNode::OnTick() {
+  if (identity_pending_) PersistIdentity();
+  if (resync_pending_ && home_ != kInvalidNodeId &&
+      channel_->PeerBackpressure(home_) == Backpressure::kOpen) {
+    // A JoinRequest under the same incarnation is the re-sync handshake:
+    // the coordinator re-sends requests and mirror catch-up from our
+    // anchors, and Rejoin re-answers every subscription.
+    resync_pending_ = false;
+    Rejoin();
+  }
   if (options_.beacon_interval <= 0 || home_ == kInvalidNodeId) return;
   Tick now = clock_->Now();
   // Aligned to absolute ticks, and at most once per tick (DeliverDue may

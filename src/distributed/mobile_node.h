@@ -48,7 +48,7 @@ Result<std::unique_ptr<MostDatabase>> BuildDatabaseFromStates(
 /// WAL. Destroying the node models a process kill (the SimNetwork entry
 /// survives with a nulled handler); constructing a new node on the same
 /// wal_path recovers the pre-crash state, reclaims the network id, bumps
-/// the incarnation (which becomes the send-stream epoch fencing the dead
+/// the incarnation (whose epoch block, incarnation << 32, fences the dead
 /// stream), announces itself with a JoinRequest, and re-answers every
 /// recovered subscription. Delivery across the crash boundary is
 /// at-least-once — re-subscription and re-report are idempotent — while
@@ -100,8 +100,9 @@ class MobileNode {
   /// True when this incarnation was recovered from a prior one's WAL.
   bool recovered_from_wal() const { return recovered_; }
   /// Incarnation counter: 0 on first boot, prior + 1 after each recovery.
-  /// Doubles as the send-stream epoch, so a reborn node's frames outrank
-  /// its dead pre-crash stream.
+  /// The send stream starts at epoch incarnation << 32, so a reborn
+  /// node's frames outrank its dead pre-crash stream even after that
+  /// stream was bumped by dead-peer evictions.
   uint64_t incarnation() const { return incarnation_; }
   /// AnswerDelta messages applied to local mirrors (catch-up activity).
   uint64_t deltas_applied() const { return deltas_applied_; }
@@ -140,7 +141,12 @@ class MobileNode {
   struct Mirror {
     Tick anchor = 0;
     std::map<ObjectId, IntervalSet> rows;
+    /// The stored copy missed a row write and awaits a whole rewrite.
+    bool store_behind = false;
   };
+  /// Replaces the stored mirror of `qid` with `mirror`; false if any
+  /// write failed.
+  bool RewriteStoredMirror(uint64_t qid, const Mirror& mirror);
 
   SimNetwork* network_;
   Clock* clock_;
@@ -154,6 +160,8 @@ class MobileNode {
   Tick last_beacon_tick_ = -1;
   bool recovered_ = false;
   uint64_t incarnation_ = 0;
+  bool identity_pending_ = false;  ///< Last PersistIdentity failed.
+  bool resync_pending_ = false;    ///< The channel dropped frames home.
   uint64_t deltas_applied_ = 0;
   std::map<uint64_t, Subscription> subscriptions_;
   std::map<uint64_t, Mirror> mirrors_;

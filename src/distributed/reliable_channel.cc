@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "obs/governor.h"
 
@@ -170,6 +171,7 @@ Backpressure ReliableEndpoint::SendReliable(NodeId to, AppPayload payload) {
   }
   if (GradePressure(state) == Backpressure::kShed) {
     frames_shed_.Inc();
+    if (loss_observer_) loss_observer_(to);
     return Backpressure::kShed;
   }
   uint64_t seq = state.next_seq++;
@@ -312,6 +314,7 @@ void ReliableEndpoint::OnTick() {
   Tick now = clock_->Now();
   const Tick horizon =
       ResourceGovernor::Global().limits().channel_peer_dead_horizon;
+  std::vector<NodeId> evicted;
   for (auto& [peer, state] : send_) {
     if (horizon > 0 && !state.pending.empty() &&
         now >= TickSaturatingAdd(state.last_heard, horizon)) {
@@ -329,6 +332,7 @@ void ReliableEndpoint::OnTick() {
       state.epoch += 1;
       state.last_heard = now;
       peers_evicted_.Inc();
+      evicted.push_back(peer);
       continue;
     }
     for (auto& [seq, pending] : state.pending) {
@@ -341,6 +345,9 @@ void ReliableEndpoint::OnTick() {
           TickSaturatingAdd(pending.rto, pending.rto), options_.rto_max);
       pending.next_retry = TickSaturatingAdd(now, pending.rto);
     }
+  }
+  if (loss_observer_) {
+    for (NodeId peer : evicted) loss_observer_(peer);
   }
 }
 

@@ -100,6 +100,16 @@ class ReliableEndpoint {
   /// hangs off this: any traffic from a peer proves it reachable.
   void SetRawObserver(Handler observer) { raw_observer_ = std::move(observer); }
 
+  /// Invoked with the peer whenever frames to it are dropped for good — a
+  /// send refused at capacity (kShed) or a buffer evicted past the dead
+  /// horizon. The stream itself stays consistent; what the dropped
+  /// payloads carried is the owner's to re-send (the coordinator and the
+  /// mobile node re-synchronize the pair once the peer has room again).
+  using LossObserver = std::function<void(NodeId peer)>;
+  void SetLossObserver(LossObserver observer) {
+    loss_observer_ = std::move(observer);
+  }
+
   /// Queues one reliable frame. Returns the peer's backpressure state
   /// *after* the send: kOpen/kThrottle mean the frame is on the wire (a
   /// throttled producer should slow down); kShed means the buffer was at
@@ -208,6 +218,7 @@ class ReliableEndpoint {
   uint64_t governor_probe_id_ = 0;
   Handler handler_;
   Handler raw_observer_;
+  LossObserver loss_observer_;
   std::map<NodeId, SendState> send_;
   std::map<NodeId, RecvState> recv_;
   /// Stats is a thin snapshot view over these (attached to the global

@@ -277,8 +277,16 @@ Result<QueryManager::QueryId> QueryManager::RegisterContinuousLocked(
   Continuous cq;
   cq.id = id;
   cq.query = query;
+  cq.window_begin = db_->Now();
+  cq.expires_at = TickSaturatingAdd(cq.window_begin, options_.horizon);
   auto [it, inserted] = continuous_.emplace(id, std::move(cq));
-  MOST_RETURN_IF_ERROR(Refresh(&it->second, limits));
+  Status initial = Refresh(&it->second, limits);
+  if (!initial.ok()) {
+    // A registration that fails leaves nothing behind: an orphan entry
+    // would be refreshed by every later TickAll under an id nobody holds.
+    continuous_.erase(it);
+    return initial;
+  }
   return id;
 }
 
@@ -293,9 +301,17 @@ bool QueryManager::NeedsRefresh(const Continuous& cq, Tick now) const {
   return cq.dirty || !cq.dirty_objects.empty() || now > cq.expires_at;
 }
 
+void QueryManager::SlideExpiredWindow(Continuous* cq, Tick now) const {
+  if (now <= cq->expires_at) return;
+  cq->window_begin = now;
+  cq->expires_at = TickSaturatingAdd(now, options_.horizon);
+  cq->dirty = true;  // The materialized rows belong to the old window.
+}
+
 Status QueryManager::Refresh(Continuous* cq,
                              const ResourceGovernor::Limits& limits) {
   Tick now = db_->Now();
+  SlideExpiredWindow(cq, now);
   if (!NeedsRefresh(*cq, now)) return Status::OK();
   // A query whose last refresh blew its budget keeps serving the stale
   // answer through the cooldown instead of burning the budget again; its
@@ -306,8 +322,8 @@ Status QueryManager::Refresh(Continuous* cq,
   const char* full_reason = nullptr;
   if (cq->evaluations == 0) {
     full_reason = "initial";
-  } else if (now > cq->expires_at) {
-    full_reason = "expired";
+  } else if (cq->window_begin > cq->evaluated_at) {
+    full_reason = "expired";  // The window slid since the last evaluation.
   } else if (cq->dirty) {
     full_reason = "forced";
   } else {
@@ -353,13 +369,6 @@ Status QueryManager::RefreshFull(Continuous* cq, const char* reason,
   span.Annotate("reason", reason);
   if (options_.shard_id >= 0) {
     span.AnnotateU64("shard", static_cast<uint64_t>(options_.shard_id));
-  }
-  if (cq->evaluations == 0 || now > cq->expires_at) {
-    // Re-anchor the window only at registration and on expiry. Update-
-    // triggered refreshes keep the window so delta and full paths stay
-    // byte-identical.
-    cq->window_begin = now;
-    cq->expires_at = TickSaturatingAdd(now, options_.horizon);
   }
   auto profile = std::make_shared<obs::QueryProfile>();
   profile->query = cq->query.ToString();
@@ -770,6 +779,9 @@ Status QueryManager::TickAll() {
   const ResourceGovernor::Limits limits = ResourceGovernor::Global().limits();
   std::vector<Continuous*> stale;
   for (auto& [id, cq] : continuous_) {
+    // Slide before admission control and cooldowns: a refresh shed now
+    // still runs over the window every other manager slid to this tick.
+    SlideExpiredWindow(&cq, now);
     if (NeedsRefresh(cq, now)) stale.push_back(&cq);
   }
   // Admission control: with a bounded refresh queue, a batch larger than

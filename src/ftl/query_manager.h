@@ -314,10 +314,12 @@ class QueryManager {
     TemporalRelation full;
     TemporalRelation answer;
     Tick evaluated_at = 0;
-    /// Evaluation window [window_begin, expires_at]. Re-anchored to
-    /// [now, now + horizon] only at first evaluation and on expiry;
-    /// update-triggered refreshes re-evaluate over the existing window so
-    /// the delta splice and a full re-evaluation agree byte for byte.
+    /// Evaluation window [window_begin, expires_at]. Anchored at
+    /// registration and slid to [now, now + horizon] on the first tick
+    /// past expiry (SlideExpiredWindow), whether or not that tick's
+    /// refresh is shed; update-triggered refreshes re-evaluate over the
+    /// existing window so the delta splice and a full re-evaluation agree
+    /// byte for byte.
     Tick window_begin = 0;
     Tick expires_at = 0;
     /// Force a full re-evaluation (registration; delta-path failure).
@@ -367,13 +369,19 @@ class QueryManager {
   /// True when the entry's answer is not current: forced dirty, pending
   /// coalesced updates, or the evaluation window has expired.
   bool NeedsRefresh(const Continuous& cq, Tick now) const;
+  /// Slides an expired window to [now, now + horizon] and forces a full
+  /// refresh over it. The window is thus a function of the registration
+  /// tick and the ticks the manager is consulted on, never of which
+  /// refreshes were shed — managers that register a query on the same
+  /// tick and tick together (the sharded engine's shards) share one
+  /// window.
+  void SlideExpiredWindow(Continuous* cq, Tick now) const;
   /// Brings one entry up to date: no-op when clean, delta when only a
   /// small dirty set is pending, full otherwise (or when the delta path
   /// errors), under the caller's snapshot of the governor's limits.
   /// Caller holds mu_.
   Status Refresh(Continuous* cq, const ResourceGovernor::Limits& limits);
-  /// Full window re-evaluation; re-anchors the window at registration and
-  /// on expiry. `reason` says why
+  /// Full re-evaluation over the entry's window. `reason` says why
   /// the full path ran (initial/expired/forced/dirty_fraction/delta_error)
   /// — recorded in the profile and the fallback counters.
   Status RefreshFull(Continuous* cq, const char* reason, const Budget& budget);

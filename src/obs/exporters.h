@@ -44,7 +44,7 @@ std::string ChromeTraceJson(const TraceSink& sink,
 
 /// Engine-state dump hook: writes the global registry's JSON snapshot
 /// (plus a short trace-sink summary) to `os`. Wired into examples and the
-/// torture suites so a failure prints what the engine was doing.
+/// fault simulation so a failure prints what the engine was doing.
 void DumpMetrics(std::ostream& os);
 
 }  // namespace most::obs

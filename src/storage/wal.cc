@@ -368,6 +368,9 @@ Status WalWriter::Open(const std::string& path, Options options) {
   if (file_ == nullptr) {
     return Status::Internal("cannot open WAL file: " + path);
   }
+  std::fseek(file_, 0, SEEK_END);
+  size_ = static_cast<uint64_t>(std::ftell(file_));
+  failed_append_ = false;
   return Status::OK();
 }
 
@@ -392,9 +395,11 @@ Status WalWriter::AppendImpl(const WalRecord& record) {
   // Device-full / I/O-error injection (distinct from wal/append/write torn
   // writes: nothing reaches the file, as ENOSPC on the first byte would).
   MOST_FAILPOINT("wal/append/enospc");
+  if (failed_append_) MOST_RETURN_IF_ERROR(CutFailedAppend());
   FailpointRegistry::WriteFault fault =
       FailpointRegistry::Instance().CheckWrite("wal/append/write",
                                                line.size());
+  failed_append_ = true;  // Until the record is complete and flushed.
   if (fault.write_bytes > 0 &&
       std::fwrite(line.data(), 1, fault.write_bytes, file_) !=
           fault.write_bytes) {
@@ -402,11 +407,26 @@ Status WalWriter::AppendImpl(const WalRecord& record) {
   }
   if (!fault.status.ok()) {
     // Make the torn prefix actually reach the file, as a crash mid-append
-    // would have: recovery must cope with it on the next Open.
+    // would have: recovery must cope with it on the next Open (a writer
+    // that lives on cuts it first).
     std::fflush(file_);
     return fault.status;
   }
-  return Flush();
+  MOST_RETURN_IF_ERROR(Flush());
+  failed_append_ = false;
+  size_ += line.size();
+  return Status::OK();
+}
+
+Status WalWriter::CutFailedAppend() {
+  if (std::fflush(file_) != 0) return Status::Internal("WAL flush failed");
+#if defined(__unix__) || defined(__APPLE__)
+  if (::ftruncate(fileno(file_), static_cast<off_t>(size_)) != 0) {
+    return Status::Internal("cannot cut a failed WAL append");
+  }
+#endif
+  failed_append_ = false;
+  return Status::OK();
 }
 
 Status WalWriter::Flush() {

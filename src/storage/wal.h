@@ -85,8 +85,16 @@ class WalWriter {
   Status AppendImpl(const WalRecord& record);
   Status SyncImpl();
 
+  /// Cuts the file back to `size_` after a failed append, whose bytes may
+  /// sit in the file (a torn write) or in the stdio buffer (a failed
+  /// flush): the caller was told the record failed, and a later record
+  /// must not be glued onto the fragment, where recovery would drop both.
+  Status CutFailedAppend();
+
   std::FILE* file_ = nullptr;
   Options options_;
+  uint64_t size_ = 0;  ///< Bytes of complete records in the file.
+  bool failed_append_ = false;
 };
 
 /// Reads every complete record of a log file. A trailing partial line (torn

@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <cstdio>
+#include <set>
 #include <thread>
 
 #include "common/failpoint.h"
+#include "common/rng.h"
 #include "distributed/coordinator.h"
 #include "distributed/mobile_node.h"
 #include "distributed/network.h"
@@ -13,6 +15,7 @@
 #include "ftl/parser.h"
 #include "obs/governor.h"
 #include "scoped_governor_limits.h"
+#include "test_seed.h"
 
 namespace most {
 namespace {
@@ -396,6 +399,71 @@ TEST(ReliableChannelTest, GovernorLimitsApplyToLiveEndpoints) {
   EXPECT_EQ(sender.unacked(), 3u);
 }
 
+// A lossy storm with partitions long enough to trigger dead-peer
+// eviction, against a capped endpoint: the unacked count never exceeds
+// the cap, the channel quiesces after the heal, and no payload is ever
+// delivered twice or invented (epochs make post-eviction resync safe).
+TEST(ReliableChannelTest, BoundedChannelStormRespectsCapsAndNeverDuplicates) {
+  for (uint64_t seed :
+       test::SuiteSeeds("ReliableChannel.Storm", {1997, 42, 20260809})) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed ^ 0x9e3779b97f4a7c15ull);
+    Clock clock;
+    SimNetwork net(&clock, {.latency = 1,
+                            .loss_probability = 0.2,
+                            .duplicate_probability = 0.1,
+                            .reorder_probability = 0.1,
+                            .reorder_jitter = 3,
+                            .seed = seed});
+    constexpr size_t kMaxUnacked = 8;
+    test::ScopedGovernorLimits guard(
+        {.channel_max_unacked_messages = kMaxUnacked,
+         .channel_peer_dead_horizon = 24});
+    ReliableEndpoint sender(&net, &clock);
+    ReliableEndpoint receiver(&net, &clock);
+    std::vector<uint64_t> delivered;
+    receiver.SetHandler([&](const Message& m) {
+      delivered.push_back(std::get<CancelQuery>(m.payload).qid);
+    });
+    uint64_t next_qid = 0;
+    std::set<uint64_t> sent;
+    bool cut = false;
+    for (int round = 0; round < 120; ++round) {
+      if (rng.Bernoulli(0.05)) {
+        if (cut) {
+          net.Heal("cut");
+        } else {
+          net.Partition("cut", {sender.node_id()}, {receiver.node_id()});
+        }
+        cut = !cut;
+      }
+      for (int64_t b = rng.UniformInt(0, 4); b > 0; --b) {
+        const uint64_t qid = next_qid++;
+        if (sender.SendReliable(receiver.node_id(), CancelQuery{qid}) !=
+            Backpressure::kShed) {
+          sent.insert(qid);
+        }
+      }
+      EXPECT_LE(sender.unacked(), kMaxUnacked);
+      clock.Advance();
+      net.DeliverDue();
+    }
+    if (cut) net.Heal("cut");
+    for (int t = 0; t < 200 && sender.unacked() > 0; ++t) {
+      clock.Advance();
+      net.DeliverDue();
+    }
+    EXPECT_EQ(sender.unacked(), 0u) << "channel failed to quiesce";
+    EXPECT_GT(sender.stats().frames_shed, 0u) << "the cap was never reached";
+    std::set<uint64_t> unique(delivered.begin(), delivered.end());
+    EXPECT_EQ(unique.size(), delivered.size())
+        << "a payload was delivered more than once";
+    for (uint64_t qid : delivered) {
+      EXPECT_TRUE(sent.count(qid)) << "delivered a never-sent payload";
+    }
+  }
+}
+
 TEST(ReliableChannelTest, BestEffortBypassesSequencing) {
   Clock clock;
   SimNetwork net(&clock, {.latency = 1});
@@ -756,6 +824,50 @@ TEST(CoordinatorDeadlineTest, ExpiryYieldsStalePartialAnswerAndMetric) {
   // Polling again does not re-count the same expiry.
   EXPECT_TRUE(coordinator.DeadlinePassed(qid));
   EXPECT_DOUBLE_EQ(deadline_expired_total(), expired_before + 1);
+}
+
+// A request the bounded channel sheds leaves the node missing while the
+// cap holds; once the peer has room again, the coordinator re-sends what
+// the dropped frame carried and the answer turns certain.
+TEST(CoordinatorLivenessTest, ShedRequestIsResentOnceTheCapLifts) {
+  Clock clock;
+  SimNetwork net(&clock, {.latency = 1});
+  std::map<std::string, Polygon> regions{
+      {"P", Polygon::Rectangle({0, 0}, {100, 100})}};
+  Coordinator coordinator(&net, &clock, regions);
+  MobileNode::Options nopts;
+  nopts.beacon_interval = 4;
+  nopts.home = coordinator.node_id();
+  MobileNode node(&net, &clock, MakeState(0, {50, 50}, {0, 0}), regions,
+                  nopts);
+  auto run_to = [&](Tick until) {
+    while (clock.Now() < until) {
+      clock.Advance();
+      net.DeliverDue();
+    }
+  };
+  run_to(5);  // The node's first beacon gives it a lease.
+  auto q = ParseQuery("RETRIEVE o FROM CARS o WHERE INSIDE(o, P)");
+  ASSERT_TRUE(q.ok());
+  uint64_t second = 0;
+  {
+    test::ScopedGovernorLimits cap({.channel_max_unacked_messages = 1});
+    coordinator.IssueObjectQuery(*q, DistStrategy::kBroadcastFilter,
+                                 /*continuous=*/true, 64);
+    second = coordinator.IssueObjectQuery(*q, DistStrategy::kBroadcastFilter,
+                                          /*continuous=*/true, 64);
+    EXPECT_GT(coordinator.channel().stats().frames_shed, 0u);
+    run_to(12);
+    auto answer = coordinator.ReportedMatches(second);
+    ASSERT_TRUE(answer.ok());
+    EXPECT_EQ(answer->confidence, Confidence::kStale);
+    EXPECT_EQ(answer->missing, (std::set<NodeId>{node.node_id()}));
+  }
+  run_to(20);
+  auto answer = coordinator.ReportedMatches(second);
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(answer->confidence, Confidence::kCertain);
+  EXPECT_EQ(answer->matches.count(0), 1u);
 }
 
 TEST(CoordinatorLivenessTest, HeartbeatsTrackReachabilityAndResync) {

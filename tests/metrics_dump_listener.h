@@ -1,7 +1,7 @@
 #ifndef MOST_TESTS_METRICS_DUMP_LISTENER_H_
 #define MOST_TESTS_METRICS_DUMP_LISTENER_H_
 
-// Optional end-of-run metrics dump for the torture suites: set
+// Optional end-of-run metrics dump for the fault simulation: set
 // MOST_DUMP_METRICS=1 and the binary prints the full engine metrics
 // snapshot (obs::DumpMetrics) after the last test — failpoint firings,
 // WAL/salvage counters, network fault counts and all. Include this header

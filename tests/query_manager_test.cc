@@ -410,6 +410,114 @@ TEST_F(QueryManagerTest, DeltaRefreshFailureFallsBackToFull) {
   EXPECT_EQ(counters->full_evaluations, 2u);
 }
 
+// An armed evaluator-checkpoint failpoint is a genuine error, not a
+// budget exhaustion: it surfaces to the caller (it is not absorbed as a
+// shed) and stops mattering once disarmed. The site only fires while a
+// budget gate is active, so unbudgeted evaluations never pay for it.
+TEST_F(QueryManagerTest, EvalCheckpointFailpointSurfacesAndRecovers) {
+  ObjectId car = AddCar({5, 5}, {0, 0});
+  AddCar({50, 50}, {0, 0});
+  test::ScopedGovernorLimits gate({.refresh_budget = {.max_rows = 1u << 20}});
+  auto id = qm_.RegisterContinuous(
+      Parse("RETRIEVE o FROM CARS o WHERE INSIDE(o, P)"));
+  ASSERT_TRUE(id.ok());
+
+  auto& reg = FailpointRegistry::Instance();
+  const uint64_t fired_before = reg.triggered("ftl/eval/checkpoint");
+  ASSERT_TRUE(reg.Arm("ftl/eval/checkpoint", "error").ok());
+  ASSERT_TRUE(db_.SetMotion("CARS", car, {6, 6}, {0, 0}).ok());
+  db_.clock().Advance(1);
+  EXPECT_FALSE(qm_.TickAll().ok()) << "injected eval fault must surface";
+  EXPECT_GT(reg.triggered("ftl/eval/checkpoint"), fired_before);
+
+  reg.Disarm("ftl/eval/checkpoint");
+  db_.clock().Advance(1);
+  EXPECT_TRUE(qm_.TickAll().ok());
+  auto answer = qm_.ContinuousAnswer(*id);
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(answer->size(), 1u);
+  EXPECT_EQ(qm_.QueryDegradeInfo(*id)->reason, DegradeReason::kNone);
+}
+
+// A budget shed serves the previous answer as the may-answer only: every
+// tuple kStale, the must-answer empty, the degrade state explained — until
+// a refresh completes once the budget lifts.
+TEST_F(QueryManagerTest, BudgetShedServesStaleUntilTheBudgetLifts) {
+  ObjectId car = AddCar({5, 5}, {0, 0});
+  AddCar({6, 6}, {0, 0});
+  auto id = qm_.RegisterContinuous(
+      Parse("RETRIEVE o FROM CARS o WHERE INSIDE(o, P)"));
+  ASSERT_TRUE(id.ok());
+  {
+    // One arena byte: every evaluation trips the gate.
+    test::ScopedGovernorLimits starve(
+        {.refresh_budget = {.max_arena_bytes = 1}});
+    ASSERT_TRUE(db_.SetMotion("CARS", car, {7, 7}, {0, 0}).ok());
+    db_.clock().Advance(1);
+    ASSERT_TRUE(qm_.TickAll().ok());
+    auto info = qm_.QueryDegradeInfo(*id);
+    ASSERT_TRUE(info.ok());
+    EXPECT_NE(info->reason, DegradeReason::kNone);
+    EXPECT_FALSE(info->detail.empty());
+    EXPECT_GE(info->at, 0);
+    auto may = qm_.ContinuousAnswer(*id);
+    ASSERT_TRUE(may.ok());
+    EXPECT_EQ(may->size(), 2u);
+    for (const AnswerTuple& t : *may) {
+      EXPECT_EQ(t.confidence, Confidence::kStale);
+    }
+    EXPECT_TRUE(qm_.CurrentAnswer(*id)->empty());
+  }
+  db_.clock().Advance(1);
+  ASSERT_TRUE(qm_.TickAll().ok());
+  EXPECT_EQ(qm_.QueryDegradeInfo(*id)->reason, DegradeReason::kNone);
+  EXPECT_EQ(qm_.CurrentAnswer(*id)->size(), 2u);
+}
+
+// The window slides on the first tick past expiry even when that tick's
+// refresh is held back by a cooldown: the later refresh runs over the
+// slid window, so managers ticking together agree on it whatever each
+// one shed.
+TEST_F(QueryManagerTest, WindowSlidesOnExpiryEvenWhileCoolingDown) {
+  ObjectId car = AddCar({5, 5}, {0, 0});  // Always inside P.
+  auto id = qm_.RegisterContinuous(
+      Parse("RETRIEVE o FROM CARS o WHERE INSIDE(o, P)"));
+  ASSERT_TRUE(id.ok());  // Window [0, 200].
+  {
+    test::ScopedGovernorLimits starve(
+        {.refresh_budget = {.max_arena_bytes = 1},
+         .degrade_cooldown_ticks = 100});
+    db_.clock().AdvanceTo(150);
+    ASSERT_TRUE(db_.SetMotion("CARS", car, {6, 6}, {0, 0}).ok());
+    ASSERT_TRUE(qm_.TickAll().ok());  // Shed: cooling down until 250.
+    db_.clock().AdvanceTo(201);
+    ASSERT_TRUE(qm_.TickAll().ok());  // Expired, still cooling down.
+  }
+  db_.clock().AdvanceTo(205);
+  ASSERT_TRUE(qm_.TickAll().ok());
+  auto answer = qm_.ContinuousAnswer(*id);
+  ASSERT_TRUE(answer.ok());
+  ASSERT_EQ(answer->size(), 1u);
+  EXPECT_EQ((*answer)[0].interval, Interval(201, 401));
+}
+
+// A registration whose initial refresh fails returns the error and leaves
+// no entry behind: no later TickAll evaluates a query nobody holds an id
+// for.
+TEST_F(QueryManagerTest, FailedRegistrationLeavesNoOrphan) {
+  AddCar({5, 5}, {0, 0});
+  test::ScopedGovernorLimits gate({.refresh_budget = {.max_rows = 1u << 20}});
+  auto& reg = FailpointRegistry::Instance();
+  ASSERT_TRUE(reg.Arm("ftl/eval/checkpoint", "error*1").ok());
+  EXPECT_FALSE(
+      qm_.RegisterContinuous(Parse("RETRIEVE o FROM CARS o WHERE INSIDE(o, P)"))
+          .ok());
+  reg.Disarm("ftl/eval/checkpoint");
+  db_.clock().Advance(1);
+  ASSERT_TRUE(qm_.TickAll().ok());
+  EXPECT_EQ(qm_.TotalRefreshCounters().full_evaluations, 0u);
+}
+
 TEST_F(QueryManagerTest, MultiVariableTriggerFiresOncePerIntervalUnderDelta) {
   // DIST(o, n) <= 5 over two cars: a stands at the origin-side of P, b
   // approaches. The (a, b) interval starts at [25, 35]; an update between

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "core/shard_router.h"
 #include "ftl/ast.h"
 #include "ftl/eval.h"
@@ -222,6 +223,45 @@ TEST(ShardedEngineTest, ReshardMatchesFreshOracleAndMovesOwnership) {
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_TRUE(got->complete());
   EXPECT_EQ(got->tuples, *want);
+}
+
+// A re-registration that fails during Reshard drops only that query:
+// the engine cancels its partial registrations, re-registers every other
+// live query, and returns the failure naming the dropped query's id.
+TEST(ShardedEngineTest, FailedReregistrationDropsOnlyItsQuery) {
+  MostDatabase db;
+  FleetGenerator fleet(SmallFleet(12, 37));
+  ASSERT_TRUE(fleet.Populate(&db, "V").ok());
+  ASSERT_TRUE(
+      db.DefineRegion("R1", Polygon::Rectangle({10, 10}, {60, 60})).ok());
+  ShardedEngine::Options opt;
+  opt.shard_count = 2;
+  opt.query_options.horizon = 32;
+  ShardedEngine engine(&db, opt);
+  auto first = engine.RegisterContinuous(InsideQuery());
+  auto second = engine.RegisterContinuous(DistQuery(30.0));
+  ASSERT_TRUE(first.ok() && second.ok());
+
+  // The checkpoint site fires only under a budget gate; one that never
+  // trips keeps every evaluation otherwise unbudgeted.
+  test::ScopedGovernorLimits gate({.refresh_budget = {.max_rows = 1u << 20}});
+  auto& reg = FailpointRegistry::Instance();
+  ASSERT_TRUE(reg.Arm("ftl/eval/checkpoint", "error*1").ok());
+  Status s = engine.Reshard(3);
+  reg.Disarm("ftl/eval/checkpoint");
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("sharded query " + std::to_string(*first)),
+            std::string::npos)
+      << s;
+  EXPECT_EQ(engine.ContinuousAnswer(*first).status().code(),
+            StatusCode::kNotFound);
+  auto survivor = engine.ContinuousAnswer(*second);
+  ASSERT_TRUE(survivor.ok()) << survivor.status();
+  EXPECT_TRUE(survivor->complete());
+  // Two shards registered the dropped query before it was cancelled; the
+  // survivor evaluated once per shard; no orphan refreshes on the tick.
+  ASSERT_TRUE(engine.Advance(1).ok());
+  EXPECT_EQ(engine.TotalRefreshCounters().full_evaluations, 2u + 3u);
 }
 
 // Engine-mediated creations and deletions keep partitions, indexes and

@@ -1,6 +1,8 @@
 #ifndef MOST_TESTS_TEST_SEED_H_
 #define MOST_TESTS_TEST_SEED_H_
 
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -16,7 +18,7 @@ inline bool SeedOverridden() {
   return std::getenv("MOST_TEST_SEED") != nullptr;
 }
 
-/// Seeds for a randomized suite. Every randomized/torture suite draws its
+/// Seeds for a randomized suite. Every randomized suite draws its
 /// seeds through this helper so failures are reproducible from the log:
 /// the seeds in effect are printed, and MOST_TEST_SEED=<n> replaces the
 /// default sweep with exactly that one seed (the way to replay a logged
@@ -25,7 +27,18 @@ inline std::vector<uint64_t> SuiteSeeds(
     const char* suite, std::initializer_list<uint64_t> defaults) {
   std::vector<uint64_t> seeds;
   if (const char* env = std::getenv("MOST_TEST_SEED")) {
-    seeds.push_back(std::strtoull(env, nullptr, 10));
+    // Strict: a typo must not silently replay some other seed (strtoull
+    // alone reads "12abc" as 12 and "abc" as 0).
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long value = std::strtoull(env, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(env[0])) || *end != '\0' ||
+        errno == ERANGE) {
+      std::fprintf(stderr,
+                   "MOST_TEST_SEED must be a decimal seed, got '%s'\n", env);
+      std::exit(2);
+    }
+    seeds.push_back(value);
     std::printf("[seeds] %s: MOST_TEST_SEED override -> %llu\n", suite,
                 static_cast<unsigned long long>(seeds[0]));
   } else {
@@ -41,7 +54,7 @@ inline std::vector<uint64_t> SuiteSeeds(
 }
 
 /// Single-seed variant for suites parameterized by one base seed (e.g.
-/// torture loops deriving per-iteration seeds as base + i).
+/// fault loops deriving per-iteration seeds as base + i).
 inline uint64_t SuiteSeed(const char* suite, uint64_t default_seed) {
   return SuiteSeeds(suite, {default_seed})[0];
 }
