@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "common/arena.h"
@@ -12,15 +13,16 @@
 
 namespace most {
 
-/// Structure-of-arrays snapshot of one object class over an evaluation
-/// window.
+/// Structure-of-arrays snapshot of one object class (or of a scope of
+/// its objects) over an evaluation window.
 ///
 /// The per-object solvers re-derive `MostObject::MotionSegments` (two
 /// string-keyed map lookups, two LinearPieces vectors, one merge vector —
 /// all heap-allocated) for every object inside every atomic predicate.
-/// The snapshot performs that derivation once per class per evaluation and
-/// lays the results out as contiguous per-class arrays: object ids (in
-/// ascending `ObjectClass::objects()` order), update timestamps, and a
+/// The snapshot performs that derivation once per class per evaluation,
+/// for just the objects the evaluation can bind (its scope,
+/// docs/eval_internals.md §1), and lays the results out as contiguous
+/// arrays: object ids (ascending), update timestamps, and a
 /// flattened segment table of motion coefficients (origin + velocity,
 /// parameterized by absolute tick, exactly as `MotionSegments` computes
 /// them). Atomic-predicate extraction (INSIDE / DIST crossings) then runs
@@ -53,9 +55,15 @@ class ClassSnapshot {
         vx_(ArenaAllocator<double>(arena)),
         vy_(ArenaAllocator<double>(arena)) {}
 
-  /// Rebuilds the snapshot from `cls` over `window`. Non-spatial objects
-  /// (or invalid windows) get zero segments and spatial_ok(i) == false.
-  void Build(const ObjectClass& cls, Interval window);
+  /// Rebuilds the snapshot from `cls` over `window`. A non-null `scope`
+  /// limits the rows to the class's objects whose ids it lists (ids of
+  /// other classes and of deleted objects are skipped), so a build costs
+  /// O(scope), not O(class); null is the whole class. Either way a row is
+  /// bit-equal to the same object's row of a whole-class build.
+  /// Non-spatial objects (or invalid windows) get zero segments and
+  /// spatial_ok(i) == false.
+  void Build(const ObjectClass& cls, Interval window,
+             const std::set<ObjectId>* scope = nullptr);
 
   size_t size() const { return ids_.size(); }
   Interval window() const { return window_; }
@@ -86,6 +94,9 @@ class ClassSnapshot {
   const double* vy() const { return vy_.data(); }
 
  private:
+  /// Appends `obj`'s row: its segments over window_.
+  void AppendRow(ObjectId id, const MostObject& obj);
+
   Interval window_{0, -1};
   ArenaVector<ObjectId> ids_;
   ArenaVector<const MostObject*> objects_;

@@ -132,11 +132,13 @@ class ShardedEngine {
 
   /// One scatter round: (1) in parallel per shard, pop the handoff queue,
   /// apply the updates to the shared database and append them to the
-  /// shard WAL; (2) dirty the drained ids in *every* shard's queries (a
-  /// non-first column of a multi-variable query can bind any object, so
-  /// dirty marks fan out; single-variable queries drop non-owned marks
-  /// inside the manager); (3) in parallel per shard, refresh all queries
-  /// against the now read-only database. An update whose object vanished
+  /// shard WAL; (2) dirty-mark by ownership: shard k drained exactly
+  /// the ids it owns, so they mark all of its queries, while the other
+  /// shards' ids mark only its multi-variable queries (a non-first column
+  /// can bind any object); (3) in parallel per shard, refresh all queries
+  /// against the now read-only database. A refresh snapshots only the
+  /// objects it can bind (the dirty ids, or the shard's partition), so it
+  /// costs O(owned dirty), not O(class). An update whose object vanished
   /// between enqueue and drain is counted dropped, not an error. If a
   /// shard WAL failed to open (at construction or the last Reshard), the
   /// round still runs and then returns that failure.

@@ -593,8 +593,10 @@ const ClassSnapshot& FtlEvaluator::GetSnapshot(const ObjectClass* cls,
                                                Interval window) {
   auto it = snapshots_.find(cls);
   if (it == snapshots_.end()) {
+    auto scope = scopes_.find(cls);
     it = snapshots_.emplace(cls, ClassSnapshot(&arena_)).first;
-    it->second.Build(*cls, window);
+    it->second.Build(*cls, window,
+                     scope != scopes_.end() ? scope->second.get() : nullptr);
   }
   return it->second;
 }
@@ -603,6 +605,24 @@ void FtlEvaluator::ResetEvalScratch() {
   // Snapshot containers must die before the arena backing them resets.
   snapshots_.clear();
   arena_.Reset();
+  scopes_.clear();
+}
+
+void FtlEvaluator::SetScopes(const Domains& domains) {
+  for (const auto& [var, cls] : domains.classes) {
+    auto filter = domains.filters.find(var);
+    std::shared_ptr<const std::set<ObjectId>> ids =
+        filter != domains.filters.end() ? filter->second : nullptr;
+    auto [scope, fresh] = scopes_.emplace(cls, ids);
+    if (fresh || scope->second == nullptr || scope->second == ids) continue;
+    if (ids == nullptr) {
+      scope->second = nullptr;  // An unrestricted variable: whole class.
+      continue;
+    }
+    auto merged = std::make_shared<std::set<ObjectId>>(*scope->second);
+    merged->insert(ids->begin(), ids->end());
+    scope->second = std::move(merged);
+  }
 }
 
 Status FtlEvaluator::BudgetCheckpoint(size_t rows_hint) {
@@ -762,6 +782,7 @@ Result<TemporalRelation> FtlEvaluator::EvaluateQueryUnprojectedImpl(
   for (const auto& [var, ids] : options_.domain_restrictions) {
     if (ids != nullptr) domains.filters[var] = ids;
   }
+  SetScopes(domains);
 
   MOST_ASSIGN_OR_RETURN(TemporalRelation rel,
                         Eval(query.where, domains, window));
@@ -789,6 +810,7 @@ Result<TemporalRelation> FtlEvaluator::EvalFormula(
   for (const auto& [var, ids] : options_.domain_restrictions) {
     if (ids != nullptr) domains.filters[var] = ids;
   }
+  SetScopes(domains);
   Result<TemporalRelation> result = Eval(formula, domains, window);
   AccumulateArenaStats();
   return result;
@@ -1321,7 +1343,14 @@ Result<TemporalRelation> FtlEvaluator::EvalInsideSoA(
       if (filter != nullptr && filter->count(id) == 0) continue;
       ++stats_.instantiations;
       size_t oi = snap.IndexOf(id);
-      if (oi == ClassSnapshot::npos) return cls->Get(id).status();
+      if (oi == ClassSnapshot::npos) {
+        MOST_RETURN_IF_ERROR(cls->Get(id).status());
+        // The candidate exists and passed the filter, so the scope holds
+        // it; a miss means the scope invariant broke.
+        return Status::Internal("object " + std::to_string(id) +
+                                " of class '" + cls->name() +
+                                "' is missing from its snapshot");
+      }
       cand.push_back(static_cast<uint32_t>(oi));
     }
     stats_.index_pruned += domain_size - cand.size();

@@ -177,13 +177,20 @@ class FtlEvaluator {
                                        FtlFormula::CmpOp op,
                                        const std::vector<std::string>& vars);
 
-  /// The per-class SoA snapshot for this evaluation, built on first use.
-  /// Snapshots and every other per-evaluation scratch structure live in
-  /// arena_; ResetEvalScratch() drops them wholesale at the start of each
-  /// top-level evaluation (nothing arena-allocated escapes an evaluation —
-  /// docs/eval_internals.md).
+  /// The per-class SoA snapshot for this evaluation, built on first use
+  /// over the class's scope. Snapshots and every other per-evaluation
+  /// scratch structure live in arena_; ResetEvalScratch() drops them
+  /// wholesale at the start of each top-level evaluation (nothing
+  /// arena-allocated escapes an evaluation — docs/eval_internals.md).
   const ClassSnapshot& GetSnapshot(const ObjectClass* cls, Interval window);
   void ResetEvalScratch();
+  /// Sets each class's snapshot scope from the evaluation's top-level
+  /// `domains`: the union of the restrictions on the variables over the
+  /// class, or the whole class when one of them is unrestricted. Every
+  /// later filter narrows a restriction (the AND semi-join intersects with
+  /// the enclosing domain), so no evaluation binds an object outside its
+  /// class's scope.
+  void SetScopes(const Domains& domains);
   /// Cooperative budget checkpoint: OK while within Options::budget,
   /// Status::ResourceExhausted once a limit trips. `rows_hint` is the
   /// cardinality of whatever relation the caller just materialized (0
@@ -200,6 +207,9 @@ class FtlEvaluator {
   BudgetGate gate_;
   BumpArena arena_;
   std::map<const ObjectClass*, ClassSnapshot> snapshots_;
+  /// Per-class snapshot scope (null = the whole class).
+  std::map<const ObjectClass*, std::shared_ptr<const std::set<ObjectId>>>
+      scopes_;
   /// Parent node the next Eval() attaches its child to; null = profiling
   /// off. Only mutated by the single thread driving the recursion (pool
   /// workers never call Eval).

@@ -47,7 +47,35 @@ double Grid(Rng* rng, double lo, double hi) {
   return lo + 0.25 * static_cast<double>(rng->UniformInt(0, steps));
 }
 
-FormulaPtr RandomAtom(Rng* rng) {
+// Atoms over `o` alone, for single-variable queries.
+FormulaPtr RandomSingleVariableAtom(Rng* rng) {
+  switch (rng->UniformInt(0, 4)) {
+    case 0:
+      return FtlFormula::Inside("o", rng->Bernoulli(0.5) ? "R1" : "R2");
+    case 1:
+      return FtlFormula::Outside("o", rng->Bernoulli(0.5) ? "R1" : "R2");
+    case 2: {
+      auto op = static_cast<FtlFormula::CmpOp>(rng->UniformInt(0, 5));
+      return FtlFormula::Compare(op, FtlTerm::AttrRef("o", "FUEL"),
+                                 FtlTerm::Literal(Value(Grid(rng, 0, 100))));
+    }
+    case 3: {
+      auto op = static_cast<FtlFormula::CmpOp>(rng->UniformInt(0, 5));
+      return FtlFormula::Compare(op, FtlTerm::Time(),
+                                 FtlTerm::Literal(Value(static_cast<double>(
+                                     rng->UniformInt(0, 30)))));
+    }
+    default:
+      return FtlFormula::Assign(
+          "x", FtlTerm::AttrRef("o", "FUEL"),
+          FtlFormula::Compare(
+              static_cast<FtlFormula::CmpOp>(rng->UniformInt(0, 5)),
+              FtlTerm::AttrRef("o", "FUEL"), FtlTerm::VarRef("x")));
+  }
+}
+
+FormulaPtr RandomAtom(Rng* rng, bool single_variable) {
+  if (single_variable) return RandomSingleVariableAtom(rng);
   switch (rng->UniformInt(0, 9)) {
     case 0:
       return FtlFormula::Inside("o", rng->Bernoulli(0.5) ? "R1" : "R2");
@@ -88,39 +116,32 @@ FormulaPtr RandomAtom(Rng* rng) {
   }
 }
 
-FormulaPtr RandomFormula(Rng* rng, int depth) {
-  if (depth <= 0) return RandomAtom(rng);
+// `single_variable` draws every atom over `o` alone.
+FormulaPtr RandomFormula(Rng* rng, int depth, bool single_variable = false) {
+  if (depth <= 0) return RandomAtom(rng, single_variable);
+  auto sub = [&] { return RandomFormula(rng, depth - 1, single_variable); };
   switch (rng->UniformInt(0, 9)) {
     case 0:
-      return FtlFormula::And(RandomFormula(rng, depth - 1),
-                             RandomFormula(rng, depth - 1));
+      return FtlFormula::And(sub(), sub());
     case 1:
-      return FtlFormula::Or(RandomFormula(rng, depth - 1),
-                            RandomFormula(rng, depth - 1));
+      return FtlFormula::Or(sub(), sub());
     case 2:
-      return FtlFormula::Not(RandomFormula(rng, depth - 1));
+      return FtlFormula::Not(sub());
     case 3:
-      return FtlFormula::Until(RandomFormula(rng, depth - 1),
-                               RandomFormula(rng, depth - 1));
+      return FtlFormula::Until(sub(), sub());
     case 4:
-      return FtlFormula::UntilWithin(rng->UniformInt(0, 10),
-                                     RandomFormula(rng, depth - 1),
-                                     RandomFormula(rng, depth - 1));
+      return FtlFormula::UntilWithin(rng->UniformInt(0, 10), sub(), sub());
     case 5:
-      return FtlFormula::Nexttime(RandomFormula(rng, depth - 1));
+      return FtlFormula::Nexttime(sub());
     case 6:
-      return FtlFormula::EventuallyWithin(rng->UniformInt(0, 12),
-                                          RandomFormula(rng, depth - 1));
+      return FtlFormula::EventuallyWithin(rng->UniformInt(0, 12), sub());
     case 7:
-      return FtlFormula::AlwaysFor(rng->UniformInt(0, 8),
-                                   RandomFormula(rng, depth - 1));
+      return FtlFormula::AlwaysFor(rng->UniformInt(0, 8), sub());
     case 8:
-      return rng->Bernoulli(0.5)
-                 ? FtlFormula::Eventually(RandomFormula(rng, depth - 1))
-                 : FtlFormula::Always(RandomFormula(rng, depth - 1));
+      return rng->Bernoulli(0.5) ? FtlFormula::Eventually(sub())
+                                 : FtlFormula::Always(sub());
     default:
-      return FtlFormula::EventuallyAfter(rng->UniformInt(0, 10),
-                                         RandomFormula(rng, depth - 1));
+      return FtlFormula::EventuallyAfter(rng->UniformInt(0, 10), sub());
   }
 }
 
@@ -554,8 +575,9 @@ std::vector<size_t> ShardCounts() {
 // parallel) must produce gathered continuous answers byte-identical to an
 // unsharded serial QueryManager at every shard count — across random
 // two-variable formulas (including DIST atoms whose join partners hash to
-// different shards), coalesced updates, creations, deletions and window
-// expiries. Instantaneous scatter evaluation is differenced the same way.
+// different shards) and one random single-variable formula per world,
+// coalesced updates, creations, deletions and window expiries.
+// Instantaneous scatter evaluation is differenced the same way.
 TEST(DifferentialTest, ShardedEngineMatchesUnshardedOracle) {
   int schedules = 0;
   uint64_t sharded_delta_served = 0;
@@ -590,6 +612,23 @@ TEST(DifferentialTest, ShardedEngineMatchesUnshardedOracle) {
         eng_opt.shard_count = shards;
         eng_opt.query_options = qm_opt;
         ShardedEngine engine(&engine_db, eng_opt);
+
+        // A single-variable query lives through both schedules below: a
+        // shard's single-variable query binds only the objects it owns,
+        // so creations and deletions must reach it through ownership.
+        // Its formula comes from its own stream so the two-variable
+        // corpus stays as drawn.
+        Rng single_rng(world_seed * 7919 + 1);
+        FtlQuery single;
+        single.retrieve = {"o"};
+        single.from = {{"M", "o"}};
+        single.where = RandomFormula(&single_rng, 2, /*single_variable=*/true);
+        auto single_oracle_id = oracle.RegisterContinuous(single);
+        auto single_engine_id = engine.RegisterContinuous(single);
+        ASSERT_TRUE(single_oracle_id.ok())
+            << single_oracle_id.status()
+            << "\nformula: " << single.where->ToString();
+        ASSERT_TRUE(single_engine_id.ok()) << single_engine_id.status();
 
         for (int q = 0; q < 2; ++q) {
           ++schedules;
@@ -666,6 +705,16 @@ TEST(DifferentialTest, ShardedEngineMatchesUnshardedOracle) {
                 << "sharded gather diverged from oracle at step " << step
                 << " with " << shards << " shards\nformula: "
                 << query.where->ToString();
+
+            auto want_single = oracle.ContinuousAnswer(*single_oracle_id);
+            auto got_single = engine.ContinuousAnswer(*single_engine_id);
+            ASSERT_TRUE(want_single.ok()) << want_single.status();
+            ASSERT_TRUE(got_single.ok()) << got_single.status();
+            EXPECT_TRUE(got_single->complete());
+            ASSERT_EQ(got_single->tuples, *want_single)
+                << "single-variable gather diverged from oracle at step "
+                << step << " with " << shards << " shards\nformula: "
+                << single.where->ToString();
           }
 
           // Instantaneous scatter evaluation differenced on the final
@@ -682,6 +731,15 @@ TEST(DifferentialTest, ShardedEngineMatchesUnshardedOracle) {
           ASSERT_TRUE(engine.Cancel(*engine_id).ok());
           ASSERT_TRUE(oracle.Cancel(*oracle_id).ok());
         }
+        auto want_single = oracle.Evaluate(single);
+        auto got_single = engine.Evaluate(single);
+        ASSERT_TRUE(want_single.ok()) << want_single.status();
+        ASSERT_TRUE(got_single.ok()) << got_single.status();
+        ASSERT_EQ(got_single->rows, want_single->rows)
+            << "single-variable scatter Evaluate diverged with " << shards
+            << " shards\nformula: " << single.where->ToString();
+        ASSERT_TRUE(engine.Cancel(*single_engine_id).ok());
+        ASSERT_TRUE(oracle.Cancel(*single_oracle_id).ok());
         sharded_delta_served +=
             engine.TotalRefreshCounters().delta_evaluations;
       }

@@ -3,7 +3,9 @@
 // parses is evaluated twice — by the interval evaluator and by the
 // per-state reference evaluator (NaiveFtlEvaluator, the paper's Section
 // 3.3 semantics) — and the two must agree on the status code and, when
-// both succeed, on the relation byte for byte; any divergence or
+// both succeed, on the relation byte for byte. An input both answer is
+// evaluated once more with its first FROM variable restricted, which must
+// equal the unrestricted relation filtered. Any divergence or
 // crash/sanitizer report is a finding.
 //
 // This toolchain has no -fsanitize=fuzzer driver (gcc), so the harness
@@ -14,13 +16,16 @@
 // With a clang libFuzzer toolchain, define MOST_FUZZ_HAVE_LIBFUZZER to
 // drop the main() and link -fsanitize=fuzzer instead.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -83,6 +88,53 @@ void DieOnDivergence(const char* what, const std::string& query_text) {
   std::abort();
 }
 
+// Restriction property: FTL relations are pointwise in their bindings, so
+// restricting the first FROM variable to an id set gives exactly the
+// unrestricted (unprojected) relation filtered to the rows whose binding
+// for that variable lies in the set. The set is seeded by the input and
+// always holds an id of another class and an id no object has, both of
+// which the evaluator's scoped snapshot must skip.
+void CheckRestriction(const MostDatabase& db, const FtlQuery& query,
+                      Interval window, const std::string& text) {
+  if (query.from.empty()) return;
+  const FromBinding& first = query.from.front();
+  uint64_t seed = 1469598103934665603ull;  // FNV-1a over the input.
+  for (unsigned char c : text) {
+    seed ^= c;
+    seed *= 1099511628211ull;
+  }
+  auto ids = std::make_shared<std::set<ObjectId>>();
+  ObjectId foreign = kInvalidObjectId;
+  for (const auto& [name, cls] : db.classes()) {
+    for (const auto& [id, obj] : cls.objects()) {
+      if ((seed >> (id % 64)) & 1) ids->insert(id);
+      if (name != first.class_name) foreign = id;
+    }
+  }
+  if (foreign == kInvalidObjectId) std::abort();  // World has two classes.
+  ids->insert(foreign);
+  ids->insert(ObjectId{1} << 20);  // Absent.
+
+  FtlEvaluator whole(db);
+  auto want = whole.EvaluateQueryUnprojected(query, window);
+  FtlEvaluator::Options opts;
+  opts.domain_restrictions[first.var] = ids;
+  FtlEvaluator restricted(db, opts);
+  auto got = restricted.EvaluateQueryUnprojected(query, window);
+  if (!want.ok() || !got.ok()) DieOnDivergence("restricted status", text);
+  const size_t col =
+      std::find(want->vars.begin(), want->vars.end(), first.var) -
+      want->vars.begin();
+  if (col == want->vars.size() || got->vars != want->vars) {
+    DieOnDivergence("restricted vars", text);
+  }
+  std::map<std::vector<ObjectId>, IntervalSet> filtered;
+  for (const auto& [binding, when] : want->rows) {
+    if (ids->count(binding[col]) > 0) filtered.emplace(binding, when);
+  }
+  if (got->rows != filtered) DieOnDivergence("restricted rows", text);
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -104,6 +156,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (fast_rel.ok()) {
     if (fast_rel->vars != naive_rel->vars) DieOnDivergence("vars", text);
     if (fast_rel->rows != naive_rel->rows) DieOnDivergence("rows", text);
+    CheckRestriction(*db, *query, window, text);
     ++g_both_ok;
   } else if (fast_rel.status().code() != naive_rel.status().code()) {
     DieOnDivergence("status code", text);

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <set>
+#include <vector>
+
 #include "core/motion_index_manager.h"
 #include "ftl/eval.h"
 #include "ftl/parser.h"
@@ -147,6 +152,38 @@ TEST_F(IndexedEvalTest, IndexStaysConsistentUnderUpdates) {
     ASSERT_TRUE(indexed_rel.ok());
     ASSERT_EQ(plain_rel->rows, indexed_rel->rows) << "round " << round;
   }
+}
+
+// A restricted evaluation over an indexed class snapshots only the
+// restriction's objects, so every index candidate that passes the filter
+// must be in the snapshot: the answer equals the unrestricted relation
+// filtered to the restriction, and nothing trips the missing-row guard.
+TEST_F(IndexedEvalTest, RestrictedIndexedInsideEqualsFilteredRelation) {
+  auto query = ParseQuery(
+      "RETRIEVE o FROM CARS o WHERE EVENTUALLY WITHIN 100 INSIDE(o, P)");
+  ASSERT_TRUE(query.ok());
+  FtlEvaluator::Options opts;
+  opts.motion_indexes = &manager_;
+  FtlEvaluator unrestricted(db_, opts);
+  auto full = unrestricted.EvaluateQuery(*query, Interval(0, 256));
+  ASSERT_TRUE(full.ok()) << full.status();
+
+  // Every third car, plus an id no car has.
+  auto restriction = std::make_shared<std::set<ObjectId>>();
+  for (ObjectId id = 0; id < 200; id += 3) restriction->insert(id);
+  restriction->insert(5000);
+  opts.domain_restrictions["o"] = restriction;
+  FtlEvaluator restricted(db_, opts);
+  auto rel = restricted.EvaluateQuery(*query, Interval(0, 256));
+  ASSERT_TRUE(rel.ok()) << rel.status();
+
+  std::map<std::vector<ObjectId>, IntervalSet> want;
+  for (const auto& [binding, when] : full->rows) {
+    if (restriction->count(binding[0]) > 0) want.emplace(binding, when);
+  }
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(rel->rows, want);
+  EXPECT_GT(restricted.stats().index_pruned, 0u);
 }
 
 }  // namespace

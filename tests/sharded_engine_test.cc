@@ -311,6 +311,46 @@ TEST(ShardedEngineTest, StructuralOpsReassignOwnershipAndDirtyQueries) {
   EXPECT_EQ(total, 6u);  // 6 initial + 1 created - 1 deleted.
 }
 
+// Deleting an object through the engine evicts its row from the owner
+// shard's single-variable query. The owner swaps the object out of its
+// partition before dirty-marking it, so the mark must come from ownership
+// (the owner retires the id as its own), not from the new partition.
+TEST(ShardedEngineTest, DeleteEvictsRowFromOwnerSingleVariableQuery) {
+  MostDatabase oracle_db;
+  MostDatabase engine_db;
+  ASSERT_NO_FATAL_FAILURE(
+      BuildTwinWorlds(SmallFleet(16, 11), &oracle_db, &engine_db));
+  QueryManager::Options qm_opt;
+  qm_opt.horizon = 32;
+  QueryManager oracle(&oracle_db, qm_opt);
+  ShardedEngine::Options eng_opt;
+  eng_opt.shard_count = 4;
+  eng_opt.query_options = qm_opt;
+  ShardedEngine engine(&engine_db, eng_opt);
+
+  auto oid = oracle.RegisterContinuous(InsideQuery());
+  auto eid = engine.RegisterContinuous(InsideQuery());
+  ASSERT_TRUE(oid.ok() && eid.ok());
+  auto before = oracle.ContinuousAnswer(*oid);
+  ASSERT_TRUE(before.ok()) << before.status();
+  ASSERT_FALSE(before->empty());
+  const ObjectId victim = before->front().binding[0];
+
+  ASSERT_TRUE(oracle_db.DeleteObject("V", victim).ok());
+  ASSERT_TRUE(engine.DeleteObject("V", victim).ok());
+  ASSERT_TRUE(engine.Advance(1).ok());
+  oracle_db.clock().AdvanceTo(1);
+
+  auto want = oracle.ContinuousAnswer(*oid);
+  auto got = engine.ContinuousAnswer(*eid);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->tuples, *want);
+  for (const AnswerTuple& t : got->tuples) {
+    EXPECT_NE(t.binding[0], victim) << "deleted object still answered";
+  }
+}
+
 // A shard that blows its refresh budget degrades instead of blocking the
 // gather: the merged answer lists it in missing_shards and every tuple is
 // demoted to kStale (completeness marking, docs/sharding.md).

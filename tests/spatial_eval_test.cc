@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <set>
+
 #include "common/rng.h"
 #include "geometry/mec.h"
 #include "workload/fleet.h"
@@ -198,6 +201,94 @@ TEST(SnapshotKernelTest, MatchPerObjectSolversOnFleets) {
       }
     }
   }
+}
+
+// A scoped build's rows are the whole-class build's rows for the scope's
+// ids, bit for bit: ids, back-pointers, segment tables and coefficients.
+// Ids of another class and of deleted objects are skipped, and an empty
+// scope builds no rows.
+TEST(SnapshotKernelTest, ScopedBuildMatchesWholeClassRows) {
+  FleetGenerator::Options fopt;
+  fopt.num_vehicles = 24;
+  fopt.area = 400.0;
+  fopt.change_probability = 0.05;
+  fopt.seed = 5;
+  FleetGenerator fleet(fopt);
+  MostDatabase db;
+  ASSERT_TRUE(fleet.Populate(&db, "V").ok());
+  for (const MotionUpdate& u : fleet.GenerateUpdates(12)) {
+    db.clock().AdvanceTo(u.at);
+    ASSERT_TRUE(FleetGenerator::Apply(&db, "V", u).ok());
+  }
+  ASSERT_TRUE(db.CreateClass("W", {}, true).ok());
+  auto other = db.CreateObject("W");
+  ASSERT_TRUE(other.ok());
+  ASSERT_TRUE(db.SetMotion("W", (*other)->id(), {1, 2}, {0.5, -0.5}).ok());
+  auto cls = db.GetClass("V");
+  ASSERT_TRUE(cls.ok());
+  std::vector<ObjectId> ids;
+  for (const auto& [id, obj] : (*cls)->objects()) ids.push_back(id);
+
+  // The first scoped vehicle turns inside the window (a multi-segment
+  // row); the second is deleted.
+  const Tick now = db.Now();
+  auto fx = TimeFunction::Piecewise({{0, 1.5}, {7, -2.0}});
+  auto fy = TimeFunction::Piecewise({{0, -0.5}, {19, 2.5}});
+  ASSERT_TRUE(fx.ok() && fy.ok());
+  ASSERT_TRUE(db.UpdateDynamic("V", ids[0], kAttrX, 10.0, *fx).ok());
+  ASSERT_TRUE(db.UpdateDynamic("V", ids[0], kAttrY, 20.0, *fy).ok());
+  ASSERT_TRUE(db.DeleteObject("V", ids[3]).ok());
+
+  const Interval window(now, now + 48);
+  ClassSnapshot whole;
+  whole.Build(**cls, window);
+  std::set<ObjectId> scope = {(*other)->id(), ids[3]};
+  std::vector<ObjectId> expected;
+  for (size_t i = 0; i < ids.size(); i += 3) {
+    scope.insert(ids[i]);
+    if (i != 3) expected.push_back(ids[i]);
+  }
+  ClassSnapshot scoped;
+  scoped.Build(**cls, window, &scope);
+
+  ASSERT_EQ(scoped.size(), expected.size());
+  EXPECT_EQ(scoped.IndexOf((*other)->id()), ClassSnapshot::npos);
+  EXPECT_EQ(scoped.IndexOf(ids[3]), ClassSnapshot::npos);
+  EXPECT_GT(scoped.seg_count(0), 1u);
+  size_t segments = 0;
+  for (size_t i = 0; i < scoped.size(); ++i) {
+    SCOPED_TRACE("object " + std::to_string(expected[i]));
+    ASSERT_EQ(scoped.id(i), expected[i]);
+    const size_t w = whole.IndexOf(expected[i]);
+    ASSERT_NE(w, ClassSnapshot::npos);
+    EXPECT_EQ(scoped.object(i), whole.object(w));
+    EXPECT_EQ(scoped.last_update(i), whole.last_update(w));
+    EXPECT_EQ(scoped.spatial_ok(i), whole.spatial_ok(w));
+    ASSERT_EQ(scoped.seg_count(i), whole.seg_count(w));
+    for (uint32_t k = 0; k < scoped.seg_count(i); ++k) {
+      const uint32_t a = scoped.seg_begin(i) + k;
+      const uint32_t b = whole.seg_begin(w) + k;
+      EXPECT_EQ(scoped.seg_t0()[a], whole.seg_t0()[b]);
+      EXPECT_EQ(scoped.seg_t1()[a], whole.seg_t1()[b]);
+      EXPECT_EQ(std::bit_cast<uint64_t>(scoped.ox()[a]),
+                std::bit_cast<uint64_t>(whole.ox()[b]));
+      EXPECT_EQ(std::bit_cast<uint64_t>(scoped.oy()[a]),
+                std::bit_cast<uint64_t>(whole.oy()[b]));
+      EXPECT_EQ(std::bit_cast<uint64_t>(scoped.vx()[a]),
+                std::bit_cast<uint64_t>(whole.vx()[b]));
+      EXPECT_EQ(std::bit_cast<uint64_t>(scoped.vy()[a]),
+                std::bit_cast<uint64_t>(whole.vy()[b]));
+    }
+    segments += scoped.seg_count(i);
+  }
+  EXPECT_EQ(scoped.total_segments(), segments);
+
+  const std::set<ObjectId> empty;
+  ClassSnapshot none;
+  none.Build(**cls, window, &empty);
+  EXPECT_EQ(none.size(), 0u);
+  EXPECT_EQ(none.total_segments(), 0u);
+  EXPECT_EQ(none.IndexOf(ids[0]), ClassSnapshot::npos);
 }
 
 }  // namespace
