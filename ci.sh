@@ -52,7 +52,9 @@ MOST_FAILPOINTS="ftl/delta/refresh=noop" ./build-asan/tests/differential_test \
 # run — a 4-count sweep of the full product would square the stage's
 # runtime for no added coverage per count. The unit suite then exercises
 # the edge cases (reshard migration, DIST straddling shards, empty-shard
-# gather, WAL round-trip, degraded-shard poisoning) under ASan.
+# gather, WAL round-trip, degraded-shard poisoning) under ASan. Each
+# differential schedule also replays its per-shard WALs and compares the
+# database, so the sweep checks replay at every shard count.
 echo "=== shard-differential stage (MOST_SHARDS sweep, ASan+UBSan) ==="
 for shards in 1 2 4 8; do
   MOST_SHARDS="$shards" ./build-asan/tests/differential_test \
@@ -217,7 +219,10 @@ if [[ "${1:-}" == "tsan" ]]; then
   # that checks them (docs/sharding.md).
   # ShardedEngineTest.WatchdogArmingDuringParallelTickDegradesSoundly arms
   # the telemetry watchdog from inside one shard's TickAll while the other
-  # shards read the governor's limits on pool threads.
+  # shards read the governor's limits on pool threads;
+  # ShardedEngineTest.ConcurrentProducersEnqueueAcrossClasses enqueues
+  # from four producer threads across two classes (the data plane's class
+  # lookup and the handoff queues).
   echo "=== sharded-engine concurrency suite (TSan) ==="
   ./build-tsan/tests/mpsc_queue_test
   ./build-tsan/tests/sharded_engine_test

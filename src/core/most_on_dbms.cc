@@ -8,6 +8,7 @@ namespace most {
 
 std::string EncodeTimeFunction(const TimeFunction& f) {
   std::ostringstream os;
+  os.precision(17);  // Round-trips every double.
   bool first = true;
   for (const TimeFunction::Piece& p : f.pieces()) {
     if (!first) os << ";";

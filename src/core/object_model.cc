@@ -210,10 +210,28 @@ Status MostDatabase::UpdateDynamic(const std::string& class_name, ObjectId id,
 
 Status MostDatabase::SetMotion(const std::string& class_name, ObjectId id,
                                Point2 position, Vec2 velocity) {
-  MOST_RETURN_IF_ERROR(UpdateDynamic(class_name, id, kAttrX, position.x,
-                                     TimeFunction::Linear(velocity.x)));
-  return UpdateDynamic(class_name, id, kAttrY, position.y,
-                       TimeFunction::Linear(velocity.y));
+  MOST_ASSIGN_OR_RETURN(ObjectClass * cls, GetClass(class_name));
+  return SetMotion(cls, id, position, velocity);
+}
+
+Status MostDatabase::SetMotion(ObjectClass* cls, ObjectId id, Point2 position,
+                               Vec2 velocity) {
+  static const std::string kAxes[2] = {kAttrX, kAttrY};
+  MOST_ASSIGN_OR_RETURN(MostObject * obj, cls->Get(id));
+  const double values[2] = {position.x, position.y};
+  const double slopes[2] = {velocity.x, velocity.y};
+  for (int axis = 0; axis < 2; ++axis) {
+    DynamicAttribute* attr = obj->MutableDynamic(kAxes[axis]);
+    if (attr == nullptr) {
+      return Status::NotFound("dynamic attribute '" + kAxes[axis] + "'");
+    }
+    MOST_FAILPOINT("core/update_dynamic");
+    attr->UpdateLinear(Now(), values[axis], slopes[axis]);
+    obj->set_last_update(Now());
+    update_count_.fetch_add(1, std::memory_order_relaxed);
+    NotifyUpdate(cls->name(), id);
+  }
+  return Status::OK();
 }
 
 void MostDatabase::NotifyUpdate(const std::string& class_name, ObjectId id) {

@@ -69,6 +69,11 @@ class MostObject {
   bool HasDynamic(const std::string& name) const {
     return dynamics_.count(name) > 0;
   }
+  /// The dynamic attribute `name`, or null if the object has none.
+  DynamicAttribute* MutableDynamic(const std::string& name) {
+    auto it = dynamics_.find(name);
+    return it == dynamics_.end() ? nullptr : &it->second;
+  }
 
   void SetStatic(const std::string& name, Value v) {
     statics_[name] = std::move(v);
@@ -192,8 +197,14 @@ class MostDatabase {
                        const std::string& attr, double value,
                        TimeFunction function);
 
-  /// Convenience: sets position and velocity of a spatial object at `now`.
+  /// Sets position and velocity of a spatial object at `now`: exactly the
+  /// two UpdateDynamic calls for X.POSITION and Y.POSITION with linear
+  /// functions (two updates counted, two failpoint hits, listeners
+  /// notified after each), with the class and the object looked up once.
   Status SetMotion(const std::string& class_name, ObjectId id, Point2 position,
+                   Vec2 velocity);
+  /// The same, for a class already looked up (GetClass).
+  Status SetMotion(ObjectClass* cls, ObjectId id, Point2 position,
                    Vec2 velocity);
 
   /// Update listeners run after every explicit update (object creation,

@@ -14,7 +14,7 @@ namespace most {
 
 namespace {
 
-constexpr char kTagMotion[] = "M";
+constexpr const char* kTagMotion = kWalMotionTag;
 constexpr char kTagDynamic[] = "D";
 constexpr char kTagStatic[] = "S";
 constexpr char kTagCreate[] = "C";
@@ -119,7 +119,6 @@ Result<MostObject*> ShardedEngine::CreateObject(const std::string& class_name) {
     rec.rid = obj->id();
     rec.row = {Value(kTagCreate), Value(static_cast<int64_t>(db_->Now()))};
     MOST_RETURN_IF_ERROR(s.wal.Append(rec));
-    MOST_RETURN_IF_ERROR(s.wal.Flush());
   }
   return obj;
 }
@@ -136,7 +135,6 @@ Status ShardedEngine::DeleteObject(const std::string& class_name,
     rec.rid = id;
     rec.row = {Value(kTagDelete), Value(static_cast<int64_t>(db_->Now()))};
     MOST_RETURN_IF_ERROR(s.wal.Append(rec));
-    MOST_RETURN_IF_ERROR(s.wal.Flush());
   }
   return Status::OK();
 }
@@ -262,11 +260,16 @@ void ShardedEngine::Route(UpdateOp op) {
   if (obs::MetricsRegistry::Global().enabled()) s.routed_total->Inc();
 }
 
+ObjectClass* ShardedEngine::ClassOf(const std::string& class_name) const {
+  Result<ObjectClass*> cls = db_->GetClass(class_name);
+  return cls.ok() ? *cls : nullptr;
+}
+
 void ShardedEngine::EnqueueMotion(const std::string& class_name, ObjectId id,
                                   Point2 position, Vec2 velocity) {
   UpdateOp op;
   op.kind = UpdateOp::Kind::kMotion;
-  op.class_name = class_name;
+  op.cls = ClassOf(class_name);
   op.id = id;
   op.position = position;
   op.velocity = velocity;
@@ -278,11 +281,12 @@ void ShardedEngine::EnqueueDynamic(const std::string& class_name, ObjectId id,
                                    TimeFunction function) {
   UpdateOp op;
   op.kind = UpdateOp::Kind::kDynamic;
-  op.class_name = class_name;
+  op.cls = ClassOf(class_name);
   op.id = id;
-  op.attr = attr;
-  op.value = value;
-  op.function = std::move(function);
+  op.slow = std::make_unique<UpdateOp::Slow>();
+  op.slow->attr = attr;
+  op.slow->value = value;
+  op.slow->function = std::move(function);
   Route(std::move(op));
 }
 
@@ -290,30 +294,39 @@ void ShardedEngine::EnqueueStatic(const std::string& class_name, ObjectId id,
                                   const std::string& attr, Value value) {
   UpdateOp op;
   op.kind = UpdateOp::Kind::kStatic;
-  op.class_name = class_name;
+  op.cls = ClassOf(class_name);
   op.id = id;
-  op.attr = attr;
-  op.static_value = std::move(value);
+  op.slow = std::make_unique<UpdateOp::Slow>();
+  op.slow->attr = attr;
+  op.slow->static_value = std::move(value);
   Route(std::move(op));
 }
 
 Status ShardedEngine::ApplyOp(const UpdateOp& op) {
+  if (op.cls == nullptr) return Status::NotFound("object class");
   switch (op.kind) {
     case UpdateOp::Kind::kMotion:
-      return db_->SetMotion(op.class_name, op.id, op.position, op.velocity);
+      return db_->SetMotion(op.cls, op.id, op.position, op.velocity);
     case UpdateOp::Kind::kDynamic:
-      return db_->UpdateDynamic(op.class_name, op.id, op.attr, op.value,
-                                op.function);
+      return db_->UpdateDynamic(op.cls->name(), op.id, op.slow->attr,
+                                op.slow->value, op.slow->function);
     case UpdateOp::Kind::kStatic:
-      return db_->UpdateStatic(op.class_name, op.id, op.attr, op.static_value);
+      return db_->UpdateStatic(op.cls->name(), op.id, op.slow->attr,
+                               op.slow->static_value);
   }
   return Status::Internal("unreachable update kind");
 }
 
-WalRecord ShardedEngine::EncodeOp(const UpdateOp& op, Tick now) const {
+void ShardedEngine::EncodeOp(const UpdateOp& op, Tick now,
+                             std::string* batch) {
+  if (op.kind == UpdateOp::Kind::kMotion &&
+      AppendWalMotionFrame(batch, op.cls->name(), now, op.id, op.position.x,
+                           op.position.y, op.velocity.x, op.velocity.y)) {
+    return;
+  }
   WalRecord rec;
   rec.kind = WalRecord::Kind::kUpdate;
-  rec.table = op.class_name;
+  rec.table = op.cls->name();
   rec.rid = op.id;
   const Value tick(static_cast<int64_t>(now));
   switch (op.kind) {
@@ -323,14 +336,17 @@ WalRecord ShardedEngine::EncodeOp(const UpdateOp& op, Tick now) const {
                  Value(op.velocity.x), Value(op.velocity.y)};
       break;
     case UpdateOp::Kind::kDynamic:
-      rec.row = {Value(kTagDynamic), tick, Value(op.attr), Value(op.value),
-                 Value(EncodeTimeFunction(op.function))};
+      rec.row = {Value(kTagDynamic), tick, Value(op.slow->attr),
+                 Value(op.slow->value),
+                 Value(EncodeTimeFunction(op.slow->function))};
       break;
     case UpdateOp::Kind::kStatic:
-      rec.row = {Value(kTagStatic), tick, Value(op.attr), op.static_value};
+      rec.row = {Value(kTagStatic), tick, Value(op.slow->attr),
+                 op.slow->static_value};
       break;
   }
-  return rec;
+  *batch += EncodeWalRecord(rec);
+  *batch += '\n';
 }
 
 Status ShardedEngine::Advance(Tick ticks) {
@@ -357,8 +373,10 @@ Status ShardedEngine::DrainAndRefresh() {
     obs::TraceSpan span("shard/drain", "shard", tick_ctx);
     span.AnnotateU64("shard", k);
     s.drained.clear();
-    s.drained_ids.clear();
+    s.wal_batch.clear();
+    for (auto& [cls, ids] : s.drained_ids) ids.clear();
     s.queue.PopAll(&s.drained);
+    size_t logged = 0;
     for (const UpdateOp& op : s.drained) {
       Status as = ApplyOp(op);
       if (!as.ok()) {
@@ -370,15 +388,23 @@ Status ShardedEngine::DrainAndRefresh() {
       }
       ++s.updates_applied;
       if (metrics) s.applied_total->Inc();
-      s.drained_ids[op.class_name].push_back(op.id);
+      auto group = std::find_if(
+          s.drained_ids.begin(), s.drained_ids.end(),
+          [&](const auto& entry) { return entry.first == op.cls; });
+      if (group == s.drained_ids.end()) {
+        group = s.drained_ids.emplace(s.drained_ids.end(), op.cls,
+                                      std::vector<ObjectId>{});
+      }
+      group->second.push_back(op.id);
       if (s.wal.is_open()) {
-        Status ws = s.wal.Append(EncodeOp(op, now));
-        if (!ws.ok() && drain_sts[k].ok()) drain_sts[k] = ws;
+        EncodeOp(op, now, &s.wal_batch);
+        ++logged;
       }
     }
-    if (s.wal.is_open() && !s.drained.empty()) {
-      Status fs = s.wal.Flush();
-      if (!fs.ok() && drain_sts[k].ok()) drain_sts[k] = fs;
+    // One write and one flush for the whole drain, before the refresh.
+    if (logged > 0) {
+      drain_sts[k] =
+          s.wal.AppendEncoded(s.wal_batch.data(), s.wal_batch.size(), logged);
     }
     if (metrics) s.queue_depth->Set(static_cast<int64_t>(s.queue.ApproxDepth()));
   });
@@ -399,7 +425,7 @@ Status ShardedEngine::DrainAndRefresh() {
           j == k ? QueryManager::Ownership::kOwned
                  : QueryManager::Ownership::kForeign;
       for (const auto& [cls, ids] : shards_[j]->drained_ids) {
-        s.qm->NoteUpdates(cls, ids, ownership);
+        if (!ids.empty()) s.qm->NoteUpdates(cls->name(), ids, ownership);
       }
     }
     refresh_sts[k] = s.qm->TickAll();

@@ -33,9 +33,11 @@ namespace most {
 ///
 /// Safe concurrent mutation of the shared database comes from phase
 /// discipline, not locks: structural operations (object create/delete,
-/// query registration, reshard) run on the serial control plane; the data
-/// plane (EnqueueMotion/EnqueueDynamic/EnqueueStatic) is lock-free from
-/// any thread; and Tick() drains all queues in parallel — safe because
+/// query registration, reshard — and class creation on the database) run
+/// on the serial control plane; the data plane (EnqueueMotion/
+/// EnqueueDynamic/EnqueueStatic) is lock-free from any thread and only
+/// reads the class catalog; and Tick() drains all queues in parallel and
+/// logs each shard's drain with one WAL write — safe because
 /// shards own disjoint objects, every db-level listener left registered
 /// is thread-safe, and the update counter is a relaxed atomic — then
 /// refreshes every shard's queries in parallel over a read-only database.
@@ -116,6 +118,9 @@ class ShardedEngine {
   Status Reshard(size_t new_shard_count);
 
   // ---- Data plane (lock-free, any thread) ------------------------------
+  //
+  // The class must exist when the update is enqueued; an update naming no
+  // class, or an object that is gone by the drain, is counted dropped.
 
   void EnqueueMotion(const std::string& class_name, ObjectId id,
                      Point2 position, Vec2 velocity);
@@ -132,16 +137,18 @@ class ShardedEngine {
 
   /// One scatter round: (1) in parallel per shard, pop the handoff queue,
   /// apply the updates to the shared database and append them to the
-  /// shard WAL; (2) dirty-mark by ownership: shard k drained exactly
-  /// the ids it owns, so they mark all of its queries, while the other
-  /// shards' ids mark only its multi-variable queries (a non-first column
-  /// can bind any object); (3) in parallel per shard, refresh all queries
-  /// against the now read-only database. A refresh snapshots only the
-  /// objects it can bind (the dirty ids, or the shard's partition), so it
-  /// costs O(owned dirty), not O(class). An update whose object vanished
-  /// between enqueue and drain is counted dropped, not an error. If a
-  /// shard WAL failed to open (at construction or the last Reshard), the
-  /// round still runs and then returns that failure.
+  /// shard WAL as one batch (one write and one flush; a failed batch
+  /// leaves none of its records in the log); (2) dirty-mark by ownership:
+  /// shard k drained exactly the ids it owns, so they mark all of its
+  /// queries, while the other shards' ids mark only its multi-variable
+  /// queries (a non-first column can bind any object); (3) in parallel
+  /// per shard, refresh all queries against the now read-only database.
+  /// A refresh snapshots only the objects it can bind (the dirty ids, or
+  /// the shard's partition), so it costs O(owned dirty), not O(class).
+  /// An update whose object vanished between enqueue and drain is
+  /// counted dropped, not an error. If a shard WAL failed to open (at
+  /// construction or the last Reshard), the round still runs and then
+  /// returns that failure.
   Status DrainAndRefresh();
 
   // ---- Queries ---------------------------------------------------------
@@ -196,17 +203,24 @@ class ShardedEngine {
                                               MostDatabase* db);
 
  private:
+  /// One handoff-queue entry. A motion update is fixed-size: its class is
+  /// the database's ObjectClass, resolved once at enqueue, so the data
+  /// plane copies no string. Dynamic and static updates carry their
+  /// attribute and value in `slow`.
   struct UpdateOp {
     enum class Kind : uint8_t { kMotion, kDynamic, kStatic };
+    struct Slow {
+      std::string attr;
+      double value = 0.0;     // kDynamic.
+      TimeFunction function;  // kDynamic.
+      Value static_value;     // kStatic.
+    };
     Kind kind = Kind::kMotion;
-    std::string class_name;
+    ObjectClass* cls = nullptr;  ///< Null: no such class at enqueue.
     ObjectId id = kInvalidObjectId;
-    Point2 position;        // kMotion.
-    Vec2 velocity;          // kMotion.
-    std::string attr;       // kDynamic / kStatic.
-    double value = 0.0;     // kDynamic.
-    TimeFunction function;  // kDynamic.
-    Value static_value;     // kStatic.
+    Point2 position;  // kMotion.
+    Vec2 velocity;    // kMotion.
+    std::unique_ptr<Slow> slow;
   };
 
   struct Shard {
@@ -219,8 +233,12 @@ class ShardedEngine {
     uint64_t last_refresh_ns = 0;
     /// Drain scratch, reused across ticks.
     std::vector<UpdateOp> drained;
+    /// The last drain's encoded WAL records, appended with one write.
+    std::string wal_batch;
     /// Ids applied in the last drain, grouped by class (phase-2 input).
-    std::map<std::string, std::vector<ObjectId>> drained_ids;
+    /// Entries persist across drains; an empty list means none this time.
+    std::vector<std::pair<const ObjectClass*, std::vector<ObjectId>>>
+        drained_ids;
     // Registry-owned series (shard-labelled).
     obs::Counter* routed_total = nullptr;
     obs::Counter* applied_total = nullptr;
@@ -246,8 +264,13 @@ class ShardedEngine {
   void ReassignAfterStructuralChange(const std::string& class_name,
                                      ObjectId id);
   Status ApplyOp(const UpdateOp& op);
-  /// Encodes `op` as a WAL record ("M"/"D"/"S" tagged kUpdate row).
-  WalRecord EncodeOp(const UpdateOp& op, Tick now) const;
+  /// Appends `op`'s WAL record to `batch`: a motion frame, or a v2 text
+  /// line holding the "D"/"S" (or, for a class name too long for a frame,
+  /// "M") tagged kUpdate row.
+  static void EncodeOp(const UpdateOp& op, Tick now, std::string* batch);
+  /// The class `class_name` names, or null; read on the data plane, which
+  /// is safe because only the control plane creates classes.
+  ObjectClass* ClassOf(const std::string& class_name) const;
   void Route(UpdateOp op);
 
   MostDatabase* db_;

@@ -12,8 +12,9 @@ namespace most {
 /// Per-shard write-ahead log (docs/sharding.md): shard k of a sharded
 /// engine appends to `<dir>/shard-<k>.wal`, so N drain threads log
 /// concurrently without sharing a file or a lock, while reusing the
-/// CRC-framed WalRecord line format (v2), torn-tail tolerance, salvage
-/// recovery and the wal/* failpoint sites of the storage WAL wholesale.
+/// CRC-framed WalRecord formats (v2 text lines and motion frames),
+/// torn-tail tolerance, salvage recovery and the wal/* failpoint sites of
+/// the storage WAL wholesale.
 ///
 /// The record *payload* convention is the caller's (the sharded engine
 /// encodes object updates as Kind::kUpdate records whose row carries the
@@ -34,7 +35,10 @@ class ShardWal {
   const std::string& path() const { return path_; }
 
   Status Append(const WalRecord& record) { return writer_.Append(record); }
-  Status Flush() { return writer_.Flush(); }
+  /// One drain's records, already encoded (WalWriter::AppendEncoded).
+  Status AppendEncoded(const char* bytes, size_t size, size_t records) {
+    return writer_.AppendEncoded(bytes, size, records);
+  }
   /// fdatasync, for callers that need OS-crash durability per batch.
   Status Sync() { return writer_.Sync(); }
   void Close() { writer_.Close(); }

@@ -1,5 +1,7 @@
 #include "storage/wal.h"
 
+#include <algorithm>
+#include <bit>
 #include <cinttypes>
 #include <cstring>
 #include <sstream>
@@ -325,7 +327,135 @@ Result<WalRecord> DecodeWalRecordV2(const std::string& line) {
   return DecodeWalBody(body);
 }
 
+// Motion frame layout (AppendWalMotionFrame): tag, CRC, then the body the
+// CRC covers — tick, rid, x, y, vx, vy, table length, table.
+constexpr unsigned char kMotionFrameTag = 0xB5;
+constexpr size_t kMotionFrameBodyAt = 5;
+constexpr size_t kMotionFrameFields = 6;  // 8 bytes each.
+constexpr size_t kMotionFrameLengthAt =
+    kMotionFrameBodyAt + 8 * kMotionFrameFields;
+constexpr size_t kMotionFrameHeader = kMotionFrameLengthAt + 1;
+
+void PutLe(char* p, uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) p[i] = static_cast<char>(v >> (8 * i));
+}
+
+uint64_t GetLe(const char* p, int bytes) {
+  uint64_t v = 0;
+  for (int i = 0; i < bytes; ++i) {
+    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
+  }
+  return v;
+}
+
+bool IsFrameTag(char c) {
+  return static_cast<unsigned char>(c) == kMotionFrameTag;
+}
+
+/// What decoding the record at one log position found.
+enum class Scan {
+  kRecord,      ///< A record; `end` is one past it.
+  kCorrupt,     ///< Damaged; `end` is where its own framing says it ends.
+  kIncomplete,  ///< Runs past the end of the log (a torn tail, if last).
+};
+
+Scan DecodeMotionFrame(const std::string& log, size_t pos, WalRecord* out,
+                       size_t* end, Status* error) {
+  const char* p = log.data() + pos;
+  const size_t avail = log.size() - pos;
+  const size_t len =
+      avail < kMotionFrameHeader
+          ? kMotionFrameHeader
+          : kMotionFrameHeader +
+                static_cast<unsigned char>(p[kMotionFrameLengthAt]);
+  if (avail < len) {
+    *end = log.size();
+    *error = Status::Corruption("motion frame runs past the end of the log");
+    return Scan::kIncomplete;
+  }
+  *end = pos + len;
+  if (Crc32(p + kMotionFrameBodyAt, len - kMotionFrameBodyAt) !=
+      static_cast<uint32_t>(GetLe(p + 1, 4))) {
+    *error = Status::Corruption("motion frame CRC mismatch");
+    return Scan::kCorrupt;
+  }
+  uint64_t f[kMotionFrameFields];  // tick, rid, x, y, vx, vy.
+  for (size_t i = 0; i < kMotionFrameFields; ++i) {
+    f[i] = GetLe(p + kMotionFrameBodyAt + 8 * i, 8);
+  }
+  out->kind = WalRecord::Kind::kUpdate;
+  out->table.assign(p + kMotionFrameHeader, len - kMotionFrameHeader);
+  out->rid = f[1];
+  out->row = {Value(kWalMotionTag),
+              Value(static_cast<int64_t>(f[0])),
+              Value(std::bit_cast<double>(f[2])),
+              Value(std::bit_cast<double>(f[3])),
+              Value(std::bit_cast<double>(f[4])),
+              Value(std::bit_cast<double>(f[5]))};
+  return Scan::kRecord;
+}
+
+/// Decodes the record starting at log[pos]: a motion frame if it starts
+/// with the frame tag, otherwise a text line.
+Scan DecodeAt(const std::string& log, size_t pos, WalRecord* out, size_t* end,
+              Status* error) {
+  if (IsFrameTag(log[pos])) return DecodeMotionFrame(log, pos, out, end, error);
+  const size_t nl = log.find('\n', pos);
+  if (nl == std::string::npos) {
+    *end = log.size();
+    *error = Status::Corruption("record runs past the end of the log");
+    return Scan::kIncomplete;
+  }
+  *end = nl + 1;
+  Result<WalRecord> record = DecodeWalRecord(log.substr(pos, nl - pos));
+  if (!record.ok()) {
+    *error = record.status();
+    return Scan::kCorrupt;
+  }
+  *out = std::move(record).value();
+  return Scan::kRecord;
+}
+
+/// The first position at or after `from` where a record decodes, or npos.
+/// Only a record start can begin one: a frame tag, a v2 '#', or the byte
+/// after a newline.
+size_t NextRecordStart(const std::string& log, size_t from) {
+  WalRecord scratch;
+  size_t end = 0;
+  Status error;
+  for (size_t q = from; q < log.size(); ++q) {
+    const bool start = IsFrameTag(log[q]) || log[q] == '#' ||
+                       (q > 0 && log[q - 1] == '\n' && log[q] != '\n');
+    if (start && DecodeAt(log, q, &scratch, &end, &error) == Scan::kRecord) {
+      return q;
+    }
+  }
+  return std::string::npos;
+}
+
 }  // namespace
+
+bool AppendWalMotionFrame(std::string* out, std::string_view table,
+                          int64_t tick, uint64_t rid, double x, double y,
+                          double vx, double vy) {
+  if (table.size() > 255) return false;  // The length is one byte.
+  const size_t at = out->size();
+  const size_t len = kMotionFrameHeader + table.size();
+  out->resize(at + len);
+  char* p = out->data() + at;
+  p[0] = static_cast<char>(kMotionFrameTag);
+  const uint64_t f[kMotionFrameFields] = {
+      static_cast<uint64_t>(tick), rid,
+      std::bit_cast<uint64_t>(x),  std::bit_cast<uint64_t>(y),
+      std::bit_cast<uint64_t>(vx), std::bit_cast<uint64_t>(vy)};
+  for (size_t i = 0; i < kMotionFrameFields; ++i) {
+    PutLe(p + kMotionFrameBodyAt + 8 * i, f[i], 8);
+  }
+  p[kMotionFrameLengthAt] = static_cast<char>(table.size());
+  std::memcpy(p + kMotionFrameHeader, table.data(), table.size());
+  PutLe(p + 1, Crc32(p + kMotionFrameBodyAt, len - kMotionFrameBodyAt), 4);
+  return true;
+}
 
 std::string EncodeWalRecord(const WalRecord& record, int format_version) {
   std::string body = EncodeWalBody(record);
@@ -375,34 +505,37 @@ Status WalWriter::Open(const std::string& path, Options options) {
 }
 
 Status WalWriter::Append(const WalRecord& record) {
+  std::string line = EncodeWalRecord(record, options_.format_version);
+  line += '\n';
+  return AppendEncoded(line.data(), line.size(), 1);
+}
+
+Status WalWriter::AppendEncoded(const char* bytes, size_t size,
+                                size_t records) {
   if (file_ == nullptr) return Status::Internal("WAL is not open");
   obs::TraceSpan span("wal/append", "storage");
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   const uint64_t t0 = registry.enabled() ? obs::MonotonicNowNs() : 0;
-  Status status = AppendImpl(record);
+  Status status = AppendImpl(bytes, size);
   if (registry.enabled()) {
     const WalRegistrySeries& series = WalRegistrySeries::Get();
-    series.appends->Inc();
+    series.appends->Inc(records);
     series.append_latency->Observe(
         static_cast<double>(obs::MonotonicNowNs() - t0) * 1e-9);
   }
   return status;
 }
 
-Status WalWriter::AppendImpl(const WalRecord& record) {
-  std::string line = EncodeWalRecord(record, options_.format_version);
-  line += '\n';
+Status WalWriter::AppendImpl(const char* bytes, size_t size) {
   // Device-full / I/O-error injection (distinct from wal/append/write torn
   // writes: nothing reaches the file, as ENOSPC on the first byte would).
   MOST_FAILPOINT("wal/append/enospc");
   if (failed_append_) MOST_RETURN_IF_ERROR(CutFailedAppend());
   FailpointRegistry::WriteFault fault =
-      FailpointRegistry::Instance().CheckWrite("wal/append/write",
-                                               line.size());
-  failed_append_ = true;  // Until the record is complete and flushed.
+      FailpointRegistry::Instance().CheckWrite("wal/append/write", size);
+  failed_append_ = true;  // Until the bytes are complete and flushed.
   if (fault.write_bytes > 0 &&
-      std::fwrite(line.data(), 1, fault.write_bytes, file_) !=
-          fault.write_bytes) {
+      std::fwrite(bytes, 1, fault.write_bytes, file_) != fault.write_bytes) {
     return Status::Internal("short WAL write");
   }
   if (!fault.status.ok()) {
@@ -414,7 +547,7 @@ Status WalWriter::AppendImpl(const WalRecord& record) {
   }
   MOST_RETURN_IF_ERROR(Flush());
   failed_append_ = false;
-  size_ += line.size();
+  size_ += size;
   return Status::OK();
 }
 
@@ -498,6 +631,65 @@ Result<std::string> ReadFileContents(const std::string& path, bool* missing) {
 
 }  // namespace
 
+namespace {
+
+/// Decodes a whole log. Strict: a damaged record is an error unless it is
+/// the last one (a torn tail). Salvage: damaged records are skipped and
+/// counted in `rep`.
+Result<std::vector<WalRecord>> DecodeLog(const std::string& contents,
+                                         bool strict, RecoveryReport* rep) {
+  std::vector<WalRecord> records;
+  size_t pos = 0;
+  // NextRecordStart(contents, p + 1) for the last damaged position p; it
+  // stays the answer for every later damaged position before it.
+  size_t resync = 0;
+  bool have_resync = false;
+  while (pos < contents.size()) {
+    if (contents[pos] == '\n') {
+      ++pos;
+      continue;
+    }
+    WalRecord record;
+    size_t end = 0;
+    Status error;
+    const Scan scan = DecodeAt(contents, pos, &record, &end, &error);
+    if (scan == Scan::kRecord) {
+      ++rep->applied;
+      if (rep->dropped > 0) ++rep->salvaged;
+      records.push_back(std::move(record));
+      pos = end;
+      continue;
+    }
+    if (strict) {
+      if (scan == Scan::kIncomplete || end >= contents.size()) {
+        // Torn tail write (or a corrupt final record): the last record
+        // never completed.
+        rep->tail_truncated = true;
+        break;
+      }
+      return error;  // Mid-file corruption is fatal.
+    }
+    ++rep->dropped;
+    if (!have_resync || pos >= resync) {
+      resync = NextRecordStart(contents, pos + 1);
+      have_resync = true;
+    }
+    if (scan == Scan::kIncomplete && resync == std::string::npos) {
+      rep->tail_truncated = true;  // The last record never completed.
+      break;
+    }
+    if (rep->first_error.empty()) rep->first_error = error.ToString();
+    // Salvage: skip the damaged record, keep going. A damaged text line
+    // still ends at its newline unless a record starts inside it (its
+    // newline was the damage); a damaged frame's length byte cannot be
+    // trusted, so it resumes where the next record decodes.
+    pos = IsFrameTag(contents[pos]) ? resync : std::min(end, resync);
+  }
+  return records;
+}
+
+}  // namespace
+
 Result<std::vector<WalRecord>> ReadWal(const std::string& path,
                                        bool* tail_truncated) {
   if (tail_truncated != nullptr) *tail_truncated = false;
@@ -505,30 +697,10 @@ Result<std::vector<WalRecord>> ReadWal(const std::string& path,
   MOST_ASSIGN_OR_RETURN(std::string contents,
                         ReadFileContents(path, &missing));
   if (missing) return std::vector<WalRecord>{};  // No log yet.
-
-  std::vector<WalRecord> records;
-  size_t pos = 0;
-  while (pos < contents.size()) {
-    size_t nl = contents.find('\n', pos);
-    if (nl == std::string::npos) {
-      // Torn tail write: the last record never completed.
-      if (tail_truncated != nullptr) *tail_truncated = true;
-      break;
-    }
-    std::string line = contents.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) continue;
-    Result<WalRecord> record = DecodeWalRecord(line);
-    if (!record.ok()) {
-      if (pos >= contents.size()) {
-        // Corrupt final record: treat like a torn tail.
-        if (tail_truncated != nullptr) *tail_truncated = true;
-        break;
-      }
-      return record.status();  // Mid-file corruption is fatal.
-    }
-    records.push_back(std::move(record).value());
-  }
+  RecoveryReport rep;
+  MOST_ASSIGN_OR_RETURN(std::vector<WalRecord> records,
+                        DecodeLog(contents, /*strict=*/true, &rep));
+  if (tail_truncated != nullptr) *tail_truncated = rep.tail_truncated;
   return records;
 }
 
@@ -542,33 +714,7 @@ Result<std::vector<WalRecord>> RecoverWal(const std::string& path,
   MOST_ASSIGN_OR_RETURN(std::string contents,
                         ReadFileContents(path, &missing));
   if (missing) return std::vector<WalRecord>{};  // No log yet.
-
-  std::vector<WalRecord> records;
-  size_t pos = 0;
-  while (pos < contents.size()) {
-    size_t nl = contents.find('\n', pos);
-    if (nl == std::string::npos) {
-      // Torn tail write: the last record never completed.
-      rep.tail_truncated = true;
-      ++rep.dropped;
-      break;
-    }
-    std::string line = contents.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) continue;
-    Result<WalRecord> record = DecodeWalRecord(line);
-    if (!record.ok()) {
-      ++rep.dropped;
-      if (rep.first_error.empty()) {
-        rep.first_error = record.status().ToString();
-      }
-      continue;  // Salvage: skip the corrupt record, keep going.
-    }
-    ++rep.applied;
-    if (rep.dropped > 0) ++rep.salvaged;
-    records.push_back(std::move(record).value());
-  }
-  return records;
+  return DecodeLog(contents, /*strict=*/false, &rep);
 }
 
 }  // namespace most

@@ -1,8 +1,10 @@
 #ifndef MOST_STORAGE_WAL_H_
 #define MOST_STORAGE_WAL_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -10,16 +12,17 @@
 
 namespace most {
 
-/// A logged mutation. The WAL is a line-oriented append-only file; each
-/// record is one escaped line, so a torn final write (crash mid-append)
-/// is detected as a truncated last line and ignored on replay.
+/// A logged mutation. The WAL is an append-only file of records; a torn
+/// final write (crash mid-append) is detected as an incomplete last record
+/// and ignored on replay.
 ///
-/// Two record framings coexist in a log (the format is self-describing
-/// per line, so v1 logs — and logs that gained v2 records after an
-/// upgrade — still replay):
+/// Three record framings coexist in a log (each record says which framing
+/// it uses in its first byte, so v1 logs — and logs that gained v2 records
+/// or motion frames after an upgrade — still replay):
 ///
-///   v1:  <len>|<body>                     length framing only
-///   v2:  #2|<crc32 hex8>|<len>|<body>     + per-record CRC32 over the body
+///   v1:  <len>|<body>\n                     length framing only
+///   v2:  #2|<crc32 hex8>|<len>|<body>\n     + per-record CRC32 over the body
+///   motion frame: binary, see AppendWalMotionFrame
 ///
 /// See docs/durability.md for the full format and recovery invariants.
 struct WalRecord {
@@ -51,6 +54,23 @@ std::string EncodeWalRecord(const WalRecord& record,
 /// as a different record).
 Result<WalRecord> DecodeWalRecord(const std::string& line);
 
+/// Tag of the motion row a motion frame decodes to (the first row field).
+inline constexpr char kWalMotionTag[] = "M";
+
+/// Appends the compact binary frame of one motion update to `out`
+/// (docs/sharding.md). All integers and doubles are little-endian:
+///
+///   0xB5 | crc32 (4) | tick i64 | rid u64 | x, y, vx, vy f64 | len u8 | table
+///
+/// 54 bytes plus the table name; the CRC covers everything after itself.
+/// Recovery decodes the frame into the kUpdate record whose row is
+/// {kWalMotionTag, tick, x, y, vx, vy}, the same record the v2 text form
+/// of that row decodes to. Returns false, appending nothing, when `table`
+/// is longer than 255 bytes.
+bool AppendWalMotionFrame(std::string* out, std::string_view table,
+                          int64_t tick, uint64_t rid, double x, double y,
+                          double vx, double vy);
+
 /// Append-only writer with explicit flush-on-append ("the log is the
 /// database"; everything else is a cache, per the usual WAL discipline).
 /// Failpoint sites: wal/open, wal/append/write (write site — supports
@@ -73,6 +93,11 @@ class WalWriter {
   bool is_open() const { return file_ != nullptr; }
 
   Status Append(const WalRecord& record);
+  /// Appends `size` bytes holding `records` already-encoded records (text
+  /// lines with their newlines, motion frames) with one write and one
+  /// flush. All or nothing, as Append is for one record: on failure none
+  /// of the batch stays in the log once the writer appends again.
+  Status AppendEncoded(const char* bytes, size_t size, size_t records);
   Status Flush();
   /// Forces appended records to stable storage (fdatasync via fileno).
   /// Flush() survives a process crash; Sync() also survives an OS crash.
@@ -82,7 +107,7 @@ class WalWriter {
  private:
   // Uninstrumented bodies; the public wrappers time them into the metrics
   // registry (most_wal_append_latency_seconds / most_wal_sync_latency_...).
-  Status AppendImpl(const WalRecord& record);
+  Status AppendImpl(const char* bytes, size_t size);
   Status SyncImpl();
 
   /// Cuts the file back to `size_` after a failed append, whose bytes may
@@ -97,10 +122,10 @@ class WalWriter {
   bool failed_append_ = false;
 };
 
-/// Reads every complete record of a log file. A trailing partial line (torn
-/// write) is tolerated and reported via `tail_truncated`; corruption in the
-/// middle of the file is an error. (Strict mode — see RecoverWal for the
-/// salvaging variant.)
+/// Reads every complete record of a log file. A trailing partial record
+/// (torn write) is tolerated and reported via `tail_truncated`; corruption
+/// in the middle of the file is an error. (Strict mode — see RecoverWal
+/// for the salvaging variant.)
 Result<std::vector<WalRecord>> ReadWal(const std::string& path,
                                        bool* tail_truncated = nullptr);
 
@@ -116,9 +141,12 @@ struct RecoveryReport {
   std::string first_error;  ///< First corruption message, for logging.
 };
 
-/// Salvaging reader: decodes every line it can, skipping corrupt records
-/// (middle or tail) instead of aborting the replay. Only I/O-level
-/// failures (unreadable file) are errors; a missing file is an empty log.
+/// Salvaging reader: decodes every record it can, skipping corrupt records
+/// (middle or tail) instead of aborting the replay. After a record that
+/// does not decode it resumes at the next position where one does, so a
+/// damaged record never takes its neighbours with it and never decodes as
+/// a different record. Only I/O-level failures (unreadable file) are
+/// errors; a missing file is an empty log.
 Result<std::vector<WalRecord>> RecoverWal(const std::string& path,
                                           RecoveryReport* report);
 

@@ -46,6 +46,14 @@ class DynamicAttribute {
     function_ = std::move(new_function);
   }
 
+  /// Update(now, new_value, TimeFunction::Linear(slope)) without
+  /// building a function.
+  void UpdateLinear(Tick now, double new_value, double slope) {
+    value_ = new_value;
+    updatetime_ = now;
+    function_.SetLinear(slope);
+  }
+
   /// One maximal linear stretch of the attribute's trajectory.
   struct LinearPiece {
     Interval ticks;        ///< Absolute tick range the piece covers.

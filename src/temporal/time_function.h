@@ -43,9 +43,13 @@ class TimeFunction {
   /// f(t) = slope * t.
   static TimeFunction Linear(double slope) {
     TimeFunction f;
-    f.pieces_ = {{0, slope}};
+    f.SetLinear(slope);
     return f;
   }
+
+  /// Makes this f(t) = slope * t, equal to Linear(slope), reusing the
+  /// piece storage.
+  void SetLinear(double slope) { pieces_.assign(1, Piece{0, slope}); }
 
   /// Builds a piecewise function. Requirements: first piece starts at 0,
   /// piece starts strictly increase.

@@ -15,7 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -570,6 +573,33 @@ std::vector<size_t> ShardCounts() {
   return {1, 2, 4, 8};
 }
 
+// Replays the engine's shard logs into a database rebuilt to the world's
+// initial population; it must equal the engine's database object by object
+// (positions and velocities — every dynamic attribute — statics and
+// last_update).
+void ExpectShardWalsReplayTo(const std::string& dir, size_t shards,
+                             uint64_t world_seed,
+                             const MostDatabase& engine_db) {
+  MostDatabase replayed;
+  {
+    Rng wrng(world_seed);
+    ASSERT_NO_FATAL_FAILURE(BuildGridWorld(&wrng, &replayed, 4));
+  }
+  auto report = ShardedEngine::ReplayShardWals(dir, shards, &replayed);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->recovery.dropped, 0u);
+  const ObjectClass* want = *engine_db.GetClass("M");
+  const ObjectClass* got = *replayed.GetClass("M");
+  ASSERT_EQ(got->size(), want->size()) << "replayed object count";
+  for (const auto& [id, obj] : want->objects()) {
+    auto copy = got->Get(id);
+    ASSERT_TRUE(copy.ok()) << "object " << id << " missing after replay";
+    EXPECT_EQ((*copy)->dynamics(), obj.dynamics()) << "object " << id;
+    EXPECT_EQ((*copy)->statics(), obj.statics()) << "object " << id;
+    EXPECT_EQ((*copy)->last_update(), obj.last_update()) << "object " << id;
+  }
+}
+
 // Corpus 4: scatter-gather sharding. A sharded engine (twin database, all
 // updates routed through the per-shard handoff queues and drained in
 // parallel) must produce gathered continuous answers byte-identical to an
@@ -577,7 +607,9 @@ std::vector<size_t> ShardCounts() {
 // two-variable formulas (including DIST atoms whose join partners hash to
 // different shards) and one random single-variable formula per world,
 // coalesced updates, creations, deletions and window expiries.
-// Instantaneous scatter evaluation is differenced the same way.
+// Instantaneous scatter evaluation is differenced the same way, and at the
+// end of every schedule the per-shard WALs must replay to the engine's
+// database.
 TEST(DifferentialTest, ShardedEngineMatchesUnshardedOracle) {
   int schedules = 0;
   uint64_t sharded_delta_served = 0;
@@ -611,6 +643,11 @@ TEST(DifferentialTest, ShardedEngineMatchesUnshardedOracle) {
         ShardedEngine::Options eng_opt;
         eng_opt.shard_count = shards;
         eng_opt.query_options = qm_opt;
+        eng_opt.wal_dir = ::testing::TempDir() + "/diff_shard_wal_" +
+                          std::to_string(getpid()) + "_" +
+                          std::to_string(world_seed) + "_" +
+                          std::to_string(shards);
+        std::filesystem::remove_all(eng_opt.wal_dir);
         ShardedEngine engine(&engine_db, eng_opt);
 
         // A single-variable query lives through both schedules below: a
@@ -730,6 +767,8 @@ TEST(DifferentialTest, ShardedEngineMatchesUnshardedOracle) {
 
           ASSERT_TRUE(engine.Cancel(*engine_id).ok());
           ASSERT_TRUE(oracle.Cancel(*oracle_id).ok());
+          ASSERT_NO_FATAL_FAILURE(ExpectShardWalsReplayTo(
+              eng_opt.wal_dir, shards, world_seed, engine_db));
         }
         auto want_single = oracle.Evaluate(single);
         auto got_single = engine.Evaluate(single);
@@ -742,6 +781,7 @@ TEST(DifferentialTest, ShardedEngineMatchesUnshardedOracle) {
         ASSERT_TRUE(oracle.Cancel(*single_oracle_id).ok());
         sharded_delta_served +=
             engine.TotalRefreshCounters().delta_evaluations;
+        std::filesystem::remove_all(eng_opt.wal_dir);
       }
     }
   }

@@ -12,6 +12,9 @@ TEST(TimeFunctionCodecTest, RoundTrips) {
       TimeFunction(),
       TimeFunction::Linear(2.5),
       TimeFunction::Linear(-0.125),
+      TimeFunction::Linear(1.0 / 3.0),
+      *TimeFunction::Piecewise(
+          {{0, 0.1}, {7, -1.0 / 7.0, true, 42.123456789}}),
       *TimeFunction::Piecewise({{0, 1.0}, {10, -2.0}, {20, 0.0}}),
   };
   TimeFunction::Piece reset_piece{5, 1.0, true, 42.5};

@@ -1,7 +1,8 @@
 // Unit tests for the shard-per-core engine (docs/sharding.md): routing,
 // scatter-gather byte-identity against an unsharded oracle, cross-shard
 // edge cases (DIST atoms straddling shards, empty shards), resharding,
-// degradation, and per-shard WAL replay.
+// degradation, per-shard WAL replay and batched appends, and producers
+// on several threads.
 
 #include "core/sharded_engine.h"
 
@@ -14,9 +15,12 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/rng.h"
 #include "core/shard_router.h"
 #include "ftl/ast.h"
 #include "ftl/eval.h"
@@ -567,6 +571,214 @@ TEST(ShardedEngineTest, WatchdogArmingDuringParallelTickDegradesSoundly) {
   }
   rec.set_enabled(false);
   rec.Clear();
+}
+
+// The data plane from several threads at once: four producers enqueue
+// motion, dynamic and static updates for objects of two classes (each
+// object's updates come from one producer, so their order is that
+// producer's), and after every Advance the database equals the same
+// updates applied serially. ci.sh runs this binary under TSan.
+TEST(ShardedEngineTest, ConcurrentProducersEnqueueAcrossClasses) {
+  constexpr int kProducers = 4;
+  constexpr int kObjects = 32;
+  const std::vector<std::string> classes = {"CARS", "TAXIS"};
+  // Object i is of class (i / kProducers) % 2, so every producer (which
+  // owns the ids congruent to it mod kProducers) writes both classes.
+  auto class_of = [&](ObjectId id) -> const std::string& {
+    return classes[(id / kProducers) % 2];
+  };
+  auto build = [&](MostDatabase* db) {
+    for (const std::string& name : classes) {
+      ASSERT_TRUE(db->CreateClass(name,
+                                  {{"FUEL", true, ValueType::kNull},
+                                   {"PLATE", false, ValueType::kString}},
+                                  /*spatial=*/true)
+                      .ok());
+    }
+    for (ObjectId id = 0; id < kObjects; ++id) {
+      ASSERT_TRUE(db->RestoreObject(class_of(id), id).ok());
+    }
+  };
+  MostDatabase db;
+  MostDatabase serial;
+  ASSERT_NO_FATAL_FAILURE(build(&db));
+  ASSERT_NO_FATAL_FAILURE(build(&serial));
+  ShardedEngine::Options opt;
+  opt.shard_count = 4;
+  ShardedEngine engine(&db, opt);
+
+  struct Op {
+    int kind;  // 0 motion, 1 dynamic, 2 static.
+    ObjectId id;
+    double a, b, c, d;
+  };
+  for (int round = 0; round < 5; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::vector<std::vector<Op>> scripts(kProducers);
+    Rng rng(1000 + static_cast<uint64_t>(round));
+    for (int p = 0; p < kProducers; ++p) {
+      for (int n = 0; n < 300; ++n) {
+        Op op;
+        op.kind = static_cast<int>(rng.UniformInt(0, 2));
+        op.id = static_cast<ObjectId>(
+            p + kProducers * rng.UniformInt(0, kObjects / kProducers - 1));
+        op.a = rng.UniformDouble(-100, 100);
+        op.b = rng.UniformDouble(-100, 100);
+        op.c = rng.UniformDouble(-3, 3);
+        op.d = rng.UniformDouble(-3, 3);
+        scripts[p].push_back(op);
+      }
+    }
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        for (const Op& op : scripts[p]) {
+          switch (op.kind) {
+            case 0:
+              engine.EnqueueMotion(class_of(op.id), op.id, {op.a, op.b},
+                                   {op.c, op.d});
+              break;
+            case 1:
+              engine.EnqueueDynamic(class_of(op.id), op.id, "FUEL", op.a,
+                                    TimeFunction::Linear(op.c));
+              break;
+            default:
+              engine.EnqueueStatic(class_of(op.id), op.id, "PLATE",
+                                   Value(std::to_string(op.b)));
+          }
+        }
+      });
+    }
+    for (std::thread& t : producers) t.join();
+    ASSERT_TRUE(engine.Advance(1).ok());
+
+    serial.clock().Advance(1);
+    for (const std::vector<Op>& script : scripts) {
+      for (const Op& op : script) {
+        Status st =
+            op.kind == 0
+                ? serial.SetMotion(class_of(op.id), op.id, {op.a, op.b},
+                                   {op.c, op.d})
+            : op.kind == 1
+                ? serial.UpdateDynamic(class_of(op.id), op.id, "FUEL", op.a,
+                                       TimeFunction::Linear(op.c))
+                : serial.UpdateStatic(class_of(op.id), op.id, "PLATE",
+                                      Value(std::to_string(op.b)));
+        ASSERT_TRUE(st.ok()) << st;
+      }
+    }
+    EXPECT_EQ(db.update_count(), serial.update_count());
+    for (const std::string& name : classes) {
+      const ObjectClass* got = *db.GetClass(name);
+      const ObjectClass* want = *serial.GetClass(name);
+      ASSERT_EQ(got->size(), want->size());
+      for (const auto& [id, obj] : want->objects()) {
+        const MostObject* copy = *got->Get(id);
+        EXPECT_EQ(copy->dynamics(), obj.dynamics()) << "object " << id;
+        EXPECT_EQ(copy->statics(), obj.statics()) << "object " << id;
+        EXPECT_EQ(copy->last_update(), obj.last_update()) << "object " << id;
+      }
+    }
+  }
+}
+
+// A drain's WAL records go to the shard log as one batch. When that append
+// fails (torn write, write error, ENOSPC, failed flush), the Advance
+// returns the failure, the failed shard's log loses that whole drain — no
+// fragment of it, and the next drain's batch is not glued onto one — and
+// every other drain is in the log whole, so the logs replay with nothing
+// dropped.
+TEST(ShardedEngineTest, FailedDrainAppendLosesExactlyThatBatch) {
+  FailpointRegistry& reg = FailpointRegistry::Instance();
+  const std::vector<std::pair<std::string, std::string>> faults = {
+      {"wal/append/write", "truncate*1"},
+      {"wal/append/write", "error*1"},
+      {"wal/append/enospc", "error*1"},
+      {"wal/append/flush", "error*1"}};
+  for (const auto& [site, spec] : faults) {
+    SCOPED_TRACE(site + "=" + spec);
+    const std::string dir = ::testing::TempDir() + "/shard_wal_batch_fault_" +
+                            std::to_string(getpid());
+    std::filesystem::remove_all(dir);
+    MostDatabase db;
+    ASSERT_TRUE(db.CreateClass("V", {}, /*spatial=*/true).ok());
+    ShardedEngine::Options opt;
+    opt.shard_count = 2;
+    opt.wal_dir = dir;
+    ShardedEngine engine(&db, opt);
+    std::vector<ObjectId> ids;
+    std::set<size_t> owners;
+    for (int i = 0; i < 8; ++i) {
+      auto obj = engine.CreateObject("V");
+      ASSERT_TRUE(obj.ok());
+      ids.push_back((*obj)->id());
+      owners.insert(engine.ShardOf(ids.back()));
+    }
+    ASSERT_EQ(owners.size(), 2u) << "both shards must log every drain";
+
+    // batches[round][shard]: the motion records that round's drain logs.
+    std::vector<std::vector<std::vector<std::string>>> batches;
+    auto round = [&](int r) {
+      std::vector<std::vector<std::string>> batch(2);
+      const int64_t tick = db.Now() + 1;
+      for (ObjectId id : ids) {
+        const Point2 p{r + 0.1 * static_cast<double>(id), -r / 3.0};
+        const Vec2 v{0.5, r * 0.25};
+        engine.EnqueueMotion("V", id, p, v);
+        WalRecord rec;
+        rec.kind = WalRecord::Kind::kUpdate;
+        rec.table = "V";
+        rec.rid = id;
+        rec.row = {Value(kWalMotionTag), Value(tick), Value(p.x),
+                   Value(p.y),           Value(v.x),  Value(v.y)};
+        batch[engine.ShardOf(id)].push_back(EncodeWalRecord(rec));
+      }
+      batches.push_back(std::move(batch));
+      return engine.Advance(1);
+    };
+    ASSERT_TRUE(round(0).ok());
+    ASSERT_TRUE(reg.Arm(site, spec).ok());
+    const Status failed = round(1);
+    reg.Disarm(site);
+    EXPECT_FALSE(failed.ok());
+    EXPECT_NE(failed.message().find("failpoint " + site), std::string::npos)
+        << failed;
+    ASSERT_TRUE(round(2).ok());
+
+    size_t lost = 0;
+    for (size_t k = 0; k < 2; ++k) {
+      RecoveryReport report;
+      auto records = RecoverWal(ShardWal::PathFor(dir, k), &report);
+      ASSERT_TRUE(records.ok()) << records.status();
+      EXPECT_EQ(report.dropped, 0u) << "shard " << k;
+      std::vector<std::string> motions;
+      for (const WalRecord& r : *records) {
+        if (r.row[0].string_value() == kWalMotionTag) {
+          motions.push_back(EncodeWalRecord(r));
+        }
+      }
+      std::vector<std::string> without = batches[0][k];
+      without.insert(without.end(), batches[2][k].begin(),
+                     batches[2][k].end());
+      std::vector<std::string> all = batches[0][k];
+      for (int r : {1, 2}) {
+        all.insert(all.end(), batches[r][k].begin(), batches[r][k].end());
+      }
+      if (motions == without) {
+        ++lost;
+      } else {
+        EXPECT_EQ(motions, all) << "shard " << k;
+      }
+    }
+    EXPECT_EQ(lost, 1u) << "exactly the shard whose append failed loses it";
+
+    MostDatabase replayed;
+    ASSERT_TRUE(replayed.CreateClass("V", {}, /*spatial=*/true).ok());
+    auto report = ShardedEngine::ReplayShardWals(dir, 2, &replayed);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report->recovery.dropped, 0u);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <unistd.h>
 
-#include <cstdio>
 #include <algorithm>
+#include <bit>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -15,8 +17,10 @@
 
 #include "common/failpoint.h"
 #include "common/rng.h"
+#include "core/sharded_engine.h"
 #include "obs/governor.h"
 #include "storage/durable_database.h"
+#include "storage/shard_wal.h"
 #include "test_seed.h"
 
 namespace most {
@@ -307,6 +311,233 @@ TEST(WalFileTest, RecoverWalSkipsCorruptMiddleRecords) {
   EXPECT_TRUE(report.tail_truncated);
   EXPECT_FALSE(report.first_error.empty());
   RemoveFile(path);
+}
+
+// A shard log as the sharded engine writes it: motion frames mixed with v2
+// text records, with the record each one decodes to and where it starts.
+struct MixedLog {
+  std::string bytes;
+  std::vector<WalRecord> records;
+  std::vector<size_t> starts;
+};
+
+WalRecord ShardRow(const std::string& table, RowId rid, Row row) {
+  WalRecord record;
+  record.kind = WalRecord::Kind::kUpdate;
+  record.table = table;
+  record.rid = rid;
+  record.row = std::move(row);
+  return record;
+}
+
+MixedLog BuildMixedShardLog() {
+  MixedLog log;
+  auto text = [&](WalRecord record) {
+    log.starts.push_back(log.bytes.size());
+    log.bytes += EncodeWalRecord(record) + "\n";
+    log.records.push_back(std::move(record));
+  };
+  auto motion = [&](const std::string& table, int64_t tick, RowId rid,
+                    double x, double y, double vx, double vy) {
+    log.starts.push_back(log.bytes.size());
+    EXPECT_TRUE(
+        AppendWalMotionFrame(&log.bytes, table, tick, rid, x, y, vx, vy));
+    log.records.push_back(ShardRow(
+        table, rid,
+        {Value(kWalMotionTag), Value(tick), Value(x), Value(y), Value(vx),
+         Value(vy)}));
+  };
+  text(ShardRow("CARS", 1, {Value("C"), Value(int64_t{0})}));
+  motion("CARS", 1, 1, 0.1, -2.5, 1.0 / 3.0, -0.0);
+  // Id and tick 10 put newline bytes inside the frame.
+  motion("CARS", 10, 10, 1e300, 5e-324, -7.25, 10.0);
+  text(ShardRow("CARS", 10,
+                {Value("D"), Value(int64_t{2}), Value("FUEL"), Value(42.5),
+                 Value("0:0.25")}));
+  motion("TAXIS_OF_THE_NORTH", 2, 2, -1.5, 2.5, 0.0, 1.0);
+  text(ShardRow("CARS", 1,
+                {Value("S"), Value(int64_t{3}), Value("PLATE"),
+                 Value("AB|C,\n#")}));
+  motion("CARS", 3, 1, 4.0, 4.0, -1.0, -1.0);
+  text(ShardRow("CARS", 10, {Value("X"), Value(int64_t{4})}));
+  motion("CARS", 4, 1, 8.0, -8.0, 0.5, 0.5);
+  return log;
+}
+
+// Records compared by their text encoding (exact for doubles).
+std::vector<std::string> Texts(const std::vector<WalRecord>& records) {
+  std::vector<std::string> out;
+  for (const WalRecord& r : records) out.push_back(EncodeWalRecord(r));
+  return out;
+}
+
+// Replaces the file rather than truncating it: rewriting a file in place
+// can cost a flush per call on some filesystems.
+void WriteFile(const std::string& path, const std::string& bytes) {
+  RemoveFile(path);
+  std::ofstream(path, std::ios::binary) << bytes;
+}
+
+TEST(WalFileTest, MixedShardLogRoundTripsAndFramesAreCompact) {
+  const MixedLog log = BuildMixedShardLog();
+  const std::string path = TempPath("mixed_roundtrip.log");
+  WriteFile(path, log.bytes);
+  RecoveryReport report;
+  auto records = RecoverWal(path, &report);
+  ASSERT_TRUE(records.ok()) << records.status();
+  EXPECT_EQ(Texts(*records), Texts(log.records));
+  EXPECT_EQ(report.dropped, 0u);
+  auto strict = ReadWal(path);
+  ASSERT_TRUE(strict.ok()) << strict.status();
+  EXPECT_EQ(Texts(*strict), Texts(log.records));
+  // A motion update of a four-letter class is a 58-byte frame; its v2
+  // text line is longer.
+  EXPECT_EQ(log.starts[3] - log.starts[2], 58u);
+  EXPECT_GT(EncodeWalRecord(log.records[2]).size() + 1, 58u);
+  std::string too_long;
+  EXPECT_FALSE(AppendWalMotionFrame(&too_long, std::string(256, 'c'), 0, 0,
+                                    0, 0, 0, 0));
+  EXPECT_TRUE(too_long.empty());
+  RemoveFile(path);
+}
+
+// Property: in a mixed shard log, every single-byte mutation (any record,
+// any byte, several flip patterns) drops exactly the record it hits — the
+// salvage reader resynchronises on the next record, so no neighbour is
+// lost, and no mutation ever decodes as a different record.
+TEST(WalFileTest, MixedShardLogDetectsEverySingleByteMutation) {
+  const MixedLog log = BuildMixedShardLog();
+  const std::string dir = TempPath("mixed_mutation");
+  std::filesystem::create_directories(dir);
+  const std::string path = ShardWal::PathFor(dir, 0);
+  const std::vector<std::string> want = Texts(log.records);
+  for (size_t pos = 0; pos < log.bytes.size(); ++pos) {
+    const size_t hit = static_cast<size_t>(
+        std::upper_bound(log.starts.begin(), log.starts.end(), pos) -
+        log.starts.begin() - 1);
+    std::vector<std::string> survivors = want;
+    survivors.erase(survivors.begin() + static_cast<ptrdiff_t>(hit));
+    for (int delta : {1, 0x55, 0xFF}) {
+      std::string mutated = log.bytes;
+      mutated[pos] = static_cast<char>(mutated[pos] ^ delta);
+      WriteFile(path, mutated);
+      RecoveryReport report;
+      auto records = ReadShardWals(dir, 1, &report);
+      ASSERT_TRUE(records.ok()) << records.status();
+      EXPECT_EQ(Texts(*records), survivors)
+          << "byte " << pos << " (record " << hit << ") xor " << delta;
+      EXPECT_GE(report.dropped, 1u)
+          << "byte " << pos << " xor " << delta << " went undetected";
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Property: a crash at any byte of the last motion frame leaves a torn
+// tail — both readers keep every earlier record and report the tail.
+TEST(WalFileTest, TornMotionFrameAtEveryOffsetReadsAsTornTail) {
+  const MixedLog log = BuildMixedShardLog();
+  const std::string path = TempPath("torn_frame.log");
+  std::vector<std::string> want = Texts(log.records);
+  want.pop_back();  // The last record is a motion frame.
+  for (size_t cut = log.starts.back() + 1; cut < log.bytes.size(); ++cut) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    WriteFile(path, log.bytes.substr(0, cut));
+    RecoveryReport report;
+    auto records = RecoverWal(path, &report);
+    ASSERT_TRUE(records.ok()) << records.status();
+    EXPECT_EQ(Texts(*records), want);
+    EXPECT_TRUE(report.tail_truncated);
+    EXPECT_EQ(report.dropped, 1u);
+    EXPECT_TRUE(report.first_error.empty()) << report.first_error;
+    bool torn = false;
+    auto strict = ReadWal(path, &torn);
+    ASSERT_TRUE(strict.ok()) << strict.status();
+    EXPECT_TRUE(torn);
+    EXPECT_EQ(Texts(*strict), want);
+  }
+  RemoveFile(path);
+}
+
+// Compatibility: a shard log written before motion frames existed (every
+// motion an all-text v2 "M" row) still replays, and to the same bits as
+// the framed log of the same history and as the history applied directly.
+TEST(WalFileTest, AllTextShardLogReplaysBitIdentically) {
+  struct Motion {
+    Tick tick;
+    ObjectId id;
+    Point2 position;
+    Vec2 velocity;
+  };
+  const std::vector<Motion> history = {
+      {1, 0, {0.1, 1.0 / 3.0}, {-0.0, 1e-310}},
+      {1, 1, {1e300, -2.5}, {0.7, -0.3}},
+      {4, 0, {123456.789, -1e-7}, {2.0 / 3.0, 5e-324}},
+      {4, 2, {-0.0, 0.0}, {1.0, -1.0}},
+      {9, 1, {3.0e-5, 7.0e7}, {-1.0 / 7.0, 0.1}}};
+  auto make_db = [](MostDatabase* db) {
+    ASSERT_TRUE(db->CreateClass("V", {}, /*spatial=*/true).ok());
+  };
+  MostDatabase direct;
+  ASSERT_NO_FATAL_FAILURE(make_db(&direct));
+  std::string text_log;
+  std::string framed_log;
+  for (ObjectId id = 0; id < 3; ++id) {
+    ASSERT_TRUE(direct.RestoreObject("V", id).ok());
+    const std::string create =
+        EncodeWalRecord(ShardRow("V", id, {Value("C"), Value(int64_t{0})})) +
+        "\n";
+    text_log += create;
+    framed_log += create;
+  }
+  for (const Motion& m : history) {
+    direct.clock().AdvanceTo(m.tick);
+    ASSERT_TRUE(direct.SetMotion("V", m.id, m.position, m.velocity).ok());
+    text_log += EncodeWalRecord(ShardRow(
+                    "V", m.id,
+                    {Value(kWalMotionTag), Value(static_cast<int64_t>(m.tick)),
+                     Value(m.position.x), Value(m.position.y),
+                     Value(m.velocity.x), Value(m.velocity.y)})) +
+                "\n";
+    ASSERT_TRUE(AppendWalMotionFrame(&framed_log, "V", m.tick, m.id,
+                                     m.position.x, m.position.y, m.velocity.x,
+                                     m.velocity.y));
+  }
+  auto bits = [](double d) { return std::bit_cast<uint64_t>(d); };
+  for (const std::string* log : {&text_log, &framed_log}) {
+    SCOPED_TRACE(log == &text_log ? "all-text log" : "framed log");
+    const std::string dir = TempPath("compat_shard_log");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    WriteFile(ShardWal::PathFor(dir, 0), *log);
+    MostDatabase replayed;
+    ASSERT_NO_FATAL_FAILURE(make_db(&replayed));
+    auto report = ShardedEngine::ReplayShardWals(dir, 1, &replayed);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report->applied, 3 + history.size());
+    EXPECT_EQ(report->recovery.dropped, 0u);
+    EXPECT_EQ(replayed.Now(), direct.Now());
+    const ObjectClass* want = *direct.GetClass("V");
+    const ObjectClass* got = *replayed.GetClass("V");
+    ASSERT_EQ(got->size(), want->size());
+    for (const auto& [id, obj] : want->objects()) {
+      const MostObject* copy = *got->Get(id);
+      EXPECT_EQ(copy->last_update(), obj.last_update());
+      for (const auto& [attr, dyn] : obj.dynamics()) {
+        const DynamicAttribute* other = *copy->GetDynamic(attr);
+        EXPECT_EQ(bits(other->value()), bits(dyn.value())) << id << attr;
+        EXPECT_EQ(other->updatetime(), dyn.updatetime()) << id << attr;
+        ASSERT_EQ(other->function().pieces().size(),
+                  dyn.function().pieces().size());
+        for (size_t i = 0; i < dyn.function().pieces().size(); ++i) {
+          EXPECT_EQ(bits(other->function().pieces()[i].slope),
+                    bits(dyn.function().pieces()[i].slope))
+              << id << attr;
+        }
+      }
+    }
+    std::filesystem::remove_all(dir);
+  }
 }
 
 class DurableDatabaseTest : public ::testing::Test {
