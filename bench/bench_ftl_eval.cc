@@ -56,9 +56,12 @@ void BM_IntervalEvaluator(benchmark::State& state) {
   int query_idx = static_cast<int>(state.range(2));
   auto db = MakeWorld(vehicles);
   auto query = ParseQuery(kQueries[query_idx]);
-  FtlEvaluator eval(*db);
   size_t rows = 0;
+  // A fresh evaluator per iteration: one evaluator's private context
+  // would serve every later iteration's subformulas (the database does
+  // not change between them).
   for (auto _ : state) {
+    FtlEvaluator eval(*db);
     auto rel = eval.EvaluateQuery(*query, Interval(0, horizon));
     rows = rel->rows.size();
     benchmark::DoNotOptimize(rel);
@@ -105,9 +108,8 @@ void BM_IntervalEvaluatorWithIndex(benchmark::State& state) {
   auto query = ParseQuery(kQueries[0]);
   FtlEvaluator::Options opts;
   opts.motion_indexes = use_index ? &manager : nullptr;
-  FtlEvaluator eval(*db, opts);
   for (auto _ : state) {
-    eval.ResetStats();
+    FtlEvaluator eval(*db, opts);
     auto rel = eval.EvaluateQuery(*query, Interval(0, 256));
     benchmark::DoNotOptimize(rel);
     state.counters["pruned"] =
@@ -129,8 +131,8 @@ void BM_IntervalEvaluatorPairQuery(benchmark::State& state) {
   auto query = ParseQuery(
       "RETRIEVE o, n FROM CARS o, CARS n "
       "WHERE DIST(o, n) <= 50 UNTIL (INSIDE(o, P) AND INSIDE(n, P))");
-  FtlEvaluator eval(*db);
   for (auto _ : state) {
+    FtlEvaluator eval(*db);
     auto rel = eval.EvaluateQuery(*query, Interval(0, 256));
     benchmark::DoNotOptimize(rel);
   }
@@ -153,8 +155,8 @@ void BM_ParallelEval(benchmark::State& state) {
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
   FtlEvaluator::Options opts;
   opts.pool = pool.get();
-  FtlEvaluator eval(*db, opts);
   for (auto _ : state) {
+    FtlEvaluator eval(*db, opts);
     auto rel = eval.EvaluateQuery(*query, Interval(0, 256));
     benchmark::DoNotOptimize(rel);
   }

@@ -65,9 +65,10 @@ void BM_UntilRelationJoin(benchmark::State& state) {
   }
   auto query = ParseQuery(
       "RETRIEVE o FROM M o WHERE o.A >= 20 UNTIL o.A <= 10");
-  FtlEvaluator eval(db);
   for (auto _ : state) {
-    eval.ResetStats();
+    // Fresh per iteration, so no iteration borrows the previous one's
+    // relations from the evaluator's context.
+    FtlEvaluator eval(db);
     auto rel = eval.EvaluateQuery(*query, Interval(0, 512));
     benchmark::DoNotOptimize(rel);
     state.counters["join_pairs"] =

@@ -60,15 +60,23 @@ for shards in 1 2 4 8; do
   MOST_SHARDS="$shards" ./build-asan/tests/differential_test \
     --gtest_filter='DifferentialTest.ShardedEngine*'
 done
+# The shared-context corpus: batches of queries that repeat subformulas,
+# through one manager or one engine whose shards each own an evaluation
+# context, against fresh evaluation and the oracle
+# (docs/eval_internals.md §8).
+for shards in 1 2 4; do
+  MOST_SHARDS="$shards" ./build-asan/tests/differential_test \
+    --gtest_filter='DifferentialTest.SharedContext*'
+done
 ./build-asan/tests/sharded_engine_test
 ./build-asan/tests/mpsc_queue_test
 
 # Fuzz-smoke stage: replay the checked-in parser/evaluator corpus and a
 # bounded deterministic mutation loop per seed under the sanitizers. Every
-# input that parses is evaluated by the interval evaluator and by the
-# per-state reference evaluator (NaiveFtlEvaluator, the paper's
-# semantics); status codes must match, and relations must be
-# byte-identical. The harness aborts (and this stage fails) on any
+# input that parses is evaluated by the interval evaluator (twice through
+# one evaluation context, once fresh) and by the per-state reference
+# evaluator (NaiveFtlEvaluator, the paper's semantics); status codes must
+# match, and relations must be byte-identical. The harness aborts (and this stage fails) on any
 # divergence or sanitizer report, and fails if no input reached the row
 # comparison (tests/fuzz/ftl_fuzz.cc).
 echo "=== fuzz-smoke stage (corpus + 2000 mutations x 5 seeds, ASan+UBSan) ==="
@@ -93,6 +101,8 @@ for metric in \
   most_ftl_eval_latency_seconds_bucket \
   most_ftl_arena_bytes_total \
   most_ftl_arena_heap_fallbacks_total \
+  most_ftl_snapshot_builds_total \
+  most_ftl_shared_subformulas_total \
   most_qm_refreshes_total \
   most_qm_refresh_latency_seconds_bucket \
   most_wal_appends_total \
@@ -211,6 +221,10 @@ if [[ "${1:-}" == "tsan" ]]; then
   # path most needs under TSan; run them explicitly so a ctest filter
   # change can never drop them from this configuration.
   echo "=== query-manager concurrency suite (TSan) ==="
+  # QueryManagerTest.ConcurrentEvaluateSharesOneContext: instantaneous
+  # evaluations from four threads share the manager's evaluation context
+  # with registrations and TickAll (Evaluate takes no registry lock, so
+  # the context's own locks are what TSan checks).
   ./build-tsan/tests/query_manager_test
   ./build-tsan/tests/differential_test \
     --gtest_filter='DifferentialTest.DeltaRefresh*'
@@ -227,7 +241,7 @@ if [[ "${1:-}" == "tsan" ]]; then
   ./build-tsan/tests/mpsc_queue_test
   ./build-tsan/tests/sharded_engine_test
   MOST_SHARDS=4 ./build-tsan/tests/differential_test \
-    --gtest_filter='DifferentialTest.ShardedEngine*'
+    --gtest_filter='DifferentialTest.ShardedEngine*:DifferentialTest.SharedContext*'
   # One pinned seed of the fault simulation: Reshard and the engine's
   # parallel phases under storms and evaluator faults.
   echo "=== fault-sim pinned seed (TSan) ==="

@@ -31,7 +31,9 @@ using namespace most;
 namespace {
 
 // FTL: a continuous query refreshed twice — the second refresh dirties
-// one car out of six, so the delta path serves it.
+// one car out of six, so the delta path serves it — and an instantaneous
+// query sharing its INSIDE(o, P) through the manager's evaluation context
+// (most_ftl_shared_subformulas_total, most_ftl_snapshot_builds_total).
 void DriveFtl() {
   MostDatabase db;
   (void)db.CreateClass("CARS", {}, /*spatial=*/true);
@@ -57,6 +59,10 @@ void DriveFtl() {
     std::cout << "--- EXPLAIN (continuous query " << *cq << ") ---\n"
               << *profile << "\n";
   }
+  auto within = ParseQuery(
+      "RETRIEVE o FROM CARS o WHERE EVENTUALLY WITHIN 30 INSIDE(o, P)");
+  (void)qm.Evaluate(*within);
+  (void)qm.Evaluate(*q);  // INSIDE(o, P) comes from the context.
 }
 
 // Storage: logged mutations, a checkpoint (armed with a noop failpoint so

@@ -19,7 +19,7 @@ namespace most {
 /// The per-object solvers re-derive `MostObject::MotionSegments` (two
 /// string-keyed map lookups, two LinearPieces vectors, one merge vector —
 /// all heap-allocated) for every object inside every atomic predicate.
-/// The snapshot performs that derivation once per class per evaluation,
+/// The snapshot performs that derivation once per class per database version,
 /// for just the objects the evaluation can bind (its scope,
 /// docs/eval_internals.md §1), and lays the results out as contiguous
 /// arrays: object ids (ascending), update timestamps, and a
@@ -35,10 +35,11 @@ namespace most {
 /// solver sees bit-equal doubles and the snapshot kernels return exactly
 /// what the per-object solvers return.
 ///
-/// Lifetime: a snapshot borrows the evaluation's BumpArena for its arrays
-/// and holds pointers into the database; it must not outlive either (it is
-/// rebuilt each evaluation — see docs/eval_internals.md). Read-only after
-/// Build(), so pool workers may share it.
+/// Lifetime: a snapshot borrows a BumpArena for its arrays (the evaluation
+/// context's, which lives for one database version) and holds pointers
+/// into the database; it must not outlive either (docs/eval_internals.md
+/// §8). Read-only after Build(), so pool workers and concurrent
+/// evaluations may share it.
 class ClassSnapshot {
  public:
   ClassSnapshot() = default;  ///< Heap-backed (tests / no-arena callers).

@@ -107,6 +107,7 @@ Result<ObjectClass*> MostDatabase::CreateClass(
   }
   auto [it, inserted] = classes_.emplace(
       name, ObjectClass(name, std::move(attributes), spatial));
+  ++catalog_changes_;
   return &it->second;
 }
 
@@ -129,6 +130,7 @@ Result<const ObjectClass*> MostDatabase::GetClass(
 
 Status MostDatabase::DefineRegion(const std::string& name, Polygon polygon) {
   regions_.insert_or_assign(name, std::move(polygon));
+  ++catalog_changes_;
   return Status::OK();
 }
 

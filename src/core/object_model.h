@@ -236,6 +236,17 @@ class MostDatabase {
     return update_count_.load(std::memory_order_relaxed);
   }
 
+  /// The database version: changes with every mutation, explicit update
+  /// or catalog change alike (object creation, restoration and deletion,
+  /// static and dynamic attribute updates, SetMotion, DefineRegion —
+  /// redefinition included — and CreateClass). The clock is not part of
+  /// it. Evaluation results that depend only on the database state are
+  /// valid for exactly one version (docs/eval_internals.md). Catalog
+  /// changes are control-plane operations, never concurrent with the
+  /// drain, so their counter is a plain integer and the update path
+  /// gains no atomic.
+  uint64_t version() const { return update_count() + catalog_changes_; }
+
  private:
   void NotifyUpdate(const std::string& class_name, ObjectId id);
 
@@ -246,6 +257,7 @@ class MostDatabase {
   ListenerId next_listener_id_ = 1;
   ObjectId next_id_ = 0;
   std::atomic<uint64_t> update_count_{0};
+  uint64_t catalog_changes_ = 0;  ///< CreateClass and DefineRegion calls.
 };
 
 }  // namespace most

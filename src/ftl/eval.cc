@@ -223,13 +223,15 @@ Result<TemporalRelation> SolveAtomicRelation(
 }
 
 /// Expands a relation to a superset of variables: missing variables range
-/// over their full class extents (cross product).
-Result<TemporalRelation> ExpandToVars(const TemporalRelation& rel,
-                                      const std::vector<std::string>& target,
-                                      const ClassMap& classes,
-                                      const FilterMap& filters,
-                                      size_t max_count, size_t* counter) {
-  if (rel.vars == target) return rel;
+/// over their full class extents (cross product). A relation that already
+/// has the target columns is handed back as is, not copied.
+Result<RelationPtr> ExpandToVars(RelationPtr rel_ptr,
+                                 const std::vector<std::string>& target,
+                                 const ClassMap& classes,
+                                 const FilterMap& filters, size_t max_count,
+                                 size_t* counter) {
+  if (rel_ptr->vars == target) return rel_ptr;
+  const TemporalRelation& rel = *rel_ptr;
   std::vector<std::string> missing;
   for (const std::string& v : target) {
     if (std::find(rel.vars.begin(), rel.vars.end(), v) == rel.vars.end()) {
@@ -265,7 +267,7 @@ Result<TemporalRelation> ExpandToVars(const TemporalRelation& rel,
         return Status::OK();
       });
   MOST_RETURN_IF_ERROR(status);
-  return out;
+  return RelationPtr(std::make_shared<TemporalRelation>(std::move(out)));
 }
 
 std::vector<std::string> UnionVars(const std::vector<std::string>& a,
@@ -427,6 +429,62 @@ TemporalRelation JoinAnd(const TemporalRelation& r1,
   return out;
 }
 
+/// The relation behind `rel` as a value the caller may rewrite: moved out
+/// when nobody else holds it (a relation the context does not keep),
+/// copied when it is shared. Every evaluated relation is allocated
+/// non-const, so the move is well defined.
+TemporalRelation Own(RelationPtr rel) {
+  if (rel.use_count() == 1) {
+    return std::move(const_cast<TemporalRelation&>(*rel));
+  }
+  return *rel;
+}
+
+/// The rows of `rel` whose binding of every restricted variable lies in
+/// its restriction: what the restricted evaluation of the same subformula
+/// returns, because relations are pointwise in their bindings. A
+/// subformula's relation has one column per free variable, so every
+/// restricted variable is a column. Returns `rel` itself when every row
+/// survives.
+RelationPtr FilterRows(const RelationPtr& rel,
+                       const EvalContext::Restrictions& restrictions) {
+  std::vector<std::pair<size_t, const std::set<ObjectId>*>> cols;
+  for (const auto& [var, ids] : restrictions) {
+    cols.emplace_back(
+        std::find(rel->vars.begin(), rel->vars.end(), var) - rel->vars.begin(),
+        ids.get());
+  }
+  // Rows are sorted by binding, so column 0 ascends: its restriction is
+  // walked alongside instead of searched.
+  const std::set<ObjectId>* first = nullptr;
+  if (!cols.empty() && cols.front().first == 0) {
+    first = cols.front().second;
+    cols.erase(cols.begin());
+  }
+  auto walk =
+      first != nullptr ? first->begin() : std::set<ObjectId>::iterator();
+  auto keep = [&](const std::vector<ObjectId>& binding) {
+    if (first != nullptr) {
+      while (walk != first->end() && *walk < binding[0]) ++walk;
+      if (walk == first->end() || *walk != binding[0]) return false;
+    }
+    for (const auto& [col, ids] : cols) {
+      if (ids->count(binding[col]) == 0) return false;
+    }
+    return true;
+  };
+  auto it = rel->rows.begin();
+  while (it != rel->rows.end() && keep(it->first)) ++it;
+  if (it == rel->rows.end()) return rel;
+  auto out = std::make_shared<TemporalRelation>();
+  out->vars = rel->vars;
+  out->rows.insert(rel->rows.begin(), it);
+  for (++it; it != rel->rows.end(); ++it) {
+    if (keep(it->first)) out->rows.emplace_hint(out->rows.end(), *it);
+  }
+  return out;
+}
+
 const char* FormulaOpName(FtlFormula::Kind kind) {
   switch (kind) {
     case FtlFormula::Kind::kBoolLit:
@@ -509,6 +567,8 @@ struct FtlRegistrySeries {
   obs::Counter* index_pruned;
   obs::Counter* arena_bytes;
   obs::Counter* arena_heap_fallbacks;
+  obs::Counter* snapshot_builds;
+  obs::Counter* shared_subformulas;
   obs::Histogram* latency;
 
   static const FtlRegistrySeries& Get() {
@@ -536,6 +596,14 @@ struct FtlRegistrySeries {
       s.arena_heap_fallbacks = r.GetCounter(
           "most_ftl_arena_heap_fallbacks_total",
           "Arena requests too large for a block, served as dedicated blocks");
+      s.snapshot_builds = r.GetCounter(
+          "most_ftl_snapshot_builds_total",
+          "Class snapshots built (a snapshot borrowed from the evaluation "
+          "context is not counted)");
+      s.shared_subformulas = r.GetCounter(
+          "most_ftl_shared_subformulas_total",
+          "Subformula relations served by the per-version evaluation "
+          "context, whole or filtered");
       s.latency = r.GetHistogram(
           "most_ftl_eval_latency_seconds", "EvaluateQuery wall time",
           obs::ExponentialBuckets(1e-5, 4.0, 10));
@@ -589,23 +657,44 @@ std::string TemporalRelation::ToString() const {
   return os.str();
 }
 
+FtlEvaluator::FtlEvaluator(const MostDatabase& db, Options options)
+    : db_(db),
+      options_(std::move(options)),
+      own_context_(std::make_unique<EvalContext>()),
+      context_(own_context_.get()) {}
+
+FtlEvaluator::FtlEvaluator(const MostDatabase& db, Options options,
+                           EvalContext* context)
+    : db_(db), options_(std::move(options)), context_(context) {}
+
+FtlEvaluator::~FtlEvaluator() = default;
+
 const ClassSnapshot& FtlEvaluator::GetSnapshot(const ObjectClass* cls,
                                                Interval window) {
   auto it = snapshots_.find(cls);
-  if (it == snapshots_.end()) {
-    auto scope = scopes_.find(cls);
-    it = snapshots_.emplace(cls, ClassSnapshot(&arena_)).first;
-    it->second.Build(*cls, window,
-                     scope != scopes_.end() ? scope->second.get() : nullptr);
+  if (it != snapshots_.end()) return *it->second;
+  auto scope = scopes_.find(cls);
+  EvalContext::Snapshot snap = generation_->GetSnapshot(
+      *cls, window, scope != scopes_.end() ? scope->second : nullptr);
+  // Built or borrowed, the snapshot is charged as if this evaluation had
+  // drawn it from its own arena.
+  charged_bytes_ += snap.bytes;
+  if (snap.built) {
+    ++stats_.snapshot_builds;
+    stats_.arena_bytes += snap.bytes;
   }
-  return it->second;
+  snapshots_.emplace(cls, snap.snapshot);
+  return *snap.snapshot;
 }
 
-void FtlEvaluator::ResetEvalScratch() {
-  // Snapshot containers must die before the arena backing them resets.
+void FtlEvaluator::BeginEvaluation() {
   snapshots_.clear();
-  arena_.Reset();
   scopes_.clear();
+  arena_.Reset();
+  charged_bytes_ = 0;
+  rows_seen_ = 0;
+  gate_.Arm(options_.budget);
+  generation_ = context_->Acquire(db_);
 }
 
 void FtlEvaluator::SetScopes(const Domains& domains) {
@@ -626,13 +715,13 @@ void FtlEvaluator::SetScopes(const Domains& domains) {
 }
 
 Status FtlEvaluator::BudgetCheckpoint(size_t rows_hint) {
+  rows_seen_ = std::max(rows_seen_, rows_hint);
   if (!gate_.active()) return Status::OK();
   // Only reachable with a budget armed: lets tests inject a sleep here to
   // trip tiny deadlines deterministically, with zero effect on unbudgeted
   // evaluation.
   MOST_FAILPOINT("ftl/eval/checkpoint");
-  DegradeReason reason =
-      gate_.Check(arena_.stats().bytes_allocated, rows_hint);
+  DegradeReason reason = gate_.Check(ChargedBytes(), rows_hint);
   if (reason == DegradeReason::kNone) return Status::OK();
   return Status::ResourceExhausted("evaluation budget exhausted: " +
                                    std::string(DegradeReasonToString(reason)));
@@ -769,14 +858,15 @@ Result<TemporalRelation> FtlEvaluator::EvaluateQueryUnprojected(
     s.arena_bytes->Inc(stats_.arena_bytes - before.arena_bytes);
     s.arena_heap_fallbacks->Inc(stats_.arena_heap_fallbacks -
                                 before.arena_heap_fallbacks);
+    s.snapshot_builds->Inc(stats_.snapshot_builds - before.snapshot_builds);
+    s.shared_subformulas->Inc(stats_.shared_hits - before.shared_hits);
   }
   return result;
 }
 
 Result<TemporalRelation> FtlEvaluator::EvaluateQueryUnprojectedImpl(
     const FtlQuery& query, Interval window) {
-  ResetEvalScratch();
-  gate_.Arm(options_.budget);
+  BeginEvaluation();
   Domains domains;
   MOST_ASSIGN_OR_RETURN(domains.classes, ValidateQuery(db_, query, window));
   for (const auto& [var, ids] : options_.domain_restrictions) {
@@ -784,24 +874,25 @@ Result<TemporalRelation> FtlEvaluator::EvaluateQueryUnprojectedImpl(
   }
   SetScopes(domains);
 
-  MOST_ASSIGN_OR_RETURN(TemporalRelation rel,
-                        Eval(query.where, domains, window));
+  // The root relation goes to the caller, which owns and rewrites it (the
+  // delta splice), so it is not kept in the context.
+  MOST_ASSIGN_OR_RETURN(RelationPtr rel,
+                        Eval(query.where, domains, window, /*keep=*/false));
   // Variables mentioned in RETRIEVE but not constrained by the formula
   // range over their whole class.
-  std::set<std::string> target_set(rel.vars.begin(), rel.vars.end());
+  std::set<std::string> target_set(rel->vars.begin(), rel->vars.end());
   target_set.insert(query.retrieve.begin(), query.retrieve.end());
   MOST_ASSIGN_OR_RETURN(
-      rel, ExpandToVars(rel, SortedVars(target_set), domains.classes,
-                        domains.filters, options_.max_instantiations,
-                        &stats_.instantiations));
-  return rel;
+      rel, ExpandToVars(std::move(rel), SortedVars(target_set),
+                        domains.classes, domains.filters,
+                        options_.max_instantiations, &stats_.instantiations));
+  return Own(std::move(rel));
 }
 
 Result<TemporalRelation> FtlEvaluator::EvalFormula(
     const FormulaPtr& formula,
     const std::map<std::string, std::string>& var_classes, Interval window) {
-  ResetEvalScratch();
-  gate_.Arm(options_.budget);
+  BeginEvaluation();
   Domains domains;
   for (const auto& [var, cls] : var_classes) {
     MOST_ASSIGN_OR_RETURN(const ObjectClass* oc, db_.GetClass(cls));
@@ -811,34 +902,88 @@ Result<TemporalRelation> FtlEvaluator::EvalFormula(
     if (ids != nullptr) domains.filters[var] = ids;
   }
   SetScopes(domains);
-  Result<TemporalRelation> result = Eval(formula, domains, window);
+  Result<RelationPtr> result = Eval(formula, domains, window, /*keep=*/false);
   AccumulateArenaStats();
-  return result;
+  MOST_RETURN_IF_ERROR(result.status());
+  return Own(std::move(result).value());
 }
 
-Result<TemporalRelation> FtlEvaluator::Eval(const FormulaPtr& f,
-                                            const Domains& domains,
-                                            Interval window) {
+Result<RelationPtr> FtlEvaluator::Eval(const FormulaPtr& f,
+                                       const Domains& domains, Interval window,
+                                       bool keep) {
   obs::ProfileNode* parent = profile_current_;
-  if (parent == nullptr) return EvalNode(f, domains, window);
   // One profile node per subformula. The child vector only ever grows at
   // the current level while deeper frames run, and children are heap
   // allocations, so `node` stays valid across the recursive call.
-  obs::ProfileNode* node = parent->AddChild(FormulaLabel(*f));
-  const FtlEvalStats before = stats_;
-  const uint64_t t0 = obs::MonotonicNowNs();
-  profile_current_ = node;
-  Result<TemporalRelation> result = EvalNode(f, domains, window);
-  profile_current_ = parent;
-  node->duration_ns = obs::MonotonicNowNs() - t0;
-  if (result.ok()) {
-    node->tuples = result->rows.size();
-    for (const auto& [binding, when] : result->rows) {
+  obs::ProfileNode* node =
+      parent != nullptr ? parent->AddChild(FormulaLabel(*f)) : nullptr;
+  const uint64_t t0 = node != nullptr ? obs::MonotonicNowNs() : 0;
+  auto finish = [&](const TemporalRelation& rel) {
+    node->duration_ns = obs::MonotonicNowNs() - t0;
+    node->tuples = rel.rows.size();
+    for (const auto& [binding, when] : rel.rows) {
       node->intervals += when.intervals().size();
     }
+  };
+
+  // The request: the subformula over its free variables' classes and
+  // restrictions. Restrictions on other variables cannot change its rows.
+  std::set<std::string> free_vars;
+  f->CollectObjectVars(&free_vars);
+  EvalContext::Restrictions restrictions;
+  for (const std::string& v : free_vars) {
+    auto it = domains.filters.find(v);
+    if (it != domains.filters.end() && it->second != nullptr) {
+      restrictions.emplace_back(v, it->second);
+    }
   }
-  NoteStatsDelta(before, stats_, node);
-  return result;
+  const std::string key =
+      EvalContext::SubformulaKey(*f, domains.classes, free_vars, window);
+  if (std::optional<EvalContext::Hit> hit =
+          generation_->FindRelation(key, restrictions)) {
+    RelationPtr rel = hit->filtered
+                          ? FilterRows(hit->shared.relation, restrictions)
+                          : hit->shared.relation;
+    // Charged as if built: its bytes, and its largest relation to the row
+    // limit. The subtree is not profiled again.
+    ++stats_.shared_hits;
+    charged_bytes_ += hit->shared.charge_bytes;
+    MOST_RETURN_IF_ERROR(BudgetCheckpoint(hit->shared.charge_rows));
+    if (node != nullptr) {
+      finish(*rel);
+      node->Note("shared", 1);
+      if (hit->filtered) node->Note("filtered", 1);
+    }
+    return rel;
+  }
+
+  const FtlEvalStats before = stats_;
+  const size_t bytes_before = ChargedBytes();
+  const size_t rows_outer = rows_seen_;
+  rows_seen_ = 0;
+  if (node != nullptr) profile_current_ = node;
+  Result<TemporalRelation> result = EvalNode(f, domains, window);
+  profile_current_ = parent;
+  const size_t rows_inner = rows_seen_;
+  rows_seen_ = std::max(rows_outer, rows_inner);
+  if (node != nullptr) {
+    if (result.ok()) {
+      finish(*result);
+    } else {
+      node->duration_ns = obs::MonotonicNowNs() - t0;
+    }
+    NoteStatsDelta(before, stats_, node);
+  }
+  MOST_RETURN_IF_ERROR(result.status());
+  // Allocated non-const so Own() may move it out later.
+  RelationPtr rel =
+      std::make_shared<TemporalRelation>(std::move(result).value());
+  if (keep) {
+    generation_->StoreRelation(
+        key, std::move(restrictions),
+        {rel, ChargedBytes() - bytes_before, rows_inner});
+  }
+  return rel;
 }
 
 Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
@@ -934,12 +1079,12 @@ Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
       FormulaPtr first = f->children()[0];
       FormulaPtr second = f->children()[1];
       if (rhs_vars.size() < lhs_vars.size()) std::swap(first, second);
-      MOST_ASSIGN_OR_RETURN(TemporalRelation r1, Eval(first, domains, window));
+      MOST_ASSIGN_OR_RETURN(RelationPtr r1, Eval(first, domains, window));
       Domains restricted = domains;
-      for (size_t col = 0; col < r1.vars.size(); ++col) {
+      for (size_t col = 0; col < r1->vars.size(); ++col) {
         auto ids = std::make_shared<std::set<ObjectId>>();
-        for (const auto& [binding, when] : r1.rows) ids->insert(binding[col]);
-        auto existing = restricted.filters.find(r1.vars[col]);
+        for (const auto& [binding, when] : r1->rows) ids->insert(binding[col]);
+        auto existing = restricted.filters.find(r1->vars[col]);
         if (existing != restricted.filters.end() &&
             existing->second != nullptr) {
           // Intersect with an enclosing restriction.
@@ -949,31 +1094,30 @@ Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
           }
           ids = narrowed;
         }
-        restricted.filters[r1.vars[col]] = std::move(ids);
+        restricted.filters[r1->vars[col]] = std::move(ids);
       }
-      MOST_ASSIGN_OR_RETURN(TemporalRelation r2,
-                            Eval(second, restricted, window));
-      TemporalRelation joined = JoinAnd(r1, r2, &stats_, &arena_);
+      MOST_ASSIGN_OR_RETURN(RelationPtr r2, Eval(second, restricted, window));
+      TemporalRelation joined = JoinAnd(*r1, *r2, &stats_, &arena_);
       MOST_RETURN_IF_ERROR(BudgetCheckpoint(joined.rows.size()));
       return joined;
     }
 
     case FtlFormula::Kind::kOr: {
-      MOST_ASSIGN_OR_RETURN(TemporalRelation r1,
+      MOST_ASSIGN_OR_RETURN(RelationPtr r1,
                             Eval(f->children()[0], domains, window));
-      MOST_ASSIGN_OR_RETURN(TemporalRelation r2,
+      MOST_ASSIGN_OR_RETURN(RelationPtr r2,
                             Eval(f->children()[1], domains, window));
-      std::vector<std::string> target = UnionVars(r1.vars, r2.vars);
+      std::vector<std::string> target = UnionVars(r1->vars, r2->vars);
       MOST_ASSIGN_OR_RETURN(
-          TemporalRelation e1,
-          ExpandToVars(r1, target, domains.classes, domains.filters,
-                       options_.max_instantiations, &stats_.instantiations));
+          r1, ExpandToVars(std::move(r1), target, domains.classes,
+                           domains.filters, options_.max_instantiations,
+                           &stats_.instantiations));
       MOST_ASSIGN_OR_RETURN(
-          TemporalRelation e2,
-          ExpandToVars(r2, target, domains.classes, domains.filters,
-                       options_.max_instantiations, &stats_.instantiations));
-      TemporalRelation out = std::move(e1);
-      for (const auto& [binding, when] : e2.rows) {
+          r2, ExpandToVars(std::move(r2), target, domains.classes,
+                           domains.filters, options_.max_instantiations,
+                           &stats_.instantiations));
+      TemporalRelation out = Own(std::move(r1));
+      for (const auto& [binding, when] : r2->rows) {
         auto [pos, inserted] = out.rows.emplace(binding, when);
         if (!inserted) pos->second = pos->second.Union(when);
       }
@@ -983,17 +1127,17 @@ Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
     case FtlFormula::Kind::kNot: {
       // Outside the paper's conjunctive subset: evaluated by complementing
       // over the full variable domain.
-      MOST_ASSIGN_OR_RETURN(TemporalRelation r,
+      MOST_ASSIGN_OR_RETURN(RelationPtr r,
                             Eval(f->children()[0], domains, window));
       TemporalRelation out;
-      out.vars = r.vars;
+      out.vars = r->vars;
       auto hint = out.rows.end();
       Status status = EnumerateInstantiations(
-          r.vars, domains.classes, domains.filters,
+          r->vars, domains.classes, domains.filters,
           options_.max_instantiations, &stats_.instantiations,
           [&](const std::vector<ObjectId>& binding, const Instantiation&) {
-            auto it = r.rows.find(binding);
-            IntervalSet when = (it == r.rows.end())
+            auto it = r->rows.find(binding);
+            IntervalSet when = (it == r->rows.end())
                                    ? IntervalSet(window)
                                    : it->second.Complement(window);
             // Enumeration yields ascending bindings; end hint = O(1).
@@ -1010,35 +1154,35 @@ Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
     case FtlFormula::Kind::kUntilWithin: {
       Tick bound = f->kind() == FtlFormula::Kind::kUntilWithin ? f->bound()
                                                                : kTickMax;
-      MOST_ASSIGN_OR_RETURN(TemporalRelation r1,
+      MOST_ASSIGN_OR_RETURN(RelationPtr r1,
                             Eval(f->children()[0], domains, window));
-      MOST_ASSIGN_OR_RETURN(TemporalRelation r2,
+      MOST_ASSIGN_OR_RETURN(RelationPtr r2,
                             Eval(f->children()[1], domains, window));
       // Every satisfaction needs a g2 witness, so the result's rows come
       // from r2 (expanded to the union variables); the matching g1 tick
       // set (empty if r1 has no such row) feeds the chain merge.
-      std::vector<std::string> target = UnionVars(r1.vars, r2.vars);
+      std::vector<std::string> target = UnionVars(r1->vars, r2->vars);
       MOST_ASSIGN_OR_RETURN(
-          TemporalRelation e2,
-          ExpandToVars(r2, target, domains.classes, domains.filters,
+          RelationPtr e2,
+          ExpandToVars(std::move(r2), target, domains.classes, domains.filters,
                        options_.max_instantiations, &stats_.instantiations));
       std::vector<size_t> r1_positions;
-      for (const std::string& v : r1.vars) {
+      for (const std::string& v : r1->vars) {
         r1_positions.push_back(
             std::find(target.begin(), target.end(), v) - target.begin());
       }
       TemporalRelation out;
       out.vars = target;
       auto hint = out.rows.end();
-      for (const auto& [binding, g2_when] : e2.rows) {
+      for (const auto& [binding, g2_when] : e2->rows) {
         std::vector<ObjectId> key(r1_positions.size());
         for (size_t i = 0; i < r1_positions.size(); ++i) {
           key[i] = binding[r1_positions[i]];
         }
-        auto it = r1.rows.find(key);
+        auto it = r1->rows.find(key);
         ++stats_.join_pairs;
         IntervalSet g1_when =
-            (it == r1.rows.end()) ? IntervalSet() : it->second;
+            (it == r1->rows.end()) ? IntervalSet() : it->second;
         IntervalSet when = g2_when.UntilWith(g1_when, bound).Clamp(window);
         // Source rows arrive in ascending binding order, so the end hint
         // makes each insert O(1).
@@ -1055,10 +1199,12 @@ Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
     case FtlFormula::Kind::kEventuallyAfter:
     case FtlFormula::Kind::kAlways:
     case FtlFormula::Kind::kAlwaysFor: {
-      MOST_ASSIGN_OR_RETURN(TemporalRelation r,
+      MOST_ASSIGN_OR_RETURN(RelationPtr child,
                             Eval(f->children()[0], domains, window));
+      TemporalRelation r = Own(std::move(child));
       Tick window_len = window.end - window.begin;
-      // Keys survive the transform unchanged, so the child's relation is
+      // Keys survive the transform unchanged, so the child's relation (or
+      // this evaluation's copy of it, when the context keeps it) is
       // rewritten in place — no node churn, no key copies — and rows whose
       // set becomes empty are erased. The in-place fused transforms produce
       // the same canonical sets as the const chains they replace.
@@ -1329,6 +1475,13 @@ Result<TemporalRelation> FtlEvaluator::EvalInsideSoA(
       (is_inside && !self_anchored && options_.motion_indexes != nullptr)
           ? options_.motion_indexes->Get(cls->name())
           : nullptr;
+  // Segment boxes only cover the index epoch: a window reaching outside it
+  // could bind an object the index cannot vouch for, so scan instead (as
+  // MotionIndexManager::CandidatesNearObject does for DIST).
+  if (index != nullptr && (window.begin < index->epoch_start() ||
+                           window.end >= index->epoch_end())) {
+    index = nullptr;
+  }
   if (index != nullptr) {
     BoundingBox query_box{region.bounding_box().min,
                           region.bounding_box().max};
@@ -1538,7 +1691,7 @@ Result<TemporalRelation> FtlEvaluator::EvalAssign(const FtlFormula& f,
   TemporalRelation result;
   bool result_initialized = false;
   // Body evaluations are cached per distinct assigned value.
-  std::map<Value, TemporalRelation> body_cache;
+  std::map<Value, RelationPtr> body_cache;
 
   Status status = EnumerateInstantiations(
       q_vars, domains.classes, domains.filters,
@@ -1578,7 +1731,7 @@ Result<TemporalRelation> FtlEvaluator::EvalAssign(const FtlFormula& f,
           if (cache_it == body_cache.end()) {
             ++stats_.assign_subevals;
             FormulaPtr substituted = SubstituteValueVar(body, f.var(), v);
-            MOST_ASSIGN_OR_RETURN(TemporalRelation body_rel,
+            MOST_ASSIGN_OR_RETURN(RelationPtr body_rel,
                                   Eval(substituted, domains, window));
             cache_it = body_cache.emplace(v, std::move(body_rel)).first;
           }
@@ -1586,7 +1739,8 @@ Result<TemporalRelation> FtlEvaluator::EvalAssign(const FtlFormula& f,
           // ticks where the term has this value.
           q_row.rows.clear();
           q_row.rows.emplace(binding, valid_when);
-          TemporalRelation joined = JoinAnd(cache_it->second, q_row, &stats_, &arena_);
+          TemporalRelation joined =
+              JoinAnd(*cache_it->second, q_row, &stats_, &arena_);
           if (!result_initialized) {
             result.vars = joined.vars;
             result_initialized = true;

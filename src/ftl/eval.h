@@ -15,6 +15,7 @@
 #include "core/motion_index_manager.h"
 #include "core/object_model.h"
 #include "ftl/ast.h"
+#include "ftl/eval_context.h"
 #include "obs/profile.h"
 
 namespace most {
@@ -46,6 +47,10 @@ struct FtlEvalStats {
   size_t index_pruned = 0;        ///< Objects skipped thanks to an index.
   size_t arena_bytes = 0;         ///< Bump-arena bytes drawn by evaluations.
   size_t arena_heap_fallbacks = 0;  ///< Oversize arena requests sent to heap.
+  size_t snapshot_builds = 0;     ///< ClassSnapshots built (not borrowed).
+  /// Subformula relations served by the evaluation context, whole or
+  /// filtered from the unrestricted relation.
+  size_t shared_hits = 0;
 };
 
 /// Checks a query before evaluation: a valid window, a WHERE formula,
@@ -67,6 +72,13 @@ Result<std::map<std::string, const ObjectClass*>> ValidateQuery(
 /// of the infinite future history (the paper: "a continuous query expires
 /// after a predefined (but very large) amount of time"). Temporal
 /// operators treat window.end as the end of history.
+///
+/// Every evaluation goes through an EvalContext: class snapshots and the
+/// relations of completed subformulas are taken from it when an earlier
+/// evaluation of the same database version built them, and left in it for
+/// later ones (docs/eval_internals.md). An evaluator built without one
+/// uses a private context; the query manager passes the one it owns, so
+/// all of its evaluations share.
 class FtlEvaluator {
  public:
   struct Options {
@@ -114,8 +126,11 @@ class FtlEvaluator {
   };
 
   explicit FtlEvaluator(const MostDatabase& db) : FtlEvaluator(db, Options()) {}
-  FtlEvaluator(const MostDatabase& db, Options options)
-      : db_(db), options_(options) {}
+  FtlEvaluator(const MostDatabase& db, Options options);
+  /// Shares `context` (not owned; must outlive the evaluator) with every
+  /// other evaluator on it.
+  FtlEvaluator(const MostDatabase& db, Options options, EvalContext* context);
+  ~FtlEvaluator();
 
   /// Evaluates a full query over the window, returning the Answer relation
   /// projected onto the RETRIEVE variables.
@@ -137,7 +152,6 @@ class FtlEvaluator {
       const std::map<std::string, std::string>& var_classes, Interval window);
 
   const FtlEvalStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = FtlEvalStats(); }
 
   /// Which budget limit aborted the last evaluation (kNone if it ran to
   /// completion). Valid after EvaluateQuery*/EvalFormula returns.
@@ -148,10 +162,15 @@ class FtlEvaluator {
 
   Result<TemporalRelation> EvaluateQueryUnprojectedImpl(const FtlQuery& query,
                                                         Interval window);
-  /// Profiling wrapper: records one ProfileNode per subformula (when
-  /// Options::profile is set), then dispatches to EvalNode.
-  Result<TemporalRelation> Eval(const FormulaPtr& f, const Domains& domains,
-                                Interval window);
+  /// Starts a top-level evaluation: fresh scratch, the armed budget and
+  /// the context generation of the database as it is now.
+  void BeginEvaluation();
+  /// Evaluates a subformula, or takes its relation from the context: one
+  /// ProfileNode per subformula (when Options::profile is set), then a
+  /// context lookup, else EvalNode. A relation that is not the root
+  /// (`keep`) is left in the context for later requests.
+  Result<RelationPtr> Eval(const FormulaPtr& f, const Domains& domains,
+                           Interval window, bool keep = true);
   Result<TemporalRelation> EvalNode(const FormulaPtr& f,
                                     const Domains& domains, Interval window);
   Result<TemporalRelation> EvalCompare(const FtlFormula& f,
@@ -177,13 +196,13 @@ class FtlEvaluator {
                                        FtlFormula::CmpOp op,
                                        const std::vector<std::string>& vars);
 
-  /// The per-class SoA snapshot for this evaluation, built on first use
-  /// over the class's scope. Snapshots and every other per-evaluation
-  /// scratch structure live in arena_; ResetEvalScratch() drops them
-  /// wholesale at the start of each top-level evaluation (nothing
-  /// arena-allocated escapes an evaluation — docs/eval_internals.md).
+  /// The per-class SoA snapshot for this evaluation over the class's
+  /// scope, taken from the context generation (built there on first use)
+  /// and charged to this evaluation's budget either way. Every other
+  /// per-evaluation scratch structure lives in arena_, which
+  /// BeginEvaluation() drops wholesale (nothing arena-allocated escapes an
+  /// evaluation — docs/eval_internals.md).
   const ClassSnapshot& GetSnapshot(const ObjectClass* cls, Interval window);
-  void ResetEvalScratch();
   /// Sets each class's snapshot scope from the evaluation's top-level
   /// `domains`: the union of the restrictions on the variables over the
   /// class, or the whole class when one of them is unrestricted. Every
@@ -197,16 +216,32 @@ class FtlEvaluator {
   /// when the checkpoint guards time/memory only). A single branch when
   /// no budget is armed.
   Status BudgetCheckpoint(size_t rows_hint);
+  /// Bytes this evaluation is charged for: its own arena draws plus every
+  /// snapshot and shared relation it borrowed or built in the context.
+  size_t ChargedBytes() const {
+    return arena_.stats().bytes_allocated + charged_bytes_;
+  }
   /// Folds the arena's per-cycle stats into stats_ (called once per
   /// top-level evaluation, after the result is produced).
   void AccumulateArenaStats();
 
   const MostDatabase& db_;
   Options options_;
+  std::unique_ptr<EvalContext> own_context_;  ///< Null when shared.
+  EvalContext* context_;
+  /// The generation this evaluation reads (held until the next one
+  /// starts, so a concurrent key change cannot free it).
+  std::shared_ptr<EvalContext::Generation> generation_;
   FtlEvalStats stats_;
   BudgetGate gate_;
   BumpArena arena_;
-  std::map<const ObjectClass*, ClassSnapshot> snapshots_;
+  /// Snapshots this evaluation took from the generation (each charged
+  /// once).
+  std::map<const ObjectClass*, const ClassSnapshot*> snapshots_;
+  size_t charged_bytes_ = 0;
+  /// Largest rows_hint any budget checkpoint saw in the subformula being
+  /// evaluated (the rows a shared relation charges its borrowers).
+  size_t rows_seen_ = 0;
   /// Per-class snapshot scope (null = the whole class).
   std::map<const ObjectClass*, std::shared_ptr<const std::set<ObjectId>>>
       scopes_;

@@ -235,7 +235,7 @@ Result<TemporalRelation> QueryManager::Evaluate(const FtlQuery& query) {
   FtlEvaluator::Options opts =
       EvalOptions(ResourceGovernor::Global().limits().refresh_budget);
   ApplyPartition(&opts, query);
-  FtlEvaluator eval(*db_, opts);
+  FtlEvaluator eval(*db_, opts, &context_);
   return eval.EvaluateQuery(
       query, Interval(now, TickSaturatingAdd(now, options_.horizon)));
 }
@@ -384,7 +384,7 @@ Status QueryManager::RefreshFull(Continuous* cq, const char* reason,
   ApplyPartition(&opts, cq->query);
   opts.profile = &profile->root;
   const uint64_t t0 = obs::MonotonicNowNs();
-  FtlEvaluator eval(*db_, opts);
+  FtlEvaluator eval(*db_, opts, &context_);
   Result<TemporalRelation> evaluated = eval.EvaluateQueryUnprojected(
       cq->query, Interval(cq->window_begin, cq->expires_at));
   const uint64_t dur_ns = obs::MonotonicNowNs() - t0;
@@ -517,7 +517,7 @@ Status QueryManager::RefreshDelta(Continuous* cq, const Budget& budget) {
     opts.profile = profile->root.AddChild(
         "RestrictedPass " + vars[i] + " (" +
         std::to_string(col_dirty[i]->size()) + " dirty)");
-    FtlEvaluator eval(*db_, opts);
+    FtlEvaluator eval(*db_, opts, &context_);
     Result<TemporalRelation> part =
         eval.EvaluateQueryUnprojected(cq->query, window);
     if (!part.ok()) {
@@ -1042,6 +1042,8 @@ Result<std::vector<AnswerTuple>> QueryManager::PersistentAnswer(QueryId id) {
   const Persistent& pq = it->second;
   MOST_ASSIGN_OR_RETURN(std::unique_ptr<MostDatabase> shadow,
                         BuildHistoryDatabase(pq));
+  // The shadow is a different database: its evaluator has a private
+  // context, never this manager's.
   FtlEvaluator eval(*shadow);
   MOST_ASSIGN_OR_RETURN(
       TemporalRelation rel,

@@ -80,6 +80,13 @@ void SpliceAnswerDelta(
 /// the updated objects, byte-identical to a full re-evaluation
 /// (docs/incremental_eval.md).
 ///
+/// Every evaluation the manager runs (instantaneous queries,
+/// registrations, full and delta refreshes) goes through the one
+/// EvalContext it owns, so within one database version a class snapshot
+/// or a subformula relation is built once and shared by every query that
+/// needs it (docs/eval_internals.md). Persistent queries evaluate over a
+/// shadow history database with a private context.
+///
 /// Refreshes are governed by ResourceGovernor::Global().limits() and by
 /// nothing else (docs/robustness.md): every entry point that can refresh
 /// (TickAll, the answer reads, Poll, registration) reads the limits once
@@ -472,6 +479,9 @@ class QueryManager {
   std::map<QueryId, Persistent> persistent_;
   /// Manager-wide refresh totals, under mu_ like every refresh.
   RefreshCounters totals_;
+  /// Shared by every evaluation of this manager's database; synchronized
+  /// on its own, since Evaluate does not take mu_.
+  EvalContext context_;
 };
 
 }  // namespace most

@@ -793,5 +793,278 @@ TEST(DifferentialTest, ShardedEngineMatchesUnshardedOracle) {
   }
 }
 
+
+// Corpus 5: the per-version evaluation context. Each batch of random
+// queries is drawn from a small pool of subformulas, so queries repeat
+// subformulas across and within themselves, and runs through one manager:
+// registration (full evaluations), instantaneous Evaluate, and TickAll's
+// delta and full refreshes all share the manager's context. Every answer
+// must be byte-identical to a fresh private-context FtlEvaluator and to
+// the naive oracle. Between checks the database changes by updates,
+// creations and deletions, by a clock advance alone, and by a region
+// redefinition alone: each must start a new context. The same schedule
+// runs against the sharded engine (one context per shard) at every shard
+// count (MOST_SHARDS pins one).
+
+/// A random subformula over `pool` members, reusing them on purpose: a
+/// member under an AND's second operand is requested restricted by the
+/// first operand's bindings, which the context serves by filtering the
+/// member's unrestricted relation when another query stored it.
+FormulaPtr SharingFormula(Rng* rng, const std::vector<FormulaPtr>& pool) {
+  auto pick = [&] {
+    return pool[rng->UniformInt(0, static_cast<int64_t>(pool.size()) - 1)];
+  };
+  FormulaPtr a = pick();
+  FormulaPtr b = pick();
+  switch (rng->UniformInt(0, 6)) {
+    case 0:
+      return FtlFormula::And(a, FtlFormula::EventuallyWithin(
+                                    rng->UniformInt(0, 12), b));
+    case 1:
+      return FtlFormula::Or(a, FtlFormula::Not(b));
+    case 2:
+      return FtlFormula::Until(a, b);
+    case 3:
+      return FtlFormula::AlwaysFor(rng->UniformInt(0, 8),
+                                   FtlFormula::And(a, b));
+    case 4:
+      return FtlFormula::And(b, FtlFormula::And(a, b));
+    case 5:
+      return FtlFormula::And(a, b);
+    default:
+      return FtlFormula::EventuallyWithin(rng->UniformInt(0, 12), a);
+  }
+}
+
+/// One manager under test: an unsharded QueryManager, or a sharded engine
+/// whose shards each own a context. Updates go through the engine's queues
+/// when there is one.
+struct ContextHarness {
+  ContextHarness(uint64_t world_seed, size_t shards, Tick horizon) {
+    Rng wrng(world_seed);
+    BuildGridWorld(&wrng, &db, 4);
+    QueryManager::Options opt;
+    opt.horizon = horizon;
+    if (shards == 0) {
+      qm = std::make_unique<QueryManager>(&db, opt);
+    } else {
+      ShardedEngine::Options eng;
+      eng.shard_count = shards;
+      eng.query_options = opt;
+      engine = std::make_unique<ShardedEngine>(&db, eng);
+    }
+  }
+
+  Result<uint64_t> Register(const FtlQuery& q) {
+    return qm ? qm->RegisterContinuous(q) : engine->RegisterContinuous(q);
+  }
+  Status Cancel(uint64_t id) {
+    return qm ? qm->Cancel(id) : engine->Cancel(id);
+  }
+  Result<std::vector<AnswerTuple>> Answer(uint64_t id) {
+    if (qm) return qm->ContinuousAnswer(id);
+    MOST_ASSIGN_OR_RETURN(ShardedEngine::ShardedAnswer a,
+                          engine->ContinuousAnswer(id));
+    if (!a.complete()) return Status::Internal("incomplete gather");
+    return a.tuples;
+  }
+  Result<TemporalRelation> Evaluate(const FtlQuery& q) {
+    return qm ? qm->Evaluate(q) : engine->Evaluate(q);
+  }
+  /// Applies pending updates (the engine drains its queues) and brings
+  /// every continuous answer up to date.
+  Status Refresh() { return qm ? qm->TickAll() : engine->DrainAndRefresh(); }
+  Status AdvanceClock(Tick ticks) {
+    if (qm) {
+      db.clock().Advance(ticks);
+      return qm->TickAll();
+    }
+    return engine->Advance(ticks);
+  }
+  void Move(ObjectId id, Point2 pos, Vec2 vel) {
+    if (qm) {
+      ASSERT_TRUE(db.SetMotion("M", id, pos, vel).ok());
+    } else {
+      engine->EnqueueMotion("M", id, pos, vel);
+    }
+  }
+  void Fuel(ObjectId id, double value, TimeFunction fn) {
+    if (qm) {
+      ASSERT_TRUE(db.UpdateDynamic("M", id, "FUEL", value, fn).ok());
+    } else {
+      engine->EnqueueDynamic("M", id, "FUEL", value, fn);
+    }
+  }
+  void Delete(ObjectId id) {
+    ASSERT_TRUE((qm ? db.DeleteObject("M", id) : engine->DeleteObject("M", id))
+                    .ok());
+  }
+  void Create(Rng* rng) {
+    auto obj = qm ? db.CreateObject("M") : engine->CreateObject("M");
+    ASSERT_TRUE(obj.ok());
+    Move((*obj)->id(), {Grid(rng, -20, 20), Grid(rng, -20, 20)},
+         {Grid(rng, -2, 2), Grid(rng, -2, 2)});
+  }
+
+  MostDatabase db;
+  std::unique_ptr<QueryManager> qm;
+  std::unique_ptr<ShardedEngine> engine;
+};
+
+/// Counts the EXPLAIN nodes of a profile carrying `note`.
+size_t CountNotes(const obs::ProfileNode& node, const std::string& note) {
+  size_t n = 0;
+  for (const auto& [name, value] : node.notes) n += name == note ? 1 : 0;
+  for (const auto& child : node.children) n += CountNotes(*child, note);
+  return n;
+}
+
+TEST(DifferentialTest, SharedContextMatchesFreshEvaluation) {
+  // Worlds are a handful of objects: lift the dirty-fraction fallback so
+  // TickAll serves updates by the delta path too.
+  test::ScopedGovernorLimits limits({.delta_max_dirty_fraction = 1.0});
+  constexpr Tick kHorizon = 24;
+  obs::Counter* shared_total = obs::MetricsRegistry::Global().GetCounter(
+      "most_ftl_shared_subformulas_total",
+      "Subformula relations served by the per-version evaluation context, "
+      "whole or filtered");
+  const uint64_t shared_before = shared_total->value();
+  std::vector<size_t> configs = {0};  // 0 = the unsharded manager.
+  for (size_t shards : ShardCounts()) configs.push_back(shards);
+  int checks = 0;
+  size_t filtered_nodes = 0;
+  for (uint64_t seed : test::SuiteSeeds("DifferentialTest.SharedContext",
+                                        {1, 2, 3, 5})) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    for (size_t shards : configs) {
+      SCOPED_TRACE("shards=" + std::to_string(shards));
+      Rng rng(seed * 6364136223846793005u + shards);
+      ContextHarness h(seed * 977 + 5, shards, kHorizon);
+      QueryManager::Options flat_opt;
+      flat_opt.listen = false;
+      QueryManager flattener(&h.db, flat_opt);
+
+      struct Live {
+        FtlQuery query;
+        uint64_t id;
+        Tick anchor;
+      };
+      // `continuous` = false after a region redefinition: registered
+      // answers only follow object updates (§2.3), so only instantaneous
+      // answers are checked then.
+      auto check_all = [&](std::vector<Live>* live, bool continuous,
+                           const char* phase) {
+        const Tick now = h.db.Now();
+        for (Live& l : *live) {
+          SCOPED_TRACE(std::string(phase) +
+                       " formula: " + l.query.where->ToString());
+          ++checks;
+          const Interval inst(now, now + kHorizon);
+          auto got = h.Evaluate(l.query);
+          auto fresh = FtlEvaluator(h.db).EvaluateQuery(l.query, inst);
+          auto naive = NaiveFtlEvaluator(h.db).EvaluateQuery(l.query, inst);
+          ASSERT_TRUE(got.ok()) << got.status();
+          ASSERT_TRUE(fresh.ok()) << fresh.status();
+          ASSERT_TRUE(naive.ok()) << naive.status();
+          ASSERT_EQ(got->vars, fresh->vars);
+          ASSERT_EQ(got->rows, fresh->rows)
+              << "Evaluate diverged from a fresh evaluation\ngot: "
+              << got->ToString() << "\nwant: " << fresh->ToString();
+          ASSERT_EQ(got->rows, naive->rows)
+              << "Evaluate diverged from the oracle\ngot: " << got->ToString()
+              << "\nnaive: " << naive->ToString();
+          if (!continuous) continue;
+          if (now > l.anchor + kHorizon) l.anchor = now;
+          const Interval window(l.anchor, l.anchor + kHorizon);
+          auto answer = h.Answer(l.id);
+          auto cfresh = FtlEvaluator(h.db).EvaluateQuery(l.query, window);
+          auto cnaive = NaiveFtlEvaluator(h.db).EvaluateQuery(l.query, window);
+          ASSERT_TRUE(answer.ok()) << answer.status();
+          ASSERT_TRUE(cfresh.ok() && cnaive.ok());
+          ASSERT_EQ(*answer, flattener.FlattenAnswer(l.query, *cfresh, false))
+              << "continuous answer diverged from a fresh evaluation";
+          ASSERT_EQ(*answer, flattener.FlattenAnswer(l.query, *cnaive, false))
+              << "continuous answer diverged from the oracle";
+        }
+      };
+
+      for (int batch = 0; batch < 2; ++batch) {
+        std::vector<FormulaPtr> pool;
+        for (int i = 0; i < 3; ++i) pool.push_back(RandomFormula(&rng, 1));
+        std::vector<Live> live;
+        for (int q = 0; q < 4; ++q) {
+          FtlQuery query;
+          query.retrieve = {"o", "n"};
+          query.from = {{"M", "o"}, {"M", "n"}};
+          query.where = SharingFormula(&rng, pool);
+          auto id = h.Register(query);
+          ASSERT_TRUE(id.ok()) << id.status()
+                               << "\nformula: " << query.where->ToString();
+          live.push_back({query, *id, h.db.Now()});
+          if (h.qm) {
+            auto profile = h.qm->Profile(*id);
+            ASSERT_TRUE(profile.ok());
+            filtered_nodes += CountNotes((*profile)->root, "filtered");
+          }
+        }
+        ASSERT_NO_FATAL_FAILURE(check_all(&live, true, "registered"));
+        for (int step = 0; step < 2; ++step) {
+          // Updates: motions, fuel, a creation or a deletion.
+          std::vector<ObjectId> ids;
+          for (const auto& [id, obj] : (*h.db.GetClass("M"))->objects()) {
+            ids.push_back(id);
+          }
+          const int n = static_cast<int>(rng.UniformInt(1, 3));
+          for (int u = 0; u < n; ++u) {
+            ObjectId target = ids[static_cast<size_t>(
+                rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1))];
+            if (rng.Bernoulli(0.3)) {
+              ASSERT_NO_FATAL_FAILURE(
+                  h.Fuel(target, Grid(&rng, 0, 100),
+                         TimeFunction::Linear(Grid(&rng, -2, 2))));
+            } else {
+              ASSERT_NO_FATAL_FAILURE(
+                  h.Move(target, {Grid(&rng, -20, 20), Grid(&rng, -20, 20)},
+                         {Grid(&rng, -2, 2), Grid(&rng, -2, 2)}));
+            }
+          }
+          if (rng.Bernoulli(0.2) && ids.size() > 3) {
+            ASSERT_NO_FATAL_FAILURE(h.Delete(ids[static_cast<size_t>(
+                rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1))]));
+          } else if (rng.Bernoulli(0.2)) {
+            ASSERT_NO_FATAL_FAILURE(h.Create(&rng));
+          }
+          ASSERT_TRUE(h.Refresh().ok());
+          ASSERT_NO_FATAL_FAILURE(check_all(&live, true, "updated"));
+          // The clock alone: no update, a new context all the same. A
+          // jump past the horizon sends TickAll down the full path.
+          ASSERT_TRUE(
+              h.AdvanceClock(rng.Bernoulli(0.25) ? kHorizon + 6
+                                                 : rng.UniformInt(1, 3))
+                  .ok());
+          ASSERT_NO_FATAL_FAILURE(check_all(&live, true, "clock"));
+        }
+        // A region redefinition alone (grid-aligned, so the oracle stays
+        // exact). Continuous answers are not refreshed by it.
+        ASSERT_TRUE(h.db.DefineRegion(
+                          "R1", Polygon::Rectangle(
+                                    {Grid(&rng, -12, 0), Grid(&rng, -12, 0)},
+                                    {Grid(&rng, 2, 12), Grid(&rng, 2, 12)}))
+                        .ok());
+        ASSERT_NO_FATAL_FAILURE(check_all(&live, false, "region"));
+        for (const Live& l : live) ASSERT_TRUE(h.Cancel(l.id).ok());
+      }
+    }
+  }
+  if (!test::SeedOverridden()) {
+    // 4 seeds x 2 batches x 6 checkpoints x 4 queries per configuration.
+    EXPECT_GE(checks, 192 * static_cast<int>(configs.size()))
+        << "shared-context corpus shrank";
+    // The corpus must actually exercise sharing, filtered hits included.
+    EXPECT_GT(shared_total->value(), shared_before);
+    EXPECT_GT(filtered_nodes, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace most

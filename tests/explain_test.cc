@@ -88,6 +88,55 @@ TEST_F(ExplainTest, DeltaRefreshGolden) {
             " atoms=1 inst=1)\n");
 }
 
+// Two continuous queries over CARS share INSIDE(o, P). One TickAll
+// refreshes both through the delta path in the same database version: the
+// first builds the restricted INSIDE relation, the second borrows it from
+// the manager's evaluation context, and its EXPLAIN says so instead of
+// profiling the atom again.
+TEST_F(ExplainTest, SharedSubformulaGolden) {
+  ObjectId car = AddCar({-20, 5}, {1, 0});
+  for (int i = 0; i < 5; ++i) AddCar({100.0 + i, 100}, {0, 0});
+  auto first = qm_.RegisterContinuous(Parse(
+      "RETRIEVE o FROM CARS o WHERE EVENTUALLY WITHIN 30 INSIDE(o, P)"));
+  auto second = qm_.RegisterContinuous(
+      Parse("RETRIEVE o FROM CARS o WHERE ALWAYS FOR 5 INSIDE(o, P)"));
+  ASSERT_TRUE(first.ok() && second.ok());
+
+  ASSERT_TRUE(db_.SetMotion("CARS", car, {-10, 5}, {1, 0}).ok());
+  ASSERT_TRUE(qm_.TickAll().ok());
+
+  auto built = qm_.Explain(*first, /*include_timings=*/false);
+  ASSERT_TRUE(built.ok()) << built.status();
+  EXPECT_EQ(*built,
+            "Query: RETRIEVE o FROM CARS o WHERE EVENTUALLY WITHIN 30 "
+            "(INSIDE(o, P))\n"
+            "Window: [0, 200]\n"
+            "Path: delta (coalesced updates)\n"
+            "Refresh: #2 dirty_objects=1 total=..ns\n"
+            "-> DeltaRefresh  (tuples=1 intervals=0 time=..ns)\n"
+            "  -> RestrictedPass o (1 dirty)  (tuples=1 intervals=1"
+            " time=..ns)\n"
+            "    -> EventuallyWithin EVENTUALLY WITHIN 30 (INSIDE(o, P))"
+            "  (tuples=1 intervals=1 time=..ns atoms=1 inst=1)\n"
+            "      -> Inside INSIDE(o, P)  (tuples=1 intervals=1 time=..ns"
+            " atoms=1 inst=1)\n");
+  auto shared = qm_.Explain(*second, /*include_timings=*/false);
+  ASSERT_TRUE(shared.ok()) << shared.status();
+  EXPECT_EQ(*shared,
+            "Query: RETRIEVE o FROM CARS o WHERE ALWAYS FOR 5 "
+            "(INSIDE(o, P))\n"
+            "Window: [0, 200]\n"
+            "Path: delta (coalesced updates)\n"
+            "Refresh: #2 dirty_objects=1 total=..ns\n"
+            "-> DeltaRefresh  (tuples=1 intervals=0 time=..ns)\n"
+            "  -> RestrictedPass o (1 dirty)  (tuples=1 intervals=1"
+            " time=..ns)\n"
+            "    -> AlwaysFor ALWAYS FOR 5 (INSIDE(o, P))  (tuples=1"
+            " intervals=1 time=..ns)\n"
+            "      -> Inside INSIDE(o, P)  (tuples=1 intervals=1 time=..ns"
+            " shared=1)\n");
+}
+
 TEST_F(ExplainTest, NestedFormulaMirrorsTheTree) {
   AddCar({-20, 5}, {1, 0});
   auto id = qm_.RegisterContinuous(Parse(

@@ -1,12 +1,16 @@
 // Fuzz harness for the FTL parser + evaluator, libFuzzer entry-point
 // style: the input bytes are an FTL query source string. Everything that
-// parses is evaluated twice — by the interval evaluator and by the
-// per-state reference evaluator (NaiveFtlEvaluator, the paper's Section
-// 3.3 semantics) — and the two must agree on the status code and, when
-// both succeed, on the relation byte for byte. An input both answer is
-// evaluated once more with its first FROM variable restricted, which must
-// equal the unrestricted relation filtered. Any divergence or
-// crash/sanitizer report is a finding.
+// parses is evaluated by the interval evaluator three times — twice
+// through one evaluation context (the second run takes every subformula
+// from the context) and once with a fresh one — and by the per-state
+// reference evaluator (NaiveFtlEvaluator, the paper's Section 3.3
+// semantics); all must agree on the status code and, when they succeed,
+// on the relation byte for byte. An input both answer is evaluated once
+// more with its first FROM variable restricted, through the context the
+// unrestricted evaluation filled (so restricted subformulas are cut from
+// shared unrestricted relations), which must equal the unrestricted
+// relation filtered. Any divergence or crash/sanitizer report is a
+// finding.
 //
 // This toolchain has no -fsanitize=fuzzer driver (gcc), so the harness
 // always compiles with a standalone replay main(): it runs every corpus
@@ -115,11 +119,12 @@ void CheckRestriction(const MostDatabase& db, const FtlQuery& query,
   ids->insert(foreign);
   ids->insert(ObjectId{1} << 20);  // Absent.
 
-  FtlEvaluator whole(db);
+  EvalContext context;
+  FtlEvaluator whole(db, {}, &context);
   auto want = whole.EvaluateQueryUnprojected(query, window);
   FtlEvaluator::Options opts;
   opts.domain_restrictions[first.var] = ids;
-  FtlEvaluator restricted(db, opts);
+  FtlEvaluator restricted(db, opts, &context);
   auto got = restricted.EvaluateQueryUnprojected(query, window);
   if (!want.ok() || !got.ok()) DieOnDivergence("restricted status", text);
   const size_t col =
@@ -149,8 +154,36 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   FtlEvaluator fast(*db);
   auto fast_rel = fast.EvaluateQuery(*query, window);
+  const FtlEvalStats first_run = fast.stats();
+  auto again = fast.EvaluateQuery(*query, window);
+  FtlEvaluator fresh(*db);
+  auto fresh_rel = fresh.EvaluateQuery(*query, window);
   NaiveFtlEvaluator naive(*db);
   auto naive_rel = naive.EvaluateQuery(*query, window);
+
+  for (const auto* other : {&again, &fresh_rel}) {
+    if (other->ok() != fast_rel.ok()) DieOnDivergence("context status", text);
+    if (!fast_rel.ok()) {
+      if (other->status().code() != fast_rel.status().code()) {
+        DieOnDivergence("context status code", text);
+      }
+    } else if ((*other)->vars != fast_rel->vars ||
+               (*other)->rows != fast_rel->rows) {
+      DieOnDivergence("context rows", text);
+    }
+  }
+  if (fast_rel.ok()) {
+    // The second run borrows every snapshot, and below a composite root
+    // every relation, so it solves no atom.
+    const FtlEvalStats& s = fast.stats();
+    if (s.snapshot_builds != first_run.snapshot_builds) {
+      DieOnDivergence("second run built a snapshot", text);
+    }
+    if (!query->where->children().empty() &&
+        s.atomic_evaluations != first_run.atomic_evaluations) {
+      DieOnDivergence("second run solved an atom", text);
+    }
+  }
 
   if (fast_rel.ok() != naive_rel.ok()) DieOnDivergence("status", text);
   if (fast_rel.ok()) {

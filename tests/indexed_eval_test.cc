@@ -63,6 +63,38 @@ TEST(MotionIndexManagerTest, LazyRebuildAfterHorizon) {
   EXPECT_EQ(index->QueryRegionExact(region, 500).size(), 1u);
 }
 
+// The index's segment boxes cover its epoch only. With the default
+// 1024-tick epoch and the manager's default 1024-tick horizon, a window
+// opened at tick 200 reaches past the epoch, and a car that enters P only
+// at tick 1100 has no box there: INSIDE must fall back to the scan and
+// still find it.
+TEST(MotionIndexManagerTest, InsidePastTheEpochFallsBackToTheScan) {
+  MostDatabase db;
+  ASSERT_TRUE(db.CreateClass("CARS", {}, /*spatial=*/true).ok());
+  ASSERT_TRUE(
+      db.DefineRegion("P", Polygon::Rectangle({1100, 0}, {1110, 10})).ok());
+  MotionIndexManager manager(&db);
+  ASSERT_TRUE(manager.IndexClass("CARS").ok());
+  auto car = db.CreateObject("CARS");
+  ASSERT_TRUE(car.ok());
+  const ObjectId id = (*car)->id();
+  ASSERT_TRUE(db.SetMotion("CARS", id, {0, 5}, {1, 0}).ok());
+  db.clock().AdvanceTo(200);
+
+  auto query = ParseQuery("RETRIEVE o FROM CARS o WHERE INSIDE(o, P)");
+  ASSERT_TRUE(query.ok());
+  const std::map<std::vector<ObjectId>, IntervalSet> want = {
+      {{id}, IntervalSet(Interval(1100, 1110))}};
+  QueryManager plain(&db);
+  auto plain_rel = plain.Evaluate(*query);
+  ASSERT_TRUE(plain_rel.ok()) << plain_rel.status();
+  EXPECT_EQ(plain_rel->rows, want);
+  QueryManager indexed(&db, {.motion_indexes = &manager});
+  auto indexed_rel = indexed.Evaluate(*query);
+  ASSERT_TRUE(indexed_rel.ok()) << indexed_rel.status();
+  EXPECT_EQ(indexed_rel->rows, want);
+}
+
 class IndexedEvalTest : public ::testing::Test {
  protected:
   IndexedEvalTest() : manager_(&db_, {.horizon = 512}) {

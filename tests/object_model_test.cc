@@ -118,6 +118,53 @@ TEST_F(ObjectModelTest, UpdateListenersFire) {
   EXPECT_EQ(db_.update_count(), 3u);
 }
 
+// Every mutator moves version(), the key of the per-version evaluation
+// context: a mutation that left it alone would let evaluations share
+// relations computed before it. The clock is not part of it.
+TEST_F(ObjectModelTest, EveryMutatorChangesVersion) {
+  uint64_t last = db_.version();
+  auto changed = [&](const char* what) {
+    const uint64_t now = db_.version();
+    EXPECT_NE(now, last) << what << " left the version unchanged";
+    last = now;
+  };
+  auto car = db_.CreateObject("CARS");
+  ASSERT_TRUE(car.ok());
+  const ObjectId id = (*car)->id();
+  changed("CreateObject");
+  ASSERT_TRUE(db_.RestoreObject("CARS", 100).ok());
+  changed("RestoreObject");
+  ASSERT_TRUE(db_.DeleteObject("CARS", 100).ok());
+  changed("DeleteObject");
+  ASSERT_TRUE(db_.UpdateStatic("CARS", id, "PLATE", Value("AAA111")).ok());
+  changed("UpdateStatic");
+  ASSERT_TRUE(db_.UpdateDynamic("CARS", id, kAttrX, 3.0,
+                                TimeFunction::Linear(1.0))
+                  .ok());
+  changed("UpdateDynamic");
+  ASSERT_TRUE(db_.SetMotion("CARS", id, {1, 1}, {1, 0}).ok());
+  changed("SetMotion(name)");
+  auto cars = db_.GetClass("CARS");
+  ASSERT_TRUE(cars.ok());
+  ASSERT_TRUE(db_.SetMotion(*cars, id, {2, 2}, {0, 1}).ok());
+  changed("SetMotion(class)");
+  ASSERT_TRUE(
+      db_.DefineRegion("P", Polygon::Rectangle({0, 0}, {10, 10})).ok());
+  changed("DefineRegion");
+  ASSERT_TRUE(
+      db_.DefineRegion("P", Polygon::Rectangle({0, 0}, {20, 20})).ok());
+  changed("DefineRegion (redefinition)");
+  ASSERT_TRUE(db_.CreateClass("TRUCKS", {}, /*spatial=*/true).ok());
+  changed("CreateClass");
+
+  db_.clock().Advance(5);
+  EXPECT_EQ(db_.version(), last) << "the clock is not part of the version";
+  // Rejected mutations change nothing.
+  EXPECT_FALSE(db_.CreateClass("TRUCKS", {}).ok());
+  EXPECT_FALSE(db_.DeleteObject("CARS", 100).ok());
+  EXPECT_EQ(db_.version(), last);
+}
+
 TEST_F(ObjectModelTest, NonSpatialClassHasNoPosition) {
   auto motel = db_.CreateObject("MOTELS");
   ASSERT_TRUE(motel.ok());

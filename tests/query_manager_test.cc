@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "ftl/eval.h"
 #include "ftl/parser.h"
 #include "scoped_governor_limits.h"
 
@@ -715,6 +716,77 @@ TEST_F(StalenessTest, DisabledHorizonKeepsEverythingCertain) {
   for (const AnswerTuple& t : *tuples) {
     EXPECT_EQ(t.confidence, Confidence::kCertain);
   }
+}
+
+// Evaluate does not take the registry lock: instantaneous evaluations from
+// several threads share the manager's evaluation context with each other
+// and with a thread that registers queries and runs TickAll's refreshes.
+// Every answer must equal the serial one (run under
+// -DMOST_SANITIZE=thread to check the context's own synchronization).
+// Database mutations stay on this thread, before the threads start.
+TEST_F(QueryManagerTest, ConcurrentEvaluateSharesOneContext) {
+  ASSERT_TRUE(
+      db_.DefineRegion("Q", Polygon::Rectangle({20, 0}, {30, 10})).ok());
+  std::vector<ObjectId> cars;
+  for (int i = 0; i < 12; ++i) {
+    cars.push_back(AddCar({-4.0 * i - 2, 1.0 + 0.5 * i},
+                          {1.0 + 0.1 * (i % 3), 0}));
+  }
+  const std::vector<FtlQuery> queries = {
+      Parse("RETRIEVE o FROM CARS o WHERE EVENTUALLY WITHIN 30 INSIDE(o, P)"),
+      Parse("RETRIEVE o FROM CARS o WHERE EVENTUALLY WITHIN 30 "
+            "(INSIDE(o, P) AND ALWAYS FOR 5 INSIDE(o, P))"),
+      Parse("RETRIEVE o FROM CARS o WHERE EVENTUALLY WITHIN 30 "
+            "(INSIDE(o, P) AND ALWAYS FOR 5 INSIDE(o, P) AND "
+            "EVENTUALLY AFTER 10 INSIDE(o, Q))")};
+  auto first = qm_.RegisterContinuous(queries[0]);
+  ASSERT_TRUE(first.ok());
+  // Dirty the registered query so the ticker's TickAll has delta work.
+  ASSERT_TRUE(db_.SetMotion("CARS", cars[3], {-5, 4}, {1, 0}).ok());
+
+  const Interval window(db_.Now(), db_.Now() + 200);
+  std::vector<TemporalRelation> want;
+  for (const FtlQuery& q : queries) {
+    auto rel = FtlEvaluator(db_).EvaluateQuery(q, window);
+    ASSERT_TRUE(rel.ok()) << rel.status();
+    ASSERT_FALSE(rel->rows.empty());
+    want.push_back(*rel);
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> evaluators;
+  for (int t = 0; t < 4; ++t) {
+    evaluators.emplace_back([&, t] {
+      for (int i = 0; i < 40; ++i) {
+        const size_t k = static_cast<size_t>(t + i) % queries.size();
+        auto rel = qm_.Evaluate(queries[k]);
+        if (!rel.ok() || rel->rows != want[k].rows) ++mismatches;
+      }
+    });
+  }
+  std::thread ticker([&] {
+    for (int i = 0; i < 20; ++i) {
+      if (!qm_.TickAll().ok()) ++mismatches;
+      auto id = qm_.RegisterContinuous(queries[1 + i % 2]);
+      if (!id.ok()) {
+        ++mismatches;
+        continue;
+      }
+      auto answer = qm_.ContinuousAnswer(*id);
+      if (!answer.ok() ||
+          *answer != qm_.FlattenAnswer(queries[1 + i % 2],
+                                       want[1 + i % 2], false)) {
+        ++mismatches;
+      }
+      if (!qm_.Cancel(*id).ok()) ++mismatches;
+    }
+  });
+  for (std::thread& t : evaluators) t.join();
+  ticker.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  auto answer = qm_.ContinuousAnswer(*first);
+  ASSERT_TRUE(answer.ok());
+  EXPECT_EQ(*answer, qm_.FlattenAnswer(queries[0], want[0], false));
 }
 
 // ---------------------------------------------------------------------------
