@@ -50,11 +50,7 @@ std::optional<std::vector<ObjectId>> MotionIndexManager::CandidatesNearObject(
     Interval window) const {
   MotionIndex* index = Get(class_name);
   if (index == nullptr || !probe.IsSpatial()) return std::nullopt;
-  // Segment boxes only cover the epoch: outside it the index cannot vouch
-  // for absence, so pruning would be unsound.
-  if (window.begin < index->epoch_start() || window.end >= index->epoch_end()) {
-    return std::nullopt;
-  }
+  if (!index->Covers(window)) return std::nullopt;
   return index->QueryNearTrajectory(*probe.GetDynamic(kAttrX).value(),
                                     *probe.GetDynamic(kAttrY).value(),
                                     radius, window);

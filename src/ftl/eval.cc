@@ -671,14 +671,17 @@ FtlEvaluator::~FtlEvaluator() = default;
 
 const ClassSnapshot& FtlEvaluator::GetSnapshot(const ObjectClass* cls,
                                                Interval window) {
+  NoteSnapshotRead(cls);
   auto it = snapshots_.find(cls);
   if (it != snapshots_.end()) return *it->second;
   auto scope = scopes_.find(cls);
-  EvalContext::Snapshot snap = generation_->GetSnapshot(
-      *cls, window, scope != scopes_.end() ? scope->second : nullptr);
   // Built or borrowed, the snapshot is charged as if this evaluation had
-  // drawn it from its own arena.
-  charged_bytes_ += snap.bytes;
+  // drawn it from its own arena. Under a budget that means its own scope:
+  // a whole-class snapshot would charge more than a scoped build.
+  EvalContext::Snapshot snap = generation_->GetSnapshot(
+      *cls, window, scope != scopes_.end() ? scope->second : nullptr,
+      /*exact_scope=*/gate_.active());
+  snapshot_bytes_ += snap.bytes;
   if (snap.built) {
     ++stats_.snapshot_builds;
     stats_.arena_bytes += snap.bytes;
@@ -689,9 +692,12 @@ const ClassSnapshot& FtlEvaluator::GetSnapshot(const ObjectClass* cls,
 
 void FtlEvaluator::BeginEvaluation() {
   snapshots_.clear();
+  snapshot_reads_.clear();
   scopes_.clear();
+  node_keys_.clear();
   arena_.Reset();
-  charged_bytes_ = 0;
+  snapshot_bytes_ = 0;
+  borrowed_bytes_ = 0;
   rows_seen_ = 0;
   gate_.Arm(options_.budget);
   generation_ = context_->Acquire(db_);
@@ -928,37 +934,52 @@ Result<RelationPtr> FtlEvaluator::Eval(const FormulaPtr& f,
 
   // The request: the subformula over its free variables' classes and
   // restrictions. Restrictions on other variables cannot change its rows.
-  std::set<std::string> free_vars;
-  f->CollectObjectVars(&free_vars);
+  std::string key;
   EvalContext::Restrictions restrictions;
-  for (const std::string& v : free_vars) {
-    auto it = domains.filters.find(v);
-    if (it != domains.filters.end() && it->second != nullptr) {
-      restrictions.emplace_back(v, it->second);
+  if (keep) {
+    const NodeKey& node_key = KeyOf(f);
+    for (const std::string& v : node_key.free_vars) {
+      auto it = domains.filters.find(v);
+      if (it != domains.filters.end() && it->second != nullptr) {
+        restrictions.emplace_back(v, it->second);
+      }
     }
-  }
-  const std::string key =
-      EvalContext::SubformulaKey(*f, domains.classes, free_vars, window);
-  if (std::optional<EvalContext::Hit> hit =
-          generation_->FindRelation(key, restrictions)) {
-    RelationPtr rel = hit->filtered
-                          ? FilterRows(hit->shared.relation, restrictions)
-                          : hit->shared.relation;
-    // Charged as if built: its bytes, and its largest relation to the row
-    // limit. The subtree is not profiled again.
-    ++stats_.shared_hits;
-    charged_bytes_ += hit->shared.charge_bytes;
-    MOST_RETURN_IF_ERROR(BudgetCheckpoint(hit->shared.charge_rows));
-    if (node != nullptr) {
-      finish(*rel);
-      node->Note("shared", 1);
-      if (hit->filtered) node->Note("filtered", 1);
+    key = EvalContext::SubformulaKey(node_key.structure, domains.classes,
+                                     node_key.free_vars, window);
+    // Under a budget only a relation built for the same restrictions is
+    // borrowed: it is charged exactly what building it costs, while the
+    // intermediates of an unrestricted one are larger than a restricted
+    // build's.
+    if (std::optional<EvalContext::Hit> hit = generation_->FindRelation(
+            key, restrictions, /*allow_filtered=*/!gate_.active())) {
+      RelationPtr rel = hit->filtered
+                            ? FilterRows(hit->shared.relation, restrictions)
+                            : hit->shared.relation;
+      // Charged as if built: the snapshots it read (once per evaluation,
+      // over this evaluation's scopes), its arena bytes, and its largest
+      // relation to the row limit. The subtree is not profiled again.
+      ++stats_.shared_hits;
+      for (const ObjectClass* cls : hit->shared.snapshot_classes) {
+        if (gate_.active()) {
+          GetSnapshot(cls, window);
+        } else {
+          NoteSnapshotRead(cls);
+        }
+      }
+      borrowed_bytes_ += hit->shared.charge_bytes;
+      MOST_RETURN_IF_ERROR(BudgetCheckpoint(hit->shared.charge_rows));
+      if (node != nullptr) {
+        finish(*rel);
+        node->Note("shared", 1);
+        if (hit->filtered) node->Note("filtered", 1);
+      }
+      return rel;
     }
-    return rel;
   }
 
   const FtlEvalStats before = stats_;
-  const size_t bytes_before = ChargedBytes();
+  const size_t bytes_before = RelationBytes();
+  const size_t reads_before = snapshot_reads_.size();
   const size_t rows_outer = rows_seen_;
   rows_seen_ = 0;
   if (node != nullptr) profile_current_ = node;
@@ -979,11 +1000,41 @@ Result<RelationPtr> FtlEvaluator::Eval(const FormulaPtr& f,
   RelationPtr rel =
       std::make_shared<TemporalRelation>(std::move(result).value());
   if (keep) {
-    generation_->StoreRelation(
-        key, std::move(restrictions),
-        {rel, ChargedBytes() - bytes_before, rows_inner});
+    EvalContext::SharedRelation shared{rel, RelationBytes() - bytes_before,
+                                       {}, rows_inner};
+    for (size_t i = reads_before; i < snapshot_reads_.size(); ++i) {
+      const ObjectClass* cls = snapshot_reads_[i];
+      if (std::find(shared.snapshot_classes.begin(),
+                    shared.snapshot_classes.end(),
+                    cls) == shared.snapshot_classes.end()) {
+        shared.snapshot_classes.push_back(cls);
+      }
+    }
+    generation_->StoreRelation(key, std::move(restrictions),
+                               std::move(shared));
   }
   return rel;
+}
+
+const FtlEvaluator::NodeKey& FtlEvaluator::KeyOf(const FormulaPtr& f) {
+  auto it = node_keys_.find(f.get());
+  if (it != node_keys_.end()) return it->second;
+  NodeKey key{f, {}, {}};
+  std::vector<const std::string*> children;
+  for (const FormulaPtr& c : f->children()) {
+    const NodeKey& child = KeyOf(c);
+    children.push_back(&child.structure);
+    key.free_vars.insert(child.free_vars.begin(), child.free_vars.end());
+  }
+  // A node's own variables: all of a leaf's; of the rest, only an
+  // assignment's term names any.
+  if (f->children().empty()) {
+    f->CollectObjectVars(&key.free_vars);
+  } else if (f->kind() == FtlFormula::Kind::kAssign) {
+    f->assign_term()->CollectObjectVars(&key.free_vars);
+  }
+  key.structure = EvalContext::Structure(*f, children);
+  return node_keys_.emplace(f.get(), std::move(key)).first->second;
 }
 
 Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
@@ -1475,13 +1526,7 @@ Result<TemporalRelation> FtlEvaluator::EvalInsideSoA(
       (is_inside && !self_anchored && options_.motion_indexes != nullptr)
           ? options_.motion_indexes->Get(cls->name())
           : nullptr;
-  // Segment boxes only cover the index epoch: a window reaching outside it
-  // could bind an object the index cannot vouch for, so scan instead (as
-  // MotionIndexManager::CandidatesNearObject does for DIST).
-  if (index != nullptr && (window.begin < index->epoch_start() ||
-                           window.end >= index->epoch_end())) {
-    index = nullptr;
-  }
+  if (index != nullptr && !index->Covers(window)) index = nullptr;
   if (index != nullptr) {
     BoundingBox query_box{region.bounding_box().min,
                           region.bounding_box().max};

@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/arena.h"
@@ -159,6 +160,12 @@ class FtlEvaluator {
 
  private:
   struct Domains;  // Resolved per-variable object class extents.
+  /// What a subformula's context key is built from.
+  struct NodeKey {
+    FormulaPtr formula;               ///< Pinned: its address names it.
+    std::string structure;            ///< EvalContext::Structure.
+    std::set<std::string> free_vars;  ///< Free object variables.
+  };
 
   Result<TemporalRelation> EvaluateQueryUnprojectedImpl(const FtlQuery& query,
                                                         Interval window);
@@ -168,9 +175,14 @@ class FtlEvaluator {
   /// Evaluates a subformula, or takes its relation from the context: one
   /// ProfileNode per subformula (when Options::profile is set), then a
   /// context lookup, else EvalNode. A relation that is not the root
-  /// (`keep`) is left in the context for later requests.
+  /// (`keep`) is looked up in the context and left there for later
+  /// requests; the root is neither.
   Result<RelationPtr> Eval(const FormulaPtr& f, const Domains& domains,
                            Interval window, bool keep = true);
+  /// The structure and free object variables of `f`, composed from its
+  /// children's and memoized for the evaluation, so each node is encoded
+  /// once.
+  const NodeKey& KeyOf(const FormulaPtr& f);
   Result<TemporalRelation> EvalNode(const FormulaPtr& f,
                                     const Domains& domains, Interval window);
   Result<TemporalRelation> EvalCompare(const FtlFormula& f,
@@ -203,6 +215,11 @@ class FtlEvaluator {
   /// BeginEvaluation() drops wholesale (nothing arena-allocated escapes an
   /// evaluation — docs/eval_internals.md).
   const ClassSnapshot& GetSnapshot(const ObjectClass* cls, Interval window);
+  void NoteSnapshotRead(const ObjectClass* cls) {
+    if (snapshot_reads_.empty() || snapshot_reads_.back() != cls) {
+      snapshot_reads_.push_back(cls);
+    }
+  }
   /// Sets each class's snapshot scope from the evaluation's top-level
   /// `domains`: the union of the restrictions on the variables over the
   /// class, or the whole class when one of them is unrestricted. Every
@@ -216,10 +233,12 @@ class FtlEvaluator {
   /// when the checkpoint guards time/memory only). A single branch when
   /// no budget is armed.
   Status BudgetCheckpoint(size_t rows_hint);
-  /// Bytes this evaluation is charged for: its own arena draws plus every
-  /// snapshot and shared relation it borrowed or built in the context.
-  size_t ChargedBytes() const {
-    return arena_.stats().bytes_allocated + charged_bytes_;
+  /// Bytes this evaluation is charged for: every snapshot it borrowed or
+  /// built in the context, plus its own arena draws and those of the
+  /// shared relations it borrowed.
+  size_t ChargedBytes() const { return snapshot_bytes_ + RelationBytes(); }
+  size_t RelationBytes() const {
+    return arena_.stats().bytes_allocated + borrowed_bytes_;
   }
   /// Folds the arena's per-cycle stats into stats_ (called once per
   /// top-level evaluation, after the result is produced).
@@ -238,7 +257,13 @@ class FtlEvaluator {
   /// Snapshots this evaluation took from the generation (each charged
   /// once).
   std::map<const ObjectClass*, const ClassSnapshot*> snapshots_;
-  size_t charged_bytes_ = 0;
+  /// Every class whose snapshot the evaluation read, in order of reading
+  /// (a subformula's reads are the suffix its evaluation appended).
+  std::vector<const ObjectClass*> snapshot_reads_;
+  size_t snapshot_bytes_ = 0;
+  size_t borrowed_bytes_ = 0;
+  /// KeyOf's memo for the evaluation, by node address.
+  std::unordered_map<const FtlFormula*, NodeKey> node_keys_;
   /// Largest rows_hint any budget checkpoint saw in the subformula being
   /// evaluated (the rows a shared relation charges its borrowers).
   size_t rows_seen_ = 0;

@@ -71,7 +71,8 @@ void AppendTerm(const FtlTerm& t, std::string* out) {
   for (const TermPtr& c : t.children()) AppendTerm(*c, out);
 }
 
-void AppendFormula(const FtlFormula& f, std::string* out) {
+// One node's fields; the children's encodings follow it.
+void AppendNode(const FtlFormula& f, std::string* out) {
   AppendRaw<uint8_t>(static_cast<uint8_t>(f.kind()), out);
   switch (f.kind()) {
     case FtlFormula::Kind::kBoolLit:
@@ -101,7 +102,7 @@ void AppendFormula(const FtlFormula& f, std::string* out) {
       AppendRaw<Tick>(f.bound(), out);  // Zero for unbounded operators.
       break;
   }
-  for (const FormulaPtr& c : f.children()) AppendFormula(*c, out);
+  AppendRaw<uint32_t>(static_cast<uint32_t>(f.children().size()), out);
 }
 
 bool SameIds(const std::shared_ptr<const std::set<ObjectId>>& a,
@@ -124,12 +125,19 @@ bool SameRestrictions(const EvalContext::Restrictions& a,
 
 }  // namespace
 
+std::string EvalContext::Structure(
+    const FtlFormula& f, const std::vector<const std::string*>& children) {
+  std::string out;
+  AppendNode(f, &out);
+  for (const std::string* c : children) out.append(*c);
+  return out;
+}
+
 std::string EvalContext::SubformulaKey(
-    const FtlFormula& f,
+    const std::string& structure,
     const std::map<std::string, const ObjectClass*>& classes,
     const std::set<std::string>& free_vars, Interval window) {
-  std::string key;
-  AppendFormula(f, &key);
+  std::string key = structure;
   for (const std::string& v : free_vars) {
     auto it = classes.find(v);
     AppendString(v, &key);
@@ -142,7 +150,8 @@ std::string EvalContext::SubformulaKey(
 }
 
 std::optional<EvalContext::Hit> EvalContext::Generation::FindRelation(
-    const std::string& key, const Restrictions& restrictions) {
+    const std::string& key, const Restrictions& restrictions,
+    bool allow_filtered) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = relations_.find(key);
   if (it == relations_.end()) return std::nullopt;
@@ -153,7 +162,7 @@ std::optional<EvalContext::Hit> EvalContext::Generation::FindRelation(
     }
     if (e.restrictions.empty()) unrestricted = &e;
   }
-  if (unrestricted == nullptr) return std::nullopt;
+  if (unrestricted == nullptr || !allow_filtered) return std::nullopt;
   return Hit{unrestricted->shared, /*filtered=*/true};
 }
 
@@ -170,11 +179,12 @@ void EvalContext::Generation::StoreRelation(const std::string& key,
 
 EvalContext::Snapshot EvalContext::Generation::GetSnapshot(
     const ObjectClass& cls, Interval window,
-    const std::shared_ptr<const std::set<ObjectId>>& scope) {
+    const std::shared_ptr<const std::set<ObjectId>>& scope,
+    bool exact_scope) {
   std::lock_guard<std::mutex> lock(mu_);
   for (const SnapshotEntry& e : snapshots_) {
     if (e.cls == &cls && e.window == window &&
-        (e.scope == nullptr || SameIds(e.scope, scope))) {
+        ((e.scope == nullptr && !exact_scope) || SameIds(e.scope, scope))) {
       return {e.snapshot.get(), e.bytes, /*built=*/false};
     }
   }
@@ -201,6 +211,11 @@ std::shared_ptr<EvalContext::Generation> EvalContext::Acquire(
     key_ = key;
   }
   return current_;
+}
+
+void EvalContext::Release() {
+  std::lock_guard<std::mutex> lock(mu_);
+  current_.reset();
 }
 
 }  // namespace most

@@ -56,8 +56,13 @@ class EvalContext {
   /// again to every evaluation that borrows it, as if it had built it.
   struct SharedRelation {
     RelationPtr relation;
-    size_t charge_bytes = 0;  ///< Arena and snapshot bytes of the build.
-    size_t charge_rows = 0;   ///< Largest relation its budget checks saw.
+    /// Arena bytes the build drew, borrowed relations' included and
+    /// snapshots excluded: a borrower is charged the snapshots itself,
+    /// once per evaluation and over its own scope, as a build would be.
+    size_t charge_bytes = 0;
+    /// Classes whose snapshots the build read.
+    std::vector<const ObjectClass*> snapshot_classes;
+    size_t charge_rows = 0;  ///< Largest relation its budget checks saw.
   };
 
   /// A lookup hit. `filtered` says the relation is the unrestricted one
@@ -84,22 +89,25 @@ class EvalContext {
     Generation(const Generation&) = delete;
     Generation& operator=(const Generation&) = delete;
 
-    /// The stored relation under `key` with exactly `restrictions`, else
-    /// the unrestricted one when the request is restricted.
+    /// The stored relation under `key` with exactly `restrictions`, else,
+    /// when `allow_filtered`, the unrestricted one for a restricted
+    /// request.
     std::optional<Hit> FindRelation(const std::string& key,
-                                    const Restrictions& restrictions);
+                                    const Restrictions& restrictions,
+                                    bool allow_filtered);
     /// Stores a completed relation (a second store of the same request
     /// keeps the first; both are equal).
     void StoreRelation(const std::string& key, Restrictions restrictions,
                        SharedRelation shared);
     /// The snapshot of `cls` over `window` for `scope` (null = the whole
-    /// class), built on first request. A whole-class snapshot serves a
-    /// scoped request: the kernels reach rows only through a restricted
-    /// variable's ids when a class is scoped, and every row is bit-equal
-    /// to the same object's row of a scoped build.
+    /// class), built on first request. Unless `exact_scope`, a whole-class
+    /// snapshot serves a scoped request: the kernels reach rows only
+    /// through a restricted variable's ids when a class is scoped, and
+    /// every row is bit-equal to the same object's row of a scoped build.
     Snapshot GetSnapshot(
         const ObjectClass& cls, Interval window,
-        const std::shared_ptr<const std::set<ObjectId>>& scope);
+        const std::shared_ptr<const std::set<ObjectId>>& scope,
+        bool exact_scope);
 
    private:
     struct RelationEntry {
@@ -128,13 +136,20 @@ class EvalContext {
   /// The generation for `db` as it is now, starting a new one when the
   /// database, its version() or its clock moved since the last call.
   std::shared_ptr<Generation> Acquire(const MostDatabase& db);
+  /// Drops the current generation; evaluations still reading it keep it
+  /// alive until they end. The next Acquire starts a new one.
+  void Release();
 
-  /// Exact structural key of a subformula over the given classes of its
-  /// free object variables and a window: two requests share a relation
-  /// only when their keys are equal. Every literal is encoded bit for bit
-  /// (formula text rounds doubles).
+  /// Exact structural encoding of `f`, given the encodings of its
+  /// children in order: equal only for structurally equal subformulas.
+  /// Every literal is encoded bit for bit (formula text rounds doubles).
+  static std::string Structure(const FtlFormula& f,
+                               const std::vector<const std::string*>& children);
+  /// Key of a request: a subformula's Structure over the classes of its
+  /// free object variables and a window. Two requests share a relation
+  /// only when their keys are equal.
   static std::string SubformulaKey(
-      const FtlFormula& f,
+      const std::string& structure,
       const std::map<std::string, const ObjectClass*>& classes,
       const std::set<std::string>& free_vars, Interval window);
 

@@ -283,6 +283,9 @@ Result<QueryManager::QueryId> QueryManager::RegisterContinuousLocked(
   cq.expires_at = TickSaturatingAdd(cq.window_begin, options_.horizon);
   auto [it, inserted] = continuous_.emplace(id, std::move(cq));
   Status initial = Refresh(&it->second, limits);
+  // As at the end of TickAll: what the registration shared is not kept
+  // until the manager's next evaluation.
+  context_.Release();
   if (!initial.ok()) {
     // A registration that fails leaves nothing behind: an orphan entry
     // would be refreshed by every later TickAll under an id nobody holds.
@@ -822,6 +825,10 @@ Status QueryManager::TickAll() {
     Status s = Refresh(cq, limits);
     if (!s.ok() && first_error.ok()) first_error = s;
   }
+  // The next tick changes the context key anyway (Now() is part of it), so
+  // what the batch shared is freed now instead of staying resident until
+  // the manager's next evaluation.
+  context_.Release();
   return first_error;
 }
 

@@ -40,6 +40,12 @@ class MotionIndex {
   void Remove(ObjectId id);
   bool NeedsRebuild(Tick now) const { return now >= epoch_end_; }
   void Rebuild(Tick new_epoch_start);
+  /// True when `window` lies within the epoch. Segment boxes only cover
+  /// the epoch, so only then can a query vouch for absence; outside it a
+  /// caller that prunes by the index must scan instead.
+  bool Covers(Interval window) const {
+    return window.begin >= epoch_start_ && window.end < epoch_end_;
+  }
 
   /// Candidate objects possibly inside `region` at time t.
   std::vector<ObjectId> QueryRegionCandidates(const BoundingBox& region,
@@ -61,8 +67,8 @@ class MotionIndex {
   /// Conservative — an object absent from the result is farther than
   /// `radius` from the probe throughout `window` — which is what lets the
   /// FTL evaluator's delta passes pair restricted objects with index-pruned
-  /// join partners instead of scanning the class. `window` must lie within
-  /// the epoch.
+  /// join partners instead of scanning the class. `window` must be one the
+  /// index Covers().
   std::vector<ObjectId> QueryNearTrajectory(const DynamicAttribute& x,
                                             const DynamicAttribute& y,
                                             double radius,

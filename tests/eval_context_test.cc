@@ -241,5 +241,70 @@ TEST_F(EvalContextTest, BudgetAbortLeavesNoPartialEntry) {
   EXPECT_GT(borrower.stats().shared_hits, 0u);
 }
 
+// A borrower is charged what its own request costs, not what the
+// unrestricted relation or the whole-class snapshot in the context cost: a
+// restricted evaluation under the smallest budget a fresh one passes (and
+// the unrestricted one does not) passes as well, both when the context
+// holds only unrestricted entries and when it holds the restricted ones;
+// one below that budget it is shed, as the fresh one is.
+TEST_F(EvalContextTest, BorrowerUnderARestrictedBudgetIsNotShed) {
+  const FtlQuery q = Parse(
+      "RETRIEVE o FROM CARS o WHERE EVENTUALLY WITHIN 30 "
+      "(INSIDE(o, P) AND EVENTUALLY WITHIN 40 INSIDE(o, Q))");
+  FtlEvaluator::Options restricted;
+  restricted.domain_restrictions["o"] =
+      std::make_shared<const std::set<ObjectId>>(
+          std::set<ObjectId>{cars_[0], cars_[1], cars_[2]});
+  const TemporalRelation want = Fresh(q, window_, restricted);
+  ASSERT_EQ(want.rows.size(), 2u);  // Car 1 never enters P.
+
+  auto passes_fresh = [&](FtlEvaluator::Options opts) {
+    return FtlEvaluator(db_, opts).EvaluateQueryUnprojected(q, window_).ok();
+  };
+  // The smallest row and byte limits a fresh restricted evaluation passes.
+  FtlEvaluator::Options by_rows = restricted;
+  by_rows.budget.max_rows = 1;
+  while (!passes_fresh(by_rows)) ++by_rows.budget.max_rows;
+  FtlEvaluator::Options by_bytes = restricted;
+  size_t lo = 1, hi = size_t{1} << 30;
+  while (lo < hi) {
+    by_bytes.budget.max_arena_bytes = lo + (hi - lo) / 2;
+    if (passes_fresh(by_bytes)) {
+      hi = by_bytes.budget.max_arena_bytes;
+    } else {
+      lo = by_bytes.budget.max_arena_bytes + 1;
+    }
+  }
+  by_bytes.budget.max_arena_bytes = lo;
+
+  for (const FtlEvaluator::Options* budgeted : {&by_rows, &by_bytes}) {
+    // The unrestricted evaluation costs more than the budget.
+    FtlEvaluator::Options whole = *budgeted;
+    whole.domain_restrictions.clear();
+    ASSERT_FALSE(passes_fresh(whole));
+    FtlEvaluator::Options tight = *budgeted;
+    ASSERT_GT(tight.budget.max_rows + tight.budget.max_arena_bytes, 1u);
+    if (tight.budget.max_rows > 0) --tight.budget.max_rows;
+    if (tight.budget.max_arena_bytes > 0) --tight.budget.max_arena_bytes;
+    ASSERT_FALSE(passes_fresh(tight));
+
+    EvalContext context;
+    ASSERT_TRUE(
+        FtlEvaluator(db_, {}, &context).EvaluateQuery(q, window_).ok());
+    for (int round = 0; round < 2; ++round) {
+      // Round 0 finds only unrestricted entries, round 1 also the
+      // restricted ones round 0 stored.
+      FtlEvaluator shed(db_, tight, &context);
+      EXPECT_FALSE(shed.EvaluateQueryUnprojected(q, window_).ok())
+          << "round " << round;
+      FtlEvaluator borrower(db_, *budgeted, &context);
+      auto rel = borrower.EvaluateQueryUnprojected(q, window_);
+      ASSERT_TRUE(rel.ok()) << "round " << round << ": " << rel.status();
+      EXPECT_EQ(rel->rows, want.rows);
+      if (round == 1) EXPECT_GT(borrower.stats().shared_hits, 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace most

@@ -6,9 +6,10 @@
 // reference evaluator (NaiveFtlEvaluator, the paper's Section 3.3
 // semantics); all must agree on the status code and, when they succeed,
 // on the relation byte for byte. An input both answer is evaluated once
-// more with its first FROM variable restricted, through the context the
-// unrestricted evaluation filled (so restricted subformulas are cut from
-// shared unrestricted relations), which must equal the unrestricted
+// more with its first FROM variable restricted, twice: with a fresh
+// context (scoped snapshots and the restricted kernels) and through the
+// context the unrestricted evaluation filled (restricted subformulas cut
+// from shared unrestricted relations). Both must equal the unrestricted
 // relation filtered. Any divergence or crash/sanitizer report is a
 // finding.
 //
@@ -97,7 +98,10 @@ void DieOnDivergence(const char* what, const std::string& query_text) {
 // unrestricted (unprojected) relation filtered to the rows whose binding
 // for that variable lies in the set. The set is seeded by the input and
 // always holds an id of another class and an id no object has, both of
-// which the evaluator's scoped snapshot must skip.
+// which the evaluator's scoped snapshot must skip. The restricted query is
+// evaluated fresh, which builds its own scoped snapshots and runs the
+// restricted kernels, and through the unrestricted run's context, which
+// cuts its subformulas from the stored unrestricted relations.
 void CheckRestriction(const MostDatabase& db, const FtlQuery& query,
                       Interval window, const std::string& text) {
   if (query.from.empty()) return;
@@ -124,13 +128,18 @@ void CheckRestriction(const MostDatabase& db, const FtlQuery& query,
   auto want = whole.EvaluateQueryUnprojected(query, window);
   FtlEvaluator::Options opts;
   opts.domain_restrictions[first.var] = ids;
-  FtlEvaluator restricted(db, opts, &context);
+  FtlEvaluator restricted(db, opts);
   auto got = restricted.EvaluateQueryUnprojected(query, window);
-  if (!want.ok() || !got.ok()) DieOnDivergence("restricted status", text);
+  FtlEvaluator borrower(db, opts, &context);
+  auto cut = borrower.EvaluateQueryUnprojected(query, window);
+  if (!want.ok() || !got.ok() || !cut.ok()) {
+    DieOnDivergence("restricted status", text);
+  }
   const size_t col =
       std::find(want->vars.begin(), want->vars.end(), first.var) -
       want->vars.begin();
-  if (col == want->vars.size() || got->vars != want->vars) {
+  if (col == want->vars.size() || got->vars != want->vars ||
+      cut->vars != want->vars) {
     DieOnDivergence("restricted vars", text);
   }
   std::map<std::vector<ObjectId>, IntervalSet> filtered;
@@ -138,6 +147,7 @@ void CheckRestriction(const MostDatabase& db, const FtlQuery& query,
     if (ids->count(binding[col]) > 0) filtered.emplace(binding, when);
   }
   if (got->rows != filtered) DieOnDivergence("restricted rows", text);
+  if (cut->rows != filtered) DieOnDivergence("shared restricted rows", text);
 }
 
 }  // namespace
