@@ -94,35 +94,6 @@ BENCHMARK(BM_NaiveEvaluator)
     ->ArgsProduct({{200}, {64, 256}, {0, 1, 2}})
     ->Unit(benchmark::kMillisecond);
 
-// Section 4 + Section 3.5 combined: the same FTL query with the motion
-// index pruning INSIDE candidates. The region covers ~11% of the area;
-// trajectories that never sweep near it are skipped without any geometry.
-void BM_IntervalEvaluatorWithIndex(benchmark::State& state) {
-  size_t vehicles = static_cast<size_t>(state.range(0));
-  bool use_index = state.range(1) == 1;
-  auto db = MakeWorld(vehicles);
-  MotionIndexManager manager(db.get(), {.horizon = 2048});
-  if (use_index) {
-    (void)manager.IndexClass("CARS");
-  }
-  auto query = ParseQuery(kQueries[0]);
-  FtlEvaluator::Options opts;
-  opts.motion_indexes = use_index ? &manager : nullptr;
-  for (auto _ : state) {
-    FtlEvaluator eval(*db, opts);
-    auto rel = eval.EvaluateQuery(*query, Interval(0, 256));
-    benchmark::DoNotOptimize(rel);
-    state.counters["pruned"] =
-        static_cast<double>(eval.stats().index_pruned);
-    state.counters["atomic_evals"] =
-        static_cast<double>(eval.stats().atomic_evaluations);
-  }
-  state.counters["indexed"] = use_index ? 1 : 0;
-}
-BENCHMARK(BM_IntervalEvaluatorWithIndex)
-    ->ArgsProduct({{1000, 10000}, {0, 1}})
-    ->Unit(benchmark::kMillisecond);
-
 // Two-variable query Q from Section 3.2 (the DIST Until pair query):
 // exercises the join machinery of the interval algorithm.
 void BM_IntervalEvaluatorPairQuery(benchmark::State& state) {

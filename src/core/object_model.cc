@@ -218,21 +218,22 @@ Status MostDatabase::SetMotion(const std::string& class_name, ObjectId id,
 
 Status MostDatabase::SetMotion(ObjectClass* cls, ObjectId id, Point2 position,
                                Vec2 velocity) {
-  static const std::string kAxes[2] = {kAttrX, kAttrY};
+  static const std::string kX = kAttrX;
+  static const std::string kY = kAttrY;
   MOST_ASSIGN_OR_RETURN(MostObject * obj, cls->Get(id));
-  const double values[2] = {position.x, position.y};
-  const double slopes[2] = {velocity.x, velocity.y};
-  for (int axis = 0; axis < 2; ++axis) {
-    DynamicAttribute* attr = obj->MutableDynamic(kAxes[axis]);
-    if (attr == nullptr) {
-      return Status::NotFound("dynamic attribute '" + kAxes[axis] + "'");
-    }
-    MOST_FAILPOINT("core/update_dynamic");
-    attr->UpdateLinear(Now(), values[axis], slopes[axis]);
-    obj->set_last_update(Now());
-    update_count_.fetch_add(1, std::memory_order_relaxed);
-    NotifyUpdate(cls->name(), id);
+  DynamicAttribute* x = obj->MutableDynamic(kX);
+  DynamicAttribute* y = obj->MutableDynamic(kY);
+  if (x == nullptr || y == nullptr) {
+    return Status::NotFound("dynamic attribute '" + (x == nullptr ? kX : kY) +
+                            "'");
   }
+  // Checked before either write: a failure leaves both axes untouched.
+  MOST_FAILPOINT("core/update_dynamic");
+  x->UpdateLinear(Now(), position.x, velocity.x);
+  y->UpdateLinear(Now(), position.y, velocity.y);
+  obj->set_last_update(Now());
+  update_count_.fetch_add(2, std::memory_order_relaxed);
+  NotifyUpdate(cls->name(), id);
   return Status::OK();
 }
 

@@ -197,10 +197,11 @@ class MostDatabase {
                        const std::string& attr, double value,
                        TimeFunction function);
 
-  /// Sets position and velocity of a spatial object at `now`: exactly the
-  /// two UpdateDynamic calls for X.POSITION and Y.POSITION with linear
-  /// functions (two updates counted, two failpoint hits, listeners
-  /// notified after each), with the class and the object looked up once.
+  /// Sets position and velocity of a spatial object at `now`: the state
+  /// the two UpdateDynamic calls for X.POSITION and Y.POSITION with linear
+  /// functions would leave, with the class and the object looked up once.
+  /// It counts two updates, hits `core/update_dynamic` once before either
+  /// axis is written, and notifies the listeners once, after both.
   Status SetMotion(const std::string& class_name, ObjectId id, Point2 position,
                    Vec2 velocity);
   /// The same, for a class already looked up (GetClass).
@@ -208,8 +209,8 @@ class MostDatabase {
                    Vec2 velocity);
 
   /// Update listeners run after every explicit update (object creation,
-  /// deletion, attribute update). Used for continuous-query maintenance
-  /// and temporal triggers. The
+  /// deletion, attribute update; once per SetMotion). Used for
+  /// continuous-query maintenance and temporal triggers. The
   /// returned id unregisters the listener (components whose lifetime is
   /// shorter than the database's must remove themselves on destruction).
   using UpdateListener = std::function<void(const std::string& class_name,
@@ -246,6 +247,12 @@ class MostDatabase {
   /// drain, so their counter is a plain integer and the update path
   /// gains no atomic.
   uint64_t version() const { return update_count() + catalog_changes_; }
+
+  /// CreateClass and DefineRegion calls so far. Neither notifies the
+  /// update listeners, so a continuous query compares this count against
+  /// the one it saw at its last evaluation to learn that a region it
+  /// reads may have been redefined.
+  uint64_t catalog_changes() const { return catalog_changes_; }
 
  private:
   void NotifyUpdate(const std::string& class_name, ObjectId id);

@@ -550,7 +550,6 @@ void NoteStatsDelta(const FtlEvalStats& before, const FtlEvalStats& after,
   note("inst", before.instantiations, after.instantiations);
   note("join_pairs", before.join_pairs, after.join_pairs);
   note("assign_subevals", before.assign_subevals, after.assign_subevals);
-  note("index_pruned", before.index_pruned, after.index_pruned);
 }
 
 /// Registry-owned series the evaluator flushes its per-evaluation stats
@@ -564,7 +563,6 @@ struct FtlRegistrySeries {
   obs::Counter* instantiations;
   obs::Counter* join_pairs;
   obs::Counter* assign_subevals;
-  obs::Counter* index_pruned;
   obs::Counter* arena_bytes;
   obs::Counter* arena_heap_fallbacks;
   obs::Counter* snapshot_builds;
@@ -587,9 +585,6 @@ struct FtlRegistrySeries {
       s.assign_subevals =
           r.GetCounter("most_ftl_assign_subevals_total",
                        "Assignment-quantifier body evaluations");
-      s.index_pruned =
-          r.GetCounter("most_ftl_index_pruned_total",
-                       "Objects skipped thanks to a motion index");
       s.arena_bytes = r.GetCounter(
           "most_ftl_arena_bytes_total",
           "Bump-arena bytes drawn by per-evaluation scratch structures");
@@ -860,7 +855,6 @@ Result<TemporalRelation> FtlEvaluator::EvaluateQueryUnprojected(
     s.instantiations->Inc(stats_.instantiations - before.instantiations);
     s.join_pairs->Inc(stats_.join_pairs - before.join_pairs);
     s.assign_subevals->Inc(stats_.assign_subevals - before.assign_subevals);
-    s.index_pruned->Inc(stats_.index_pruned - before.index_pruned);
     s.arena_bytes->Inc(stats_.arena_bytes - before.arena_bytes);
     s.arena_heap_fallbacks->Inc(stats_.arena_heap_fallbacks -
                                 before.arena_heap_fallbacks);
@@ -1350,90 +1344,19 @@ Result<TemporalRelation> FtlEvaluator::EvalCompare(const FtlFormula& f,
   bool invariant =
       IsTimeInvariant(f.lhs_term()) && IsTimeInvariant(f.rhs_term());
 
-  // Index-pruned DIST join: with one side of DIST(a,b) <= c pinned by a
-  // domain restriction (a delta re-evaluation pass) and the partner's
-  // class indexed, the motion index supplies the partner candidates near
-  // each pinned object's trajectory instead of scanning the class. Sound
-  // because the candidate set is a conservative superset: a skipped
-  // partner stays farther than c throughout the window, so its row is
-  // empty either way.
-  std::vector<AtomicJob> jobs;
-  bool jobs_materialized = false;
-  if (dist != nullptr && options_.motion_indexes != nullptr &&
-      vars.size() == 2 && dist->var() != dist->var2() &&
-      (op == FtlFormula::CmpOp::kLe || op == FtlFormula::CmpOp::kLt)) {
-    std::set<std::string> bound_vars;
-    other->CollectObjectVars(&bound_vars);
-    auto fa = domains.filters.find(dist->var());
-    auto fb = domains.filters.find(dist->var2());
-    bool a_pinned = fa != domains.filters.end() && fa->second != nullptr;
-    bool b_pinned = fb != domains.filters.end() && fb->second != nullptr;
-    if (bound_vars.empty() && a_pinned != b_pinned) {
-      const std::string& probe_var = a_pinned ? dist->var() : dist->var2();
-      const std::string& partner_var = a_pinned ? dist->var2() : dist->var();
-      const std::set<ObjectId>& probes =
-          a_pinned ? *fa->second : *fb->second;
-      auto probe_cls = domains.classes.find(probe_var);
-      auto partner_cls = domains.classes.find(partner_var);
-      Result<Value> bound_v = EvalTermAt(other, Instantiation(), window.begin);
-      if (probe_cls != domains.classes.end() &&
-          partner_cls != domains.classes.end() && bound_v.ok() &&
-          bound_v->is_numeric()) {
-        // Small slack over the comparison epsilon so boundary contacts
-        // are never pruned.
-        double radius = std::max(0.0, bound_v->AsDouble().value()) + 1e-3;
-        bool pruned_all = true;
-        for (ObjectId pid : probes) {
-          auto pobj = probe_cls->second->Get(pid);
-          if (!pobj.ok()) continue;  // Deleted probe: no rows.
-          std::optional<std::vector<ObjectId>> candidates =
-              options_.motion_indexes->CandidatesNearObject(
-                  partner_cls->second->name(), **pobj, radius, window);
-          if (!candidates.has_value()) {
-            pruned_all = false;  // Unindexed or epoch escape: full scan.
-            break;
-          }
-          stats_.index_pruned +=
-              partner_cls->second->size() - candidates->size();
-          for (ObjectId nid : *candidates) {
-            auto nobj = partner_cls->second->Get(nid);
-            if (!nobj.ok()) continue;
-            ++stats_.instantiations;
-            AtomicJob job;
-            job.binding = vars[0] == probe_var
-                              ? std::vector<ObjectId>{pid, nid}
-                              : std::vector<ObjectId>{nid, pid};
-            job.inst[probe_var] = *pobj;
-            job.inst[partner_var] = *nobj;
-            jobs.push_back(std::move(job));
-          }
-        }
-        if (pruned_all) {
-          jobs_materialized = true;
-        } else {
-          jobs.clear();
-        }
-      }
-    }
-  }
   // SoA fast path for the plain two-variable DIST comparison against an
   // instantiation-independent bound (the overwhelmingly common shape).
-  // The index-pruned join above has priority: when it materialized jobs,
-  // the candidate set is not the full cross product.
-  if (!jobs_materialized && dist != nullptr && vars.size() == 2 &&
-      dist->var() != dist->var2()) {
+  if (dist != nullptr && vars.size() == 2 && dist->var() != dist->var2()) {
     std::set<std::string> other_vars;
     other->CollectObjectVars(&other_vars);
     if (other_vars.empty()) {
       return EvalDistSoA(domains, window, dist, other, op, vars);
     }
   }
-  if (!jobs_materialized) {
-    MOST_ASSIGN_OR_RETURN(
-        jobs, MaterializeJobs(vars, domains.classes, domains.filters,
-                              options_.max_instantiations,
-                              &stats_.instantiations));
-  }
+  MOST_ASSIGN_OR_RETURN(
+      std::vector<AtomicJob> jobs,
+      MaterializeJobs(vars, domains.classes, domains.filters,
+                      options_.max_instantiations, &stats_.instantiations));
   return SolveAtomicRelation(
       std::move(vars), jobs, options_, &stats_,
       [&](const AtomicJob& job) -> Result<IntervalSet> {
@@ -1516,64 +1439,27 @@ Result<TemporalRelation> FtlEvaluator::EvalInsideSoA(
     filter = filter_it->second.get();
   }
 
-  // Candidate snapshot indices, ascending. INSIDE over an indexed class:
-  // only the index's candidates can intersect the region during the
-  // window; everyone else is trivially outside. (OUTSIDE needs the
-  // complement, so the index cannot prune it; neither can it prune a
-  // self-anchored region, which never depends on absolute position.)
+  // Candidate snapshot indices, ascending.
   ArenaVector<uint32_t> cand{ArenaAllocator<uint32_t>(&arena_)};
-  MotionIndex* index =
-      (is_inside && !self_anchored && options_.motion_indexes != nullptr)
-          ? options_.motion_indexes->Get(cls->name())
-          : nullptr;
-  if (index != nullptr && !index->Covers(window)) index = nullptr;
-  if (index != nullptr) {
-    BoundingBox query_box{region.bounding_box().min,
-                          region.bounding_box().max};
-    std::vector<ObjectId> candidates =
-        index->QueryRegionCandidates(query_box, window);
-    // Under a domain restriction (the delta path) the candidate list is
-    // the intersection: outside the restriction the row is excluded by
-    // definition, outside the index's candidates it is trivially empty.
-    size_t domain_size = filter != nullptr ? filter->size() : cls->size();
-    cand.reserve(candidates.size());
-    for (ObjectId id : candidates) {
-      if (filter != nullptr && filter->count(id) == 0) continue;
-      ++stats_.instantiations;
+  if (filter != nullptr) {
+    cand.reserve(filter->size());
+    for (ObjectId id : *filter) {
       size_t oi = snap.IndexOf(id);
-      if (oi == ClassSnapshot::npos) {
-        MOST_RETURN_IF_ERROR(cls->Get(id).status());
-        // The candidate exists and passed the filter, so the scope holds
-        // it; a miss means the scope invariant broke.
-        return Status::Internal("object " + std::to_string(id) +
-                                " of class '" + cls->name() +
-                                "' is missing from its snapshot");
-      }
+      if (oi == ClassSnapshot::npos) continue;  // Deleted id: no row.
       cand.push_back(static_cast<uint32_t>(oi));
     }
-    stats_.index_pruned += domain_size - cand.size();
-    std::sort(cand.begin(), cand.end());
   } else {
-    if (filter != nullptr) {
-      cand.reserve(filter->size());
-      for (ObjectId id : *filter) {
-        size_t oi = snap.IndexOf(id);
-        if (oi == ClassSnapshot::npos) continue;  // Deleted id: no row.
-        cand.push_back(static_cast<uint32_t>(oi));
-      }
-    } else {
-      cand.reserve(snap.size());
-      for (size_t oi = 0; oi < snap.size(); ++oi) {
-        cand.push_back(static_cast<uint32_t>(oi));
-      }
+    cand.reserve(snap.size());
+    for (size_t oi = 0; oi < snap.size(); ++oi) {
+      cand.push_back(static_cast<uint32_t>(oi));
     }
-    if (!cand.empty()) {
-      stats_.instantiations += cand.size();
-      if (stats_.instantiations > options_.max_instantiations) {
-        return Status::OutOfRange(
-            "instantiation limit exceeded (" +
-            std::to_string(options_.max_instantiations) + ")");
-      }
+  }
+  if (!cand.empty()) {
+    stats_.instantiations += cand.size();
+    if (stats_.instantiations > options_.max_instantiations) {
+      return Status::OutOfRange(
+          "instantiation limit exceeded (" +
+          std::to_string(options_.max_instantiations) + ")");
     }
   }
   for (uint32_t oi : cand) {

@@ -13,7 +13,6 @@
 #include "common/interval.h"
 #include "common/result.h"
 #include "core/class_snapshot.h"
-#include "core/motion_index_manager.h"
 #include "core/object_model.h"
 #include "ftl/ast.h"
 #include "ftl/eval_context.h"
@@ -45,7 +44,6 @@ struct FtlEvalStats {
   size_t instantiations = 0;      ///< Object tuples enumerated.
   size_t join_pairs = 0;          ///< Row pairs examined by joins.
   size_t assign_subevals = 0;     ///< Body evaluations for [x := q].
-  size_t index_pruned = 0;        ///< Objects skipped thanks to an index.
   size_t arena_bytes = 0;         ///< Bump-arena bytes drawn by evaluations.
   size_t arena_heap_fallbacks = 0;  ///< Oversize arena requests sent to heap.
   size_t snapshot_builds = 0;     ///< ClassSnapshots built (not borrowed).
@@ -85,11 +83,6 @@ class FtlEvaluator {
   struct Options {
     /// Safety valve on domain enumeration (cross products).
     size_t max_instantiations = 4u << 20;
-    /// Optional Section 4 motion indexes: INSIDE atoms over indexed
-    /// classes examine only the index's candidates instead of every
-    /// object (the paper's combination of the index with the FTL
-    /// algorithm). Not owned; may be null.
-    const MotionIndexManager* motion_indexes = nullptr;
     /// Optional thread pool for atomic-predicate extraction: objects are
     /// independent until the join stages, so INSIDE / DIST / attribute
     /// range atoms are partitioned across the pool's workers and merged

@@ -92,7 +92,7 @@ class RTree {
   /// Replaces the tree's contents with the given entries, packed with the
   /// Sort-Tile-Recursive algorithm. Much faster than repeated Insert and
   /// produces better-clustered nodes; used by the periodic horizon
-  /// rebuilds of the trajectory/motion indexes.
+  /// rebuilds of the trajectory index.
   void BulkLoad(std::vector<std::pair<Box, Payload>> entries) {
     size_ = entries.size();
     if (entries.empty()) {
@@ -426,7 +426,10 @@ class RTree {
     }
     for (size_t i = 0; i < node->children.size(); ++i) {
       Entry& e = node->children[i];
-      if (!e.box.Intersects(box)) continue;
+      // A parent box covers every entry below it, so only a child whose
+      // box contains the removed box can hold it. Merely intersecting is
+      // far weaker: boxes that share a boundary (time slabs) intersect.
+      if (!e.box.ContainsBox(box)) continue;
       if (RemoveRec(e.child.get(), box, payload, orphans)) {
         if (e.child->children.size() < min_entries_) {
           // Condense: orphan the whole child for reinsertion.

@@ -949,11 +949,7 @@ TEST(DifferentialTest, SharedContextMatchesFreshEvaluation) {
         uint64_t id;
         Tick anchor;
       };
-      // `continuous` = false after a region redefinition: registered
-      // answers only follow object updates (§2.3), so only instantaneous
-      // answers are checked then.
-      auto check_all = [&](std::vector<Live>* live, bool continuous,
-                           const char* phase) {
+      auto check_all = [&](std::vector<Live>* live, const char* phase) {
         const Tick now = h.db.Now();
         for (Live& l : *live) {
           SCOPED_TRACE(std::string(phase) +
@@ -973,7 +969,6 @@ TEST(DifferentialTest, SharedContextMatchesFreshEvaluation) {
           ASSERT_EQ(got->rows, naive->rows)
               << "Evaluate diverged from the oracle\ngot: " << got->ToString()
               << "\nnaive: " << naive->ToString();
-          if (!continuous) continue;
           if (now > l.anchor + kHorizon) l.anchor = now;
           const Interval window(l.anchor, l.anchor + kHorizon);
           auto answer = h.Answer(l.id);
@@ -1007,7 +1002,7 @@ TEST(DifferentialTest, SharedContextMatchesFreshEvaluation) {
             filtered_nodes += CountNotes((*profile)->root, "filtered");
           }
         }
-        ASSERT_NO_FATAL_FAILURE(check_all(&live, true, "registered"));
+        ASSERT_NO_FATAL_FAILURE(check_all(&live, "registered"));
         for (int step = 0; step < 2; ++step) {
           // Updates: motions, fuel, a creation or a deletion.
           std::vector<ObjectId> ids;
@@ -1035,23 +1030,25 @@ TEST(DifferentialTest, SharedContextMatchesFreshEvaluation) {
             ASSERT_NO_FATAL_FAILURE(h.Create(&rng));
           }
           ASSERT_TRUE(h.Refresh().ok());
-          ASSERT_NO_FATAL_FAILURE(check_all(&live, true, "updated"));
+          ASSERT_NO_FATAL_FAILURE(check_all(&live, "updated"));
           // The clock alone: no update, a new context all the same. A
           // jump past the horizon sends TickAll down the full path.
           ASSERT_TRUE(
               h.AdvanceClock(rng.Bernoulli(0.25) ? kHorizon + 6
                                                  : rng.UniformInt(1, 3))
                   .ok());
-          ASSERT_NO_FATAL_FAILURE(check_all(&live, true, "clock"));
+          ASSERT_NO_FATAL_FAILURE(check_all(&live, "clock"));
         }
         // A region redefinition alone (grid-aligned, so the oracle stays
-        // exact). Continuous answers are not refreshed by it.
+        // exact). It notifies no listener; the catalog change alone must
+        // bring the registered answers onto the new polygon.
         ASSERT_TRUE(h.db.DefineRegion(
                           "R1", Polygon::Rectangle(
                                     {Grid(&rng, -12, 0), Grid(&rng, -12, 0)},
                                     {Grid(&rng, 2, 12), Grid(&rng, 2, 12)}))
                         .ok());
-        ASSERT_NO_FATAL_FAILURE(check_all(&live, false, "region"));
+        ASSERT_TRUE(h.Refresh().ok());
+        ASSERT_NO_FATAL_FAILURE(check_all(&live, "region"));
         for (const Live& l : live) ASSERT_TRUE(h.Cancel(l.id).ok());
       }
     }

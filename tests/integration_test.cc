@@ -1,10 +1,9 @@
 // End-to-end simulation mixing every subsystem: a fleet with ongoing
-// motion updates, continuous queries, triggers, motion indexes, and the
-// MOST-on-DBMS mirror — with cross-checked invariants at every step.
+// motion updates, continuous queries, triggers, and the MOST-on-DBMS
+// mirror — with cross-checked invariants at every step.
 
 #include <gtest/gtest.h>
 
-#include "core/motion_index_manager.h"
 #include "core/most_on_dbms.h"
 #include "ftl/naive_eval.h"
 #include "ftl/parser.h"
@@ -24,10 +23,7 @@ TEST(IntegrationTest, LongRunningSimulationInvariants) {
   ASSERT_TRUE(
       db.DefineRegion("P", Polygon::Rectangle({150, 150}, {350, 350})).ok());
 
-  MotionIndexManager indexes(&db, {.horizon = 256});
-  ASSERT_TRUE(indexes.IndexClass("CARS").ok());
-
-  QueryManager qm(&db, {.horizon = 128, .motion_indexes = &indexes});
+  QueryManager qm(&db, {.horizon = 128});
   auto inside_now = ParseQuery("RETRIEVE o FROM CARS o WHERE INSIDE(o, P)");
   auto reach_soon = ParseQuery(
       "RETRIEVE o FROM CARS o WHERE EVENTUALLY WITHIN 40 INSIDE(o, P)");
@@ -62,7 +58,7 @@ TEST(IntegrationTest, LongRunningSimulationInvariants) {
     ASSERT_TRUE(fresh.ok());
     EXPECT_EQ(*from_cq, *fresh) << "t=" << t;
 
-    // Invariant 2: indexed evaluation equals direct geometry.
+    // Invariant 2: the displayed answer equals direct geometry.
     std::set<ObjectId> displayed;
     for (const auto& binding : *from_cq) displayed.insert(binding[0]);
     auto cars = db.GetClass("CARS");

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/failpoint.h"
+
 namespace most {
 namespace {
 
@@ -113,9 +115,37 @@ TEST_F(ObjectModelTest, UpdateListenersFire) {
   ASSERT_TRUE(car.ok());
   EXPECT_EQ(fired, 1);
   ASSERT_TRUE(db_.SetMotion("CARS", (*car)->id(), {0, 0}, {1, 1}).ok());
-  EXPECT_EQ(fired, 3);  // One per coordinate attribute.
+  // One notification for both axes, after both are written; the update
+  // count still counts one update per coordinate attribute.
+  EXPECT_EQ(fired, 2);
   EXPECT_EQ(last_class, "CARS");
   EXPECT_EQ(db_.update_count(), 3u);
+}
+
+// SetMotion hits its failpoint once, before either axis is written: an
+// injected error leaves the motion, the update count and the listeners
+// exactly as they were.
+TEST_F(ObjectModelTest, SetMotionFailpointGuardsBothAxes) {
+  auto car = db_.CreateObject("CARS");
+  ASSERT_TRUE(car.ok());
+  const ObjectId id = (*car)->id();
+  int fired = 0;
+  db_.AddUpdateListener([&](const std::string&, ObjectId) { ++fired; });
+  auto& fp = FailpointRegistry::Instance();
+  const uint64_t hits = fp.triggered("core/update_dynamic");
+  ASSERT_TRUE(fp.Arm("core/update_dynamic", "noop").ok());
+  ASSERT_TRUE(db_.SetMotion("CARS", id, {1, 2}, {3, 4}).ok());
+  fp.Disarm("core/update_dynamic");
+  EXPECT_EQ(fp.triggered("core/update_dynamic"), hits + 1);
+  EXPECT_EQ(fired, 1);
+
+  const uint64_t updates = db_.update_count();
+  ASSERT_TRUE(fp.Arm("core/update_dynamic", "error*1").ok());
+  EXPECT_FALSE(db_.SetMotion("CARS", id, {50, 60}, {-1, -1}).ok());
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(db_.update_count(), updates);
+  EXPECT_EQ(db_.GetClass("CARS").value()->Get(id).value()->PositionAt(10),
+            (Point2{31, 42}));
 }
 
 // Every mutator moves version(), the key of the per-version evaluation

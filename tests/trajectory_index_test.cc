@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "index/motion_index.h"
 #include "temporal/range_query.h"
 
 namespace most {
@@ -212,85 +211,6 @@ TEST_P(TrajectoryIndexPropertyTest, IntervalQueriesMatchPerTickScan) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TrajectoryIndexPropertyTest,
                          ::testing::Values(1, 2, 3, 1997));
-
-TEST(MotionIndexTest, RegionQueryNow) {
-  MotionIndex index(0, {.horizon = 128});
-  // Object 1 crosses the region; object 2 stays away.
-  index.Upsert(1, Linear(-50, 0, 1.0), Linear(0, 0, 0.0));
-  index.Upsert(2, Linear(500, 0, 0.0), Linear(500, 0, 0.0));
-  BoundingBox region{{-5, -5}, {5, 5}};
-  // Object 1 at x in [-5,5] for t in [45,55].
-  EXPECT_EQ(index.QueryRegionExact(region, 50), (std::vector<ObjectId>{1}));
-  EXPECT_TRUE(index.QueryRegionExact(region, 100).empty());
-}
-
-TEST(MotionIndexTest, WindowCandidatesCoverCrossings) {
-  MotionIndex index(0, {.horizon = 128});
-  index.Upsert(1, Linear(-50, 0, 1.0), Linear(0, 0, 0.0));
-  BoundingBox region{{-5, -5}, {5, 5}};
-  auto cands = index.QueryRegionCandidates(region, Interval(0, 127));
-  EXPECT_EQ(cands, (std::vector<ObjectId>{1}));
-  auto none = index.QueryRegionCandidates(BoundingBox{{900, 900}, {910, 910}},
-                                          Interval(0, 127));
-  EXPECT_TRUE(none.empty());
-}
-
-TEST(MotionIndexTest, UpsertReplacesTrajectory) {
-  MotionIndex index(0, {.horizon = 128});
-  index.Upsert(1, Linear(-50, 0, 1.0), Linear(0, 0, 0.0));
-  BoundingBox region{{-5, -5}, {5, 5}};
-  ASSERT_EQ(index.QueryRegionExact(region, 50), (std::vector<ObjectId>{1}));
-  // Vehicle turns away at t=40.
-  index.Upsert(1, Linear(-10, 40, 0.0), Linear(0, 40, -1.0));
-  EXPECT_TRUE(index.QueryRegionExact(region, 50).empty());
-  index.Remove(1);
-  EXPECT_EQ(index.num_objects(), 0u);
-}
-
-TEST(MotionIndexTest, RebuildPreservesObjects) {
-  MotionIndex index(0, {.horizon = 64});
-  index.Upsert(1, Linear(0, 0, 1.0), Linear(0, 0, 1.0));
-  EXPECT_TRUE(index.NeedsRebuild(64));
-  index.Rebuild(64);
-  BoundingBox region{{99, 99}, {101, 101}};
-  EXPECT_EQ(index.QueryRegionExact(region, 100), (std::vector<ObjectId>{1}));
-}
-
-class MotionIndexPropertyTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(MotionIndexPropertyTest, RegionQueriesMatchFullScan) {
-  Rng rng(GetParam());
-  MotionIndex index(0, {.horizon = 128});
-  struct Obj {
-    DynamicAttribute x, y;
-  };
-  std::unordered_map<ObjectId, Obj> objects;
-  for (ObjectId id = 0; id < 100; ++id) {
-    Obj o{Linear(rng.UniformDouble(-100, 100), 0, rng.UniformDouble(-2, 2)),
-          Linear(rng.UniformDouble(-100, 100), 0, rng.UniformDouble(-2, 2))};
-    index.Upsert(id, o.x, o.y);
-    objects.emplace(id, o);
-  }
-  for (int q = 0; q < 30; ++q) {
-    double x0 = rng.UniformDouble(-120, 100);
-    double y0 = rng.UniformDouble(-120, 100);
-    BoundingBox region{{x0, y0},
-                       {x0 + rng.UniformDouble(1, 60),
-                        y0 + rng.UniformDouble(1, 60)}};
-    Tick t = rng.UniformInt(0, 127);
-    std::set<ObjectId> got;
-    for (ObjectId id : index.QueryRegionExact(region, t)) got.insert(id);
-    std::set<ObjectId> want;
-    for (const auto& [id, o] : objects) {
-      Point2 pos{o.x.ValueAt(t), o.y.ValueAt(t)};
-      if (region.Contains(pos)) want.insert(id);
-    }
-    ASSERT_EQ(got, want) << "query " << q;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, MotionIndexPropertyTest,
-                         ::testing::Values(1, 7, 1997));
 
 }  // namespace
 }  // namespace most
