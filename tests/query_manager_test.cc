@@ -230,6 +230,74 @@ TEST_F(QueryManagerTest, PersistentQueryRecordsPositionHistory) {
   ASSERT_FALSE(answer->empty());
 }
 
+TEST_F(QueryManagerTest, PersistentAnswerReadEveryTickMatchesFirstRead) {
+  // A read mirrors again only the objects that changed since the previous
+  // read; a manager's first read mirrors every object. Manager k, anchored
+  // with qm_, reads for the first time at tick k: both must agree.
+  constexpr Tick kTicks = 12;
+  std::vector<std::unique_ptr<QueryManager>> first_read;
+  std::vector<QueryManager::QueryId> first_read_ids;
+  std::vector<ObjectId> cars;
+  for (int i = 0; i < 6; ++i) {
+    cars.push_back(AddCar({-10.0 - i, 1.0 + i}, {1, 0}));
+    ASSERT_TRUE(
+        db_.UpdateStatic("CARS", cars.back(), "PRICE", Value(10.0 * i)).ok());
+  }
+  FtlQuery q = Parse(
+      "RETRIEVE o FROM CARS o "
+      "WHERE o.PRICE <= 30 AND EVENTUALLY WITHIN 15 INSIDE(o, P)");
+  auto every = qm_.RegisterPersistent(q);
+  ASSERT_TRUE(every.ok());
+  for (Tick t = 0; t <= kTicks; ++t) {
+    first_read.push_back(
+        std::make_unique<QueryManager>(&db_, QueryManager::Options{
+                                                 .horizon = 200}));
+    auto id = first_read.back()->RegisterPersistent(q);
+    ASSERT_TRUE(id.ok());
+    first_read_ids.push_back(*id);
+  }
+  MostObject* silent = nullptr;  // Changed behind the listeners' back.
+  for (Tick t = 1; t <= kTicks; ++t) {
+    db_.clock().AdvanceTo(t);
+    ASSERT_TRUE(db_.SetMotion("CARS", cars[1 + t % 5],
+                              {-5.0 + t, 2.0 + t % 3},
+                              {t % 2 == 0 ? 1.0 : -1.0, 0})
+                    .ok());
+    if (t % 4 == 0) {
+      ASSERT_TRUE(db_.UpdateStatic("CARS", cars[1 + (t + 1) % 5], "PRICE",
+                                   Value(5.0 * t))
+                      .ok());
+    }
+    if (t == 3) {
+      auto obj = db_.CreateObject("CARS");  // After anchoring.
+      ASSERT_TRUE(obj.ok());
+      silent = *obj;
+      silent->SetStatic("PRICE", Value(1.0));
+      silent->SetDynamic(kAttrX, DynamicAttribute(-4.0, t,
+                                                  TimeFunction::Linear(1.0)));
+      silent->SetDynamic(kAttrY, DynamicAttribute(5.0, t, TimeFunction()));
+    }
+    if (t == 5) silent->SetStatic("PRICE", Value(int64_t{50}));
+    if (t == 7) silent->SetStatic("PRICE", Value(int64_t{2}));
+    if (t == 8) silent->SetStatic("PRICE", Value(2.0));  // Equal to 2.
+    if (t == 9) ASSERT_TRUE(db_.DeleteObject("CARS", cars[0]).ok());
+    auto read = qm_.PersistentAnswer(*every);
+    ASSERT_TRUE(read.ok()) << read.status();
+    auto fresh = first_read[t]->PersistentAnswer(first_read_ids[t]);
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    EXPECT_EQ(*read, *fresh) << "t=" << t;
+  }
+  // A region redefinition reaches the history too.
+  ASSERT_TRUE(
+      db_.DefineRegion("P", Polygon::Rectangle({0, 0}, {30, 10})).ok());
+  auto read = qm_.PersistentAnswer(*every);
+  ASSERT_TRUE(read.ok());
+  auto fresh = first_read[0]->PersistentAnswer(first_read_ids[0]);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_FALSE(fresh->empty());
+  EXPECT_EQ(*read, *fresh);
+}
+
 TEST_F(QueryManagerTest, TriggerFiresOnIntervalEntry) {
   AddCar({-20, 5}, {1, 0});  // In P during [20, 30].
   FtlQuery q = Parse("RETRIEVE o FROM CARS o WHERE INSIDE(o, P)");
