@@ -148,6 +148,24 @@ echo "=== trace-golden stage (causal tracing + telemetry, ASan+UBSan) ==="
 ./build-asan/tests/trace_test
 ./build-asan/tests/telemetry_test
 
+# Tick-benchmark stage: build the unmodified tick benchmark from this
+# checkout the way its runner does, and run every workload (fleet, ingest,
+# paper) briefly. The runner's last line is one JSON summary; the stage
+# fails unless its answer check passed ("correct": true, "failed": 0), so
+# a public-API change that breaks the benchmark's build or its answers
+# fails here. It runs before the timing gates below, so a timing gate
+# that trips on a loaded host cannot hide the answer check.
+echo "=== tickbench stage (all workloads, answer check) ==="
+summary="$(CARGO_TARGET_DIR=build-tickbench python3 tickbench/run.py \
+  --workload all --seconds 1 --trace 0 | tail -n 1)"
+python3 - "$summary" <<'PY'
+import json, sys
+r = json.loads(sys.argv[1])
+print(f"tickbench: correct={r['correct']} attempted={r['attempted']} "
+      f"failed={r['failed']}")
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
+PY
+
 # Metrics-overhead stage: bench_ftl_eval measures the same serial
 # evaluation with the registry armed vs. the kill switch, and again with
 # tracing + telemetry armed vs. disabled; each delta must stay under 5%
@@ -195,23 +213,6 @@ awk -v base="$baseline" -v fresh="$fresh" 'BEGIN {
   printf "serial ns/op: baseline %s, fresh %s (%+.1f%%)\n", base, fresh, pct
   if (pct > 15.0) { print "serial path regressed beyond the 15% budget"; exit 1 }
 }'
-
-# Tick-benchmark stage: build the unmodified tick benchmark from this
-# checkout the way its runner does, and run every workload (fleet, ingest,
-# paper) briefly. The runner's last line is one JSON summary; the stage
-# fails unless its answer check passed ("correct": true, "failed": 0), so
-# a public-API change that breaks the benchmark's build or its answers
-# fails here.
-echo "=== tickbench stage (all workloads, answer check) ==="
-summary="$(CARGO_TARGET_DIR=build-tickbench python3 tickbench/run.py \
-  --workload all --seconds 1 --trace 0 | tail -n 1)"
-python3 - "$summary" <<'PY'
-import json, sys
-r = json.loads(sys.argv[1])
-print(f"tickbench: correct={r['correct']} attempted={r['attempted']} "
-      f"failed={r['failed']}")
-sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)
-PY
 
 if [[ "${1:-}" == "tsan" ]]; then
   run_config build-tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMOST_SANITIZE=thread

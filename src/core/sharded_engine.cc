@@ -27,6 +27,23 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
+/// The gather's merge: unions the shards' relations binding by binding.
+/// Projection can collapse one binding into several shards' rows; their
+/// tick sets must union (and adjacent intervals re-coalesce) or flattening
+/// would not be byte-identical to the single-shard oracle.
+TemporalRelation MergeShardRelations(
+    const std::vector<const TemporalRelation*>& parts) {
+  TemporalRelation merged;
+  if (!parts.empty()) merged.vars = parts.front()->vars;
+  for (const TemporalRelation* part : parts) {
+    for (const auto& [binding, when] : part->rows) {
+      auto [row, inserted] = merged.rows.try_emplace(binding, when);
+      if (!inserted) row->second = row->second.Union(when);
+    }
+  }
+  return merged;
+}
+
 }  // namespace
 
 ShardedEngine::ShardedEngine(MostDatabase* db, Options options)
@@ -478,21 +495,14 @@ Result<ShardedEngine::ShardedAnswer> ShardedEngine::ContinuousAnswer(
     if (!s.ok()) return s;
   }
 
-  // Gather: merge the *relations* before flattening. Projection can
-  // collapse one binding into several shards' rows; their tick sets must
-  // union (and adjacent intervals re-coalesce) or flattening would not be
-  // byte-identical to the single-shard oracle.
+  // Gather: merge the *relations* before flattening.
   ShardedAnswer out;
-  TemporalRelation merged;
-  merged.vars =
-      snaps.empty() ? std::vector<std::string>{} : snaps[0].answer->vars;
+  std::vector<const TemporalRelation*> parts(n);
   for (size_t k = 0; k < n; ++k) {
     if (snaps[k].degrade != DegradeReason::kNone) out.missing_shards.push_back(k);
-    for (const auto& [binding, when] : snaps[k].answer->rows) {
-      auto [row, inserted] = merged.rows.emplace(binding, when);
-      if (!inserted) row->second = row->second.Union(when);
-    }
+    parts[k] = snaps[k].answer.get();
   }
+  const TemporalRelation merged = MergeShardRelations(parts);
   if (obs::MetricsRegistry::Global().enabled()) {
     gather_merges_total_->Inc();
     if (!out.missing_shards.empty()) degraded_gathers_total_->Inc();
@@ -525,15 +535,9 @@ Result<TemporalRelation> ShardedEngine::Evaluate(const FtlQuery& query) {
   for (const Status& s : sts) {
     if (!s.ok()) return s;
   }
-  TemporalRelation merged;
-  merged.vars = parts.empty() ? std::vector<std::string>{} : parts[0].vars;
-  for (TemporalRelation& part : parts) {
-    for (auto& [binding, when] : part.rows) {
-      auto [row, inserted] = merged.rows.emplace(binding, std::move(when));
-      if (!inserted) row->second = row->second.Union(when);
-    }
-  }
-  return merged;
+  std::vector<const TemporalRelation*> views;
+  for (const TemporalRelation& part : parts) views.push_back(&part);
+  return MergeShardRelations(views);
 }
 
 QueryManager::RefreshCounters ShardedEngine::TotalRefreshCounters() const {

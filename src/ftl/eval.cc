@@ -671,11 +671,9 @@ const ClassSnapshot& FtlEvaluator::GetSnapshot(const ObjectClass* cls,
   if (it != snapshots_.end()) return *it->second;
   auto scope = scopes_.find(cls);
   // Built or borrowed, the snapshot is charged as if this evaluation had
-  // drawn it from its own arena. Under a budget that means its own scope:
-  // a whole-class snapshot would charge more than a scoped build.
+  // drawn it from its own arena.
   EvalContext::Snapshot snap = generation_->GetSnapshot(
-      *cls, window, scope != scopes_.end() ? scope->second : nullptr,
-      /*exact_scope=*/gate_.active());
+      *cls, window, scope != scopes_.end() ? scope->second : nullptr);
   snapshot_bytes_ += snap.bytes;
   if (snap.built) {
     ++stats_.snapshot_builds;
@@ -885,27 +883,8 @@ Result<TemporalRelation> FtlEvaluator::EvaluateQueryUnprojectedImpl(
   MOST_ASSIGN_OR_RETURN(
       rel, ExpandToVars(std::move(rel), SortedVars(target_set),
                         domains.classes, domains.filters,
-                        options_.max_instantiations, &stats_.instantiations));
+                        kMaxInstantiations, &stats_.instantiations));
   return Own(std::move(rel));
-}
-
-Result<TemporalRelation> FtlEvaluator::EvalFormula(
-    const FormulaPtr& formula,
-    const std::map<std::string, std::string>& var_classes, Interval window) {
-  BeginEvaluation();
-  Domains domains;
-  for (const auto& [var, cls] : var_classes) {
-    MOST_ASSIGN_OR_RETURN(const ObjectClass* oc, db_.GetClass(cls));
-    domains.classes[var] = oc;
-  }
-  for (const auto& [var, ids] : options_.domain_restrictions) {
-    if (ids != nullptr) domains.filters[var] = ids;
-  }
-  SetScopes(domains);
-  Result<RelationPtr> result = Eval(formula, domains, window, /*keep=*/false);
-  AccumulateArenaStats();
-  MOST_RETURN_IF_ERROR(result.status());
-  return Own(std::move(result).value());
 }
 
 Result<RelationPtr> FtlEvaluator::Eval(const FormulaPtr& f,
@@ -1060,8 +1039,7 @@ Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
         MOST_ASSIGN_OR_RETURN(
             std::vector<AtomicJob> jobs,
             MaterializeJobs(vars, domains.classes, domains.filters,
-                            options_.max_instantiations,
-                            &stats_.instantiations));
+                            kMaxInstantiations, &stats_.instantiations));
         return SolveAtomicRelation(
             std::move(vars), jobs, options_, &stats_,
             [&](const AtomicJob& job) -> Result<IntervalSet> {
@@ -1095,8 +1073,7 @@ Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
       MOST_ASSIGN_OR_RETURN(
           std::vector<AtomicJob> jobs,
           MaterializeJobs(vars, domains.classes, domains.filters,
-                          options_.max_instantiations,
-                          &stats_.instantiations));
+                          kMaxInstantiations, &stats_.instantiations));
       return SolveAtomicRelation(
           std::move(vars), jobs, options_, &stats_,
           [&](const AtomicJob& job) -> Result<IntervalSet> {
@@ -1155,11 +1132,11 @@ Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
       std::vector<std::string> target = UnionVars(r1->vars, r2->vars);
       MOST_ASSIGN_OR_RETURN(
           r1, ExpandToVars(std::move(r1), target, domains.classes,
-                           domains.filters, options_.max_instantiations,
+                           domains.filters, kMaxInstantiations,
                            &stats_.instantiations));
       MOST_ASSIGN_OR_RETURN(
           r2, ExpandToVars(std::move(r2), target, domains.classes,
-                           domains.filters, options_.max_instantiations,
+                           domains.filters, kMaxInstantiations,
                            &stats_.instantiations));
       TemporalRelation out = Own(std::move(r1));
       for (const auto& [binding, when] : r2->rows) {
@@ -1179,7 +1156,7 @@ Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
       auto hint = out.rows.end();
       Status status = EnumerateInstantiations(
           r->vars, domains.classes, domains.filters,
-          options_.max_instantiations, &stats_.instantiations,
+          kMaxInstantiations, &stats_.instantiations,
           [&](const std::vector<ObjectId>& binding, const Instantiation&) {
             auto it = r->rows.find(binding);
             IntervalSet when = (it == r->rows.end())
@@ -1210,7 +1187,7 @@ Result<TemporalRelation> FtlEvaluator::EvalNode(const FormulaPtr& f,
       MOST_ASSIGN_OR_RETURN(
           RelationPtr e2,
           ExpandToVars(std::move(r2), target, domains.classes, domains.filters,
-                       options_.max_instantiations, &stats_.instantiations));
+                       kMaxInstantiations, &stats_.instantiations));
       std::vector<size_t> r1_positions;
       for (const std::string& v : r1->vars) {
         r1_positions.push_back(
@@ -1356,7 +1333,7 @@ Result<TemporalRelation> FtlEvaluator::EvalCompare(const FtlFormula& f,
   MOST_ASSIGN_OR_RETURN(
       std::vector<AtomicJob> jobs,
       MaterializeJobs(vars, domains.classes, domains.filters,
-                      options_.max_instantiations, &stats_.instantiations));
+                      kMaxInstantiations, &stats_.instantiations));
   return SolveAtomicRelation(
       std::move(vars), jobs, options_, &stats_,
       [&](const AtomicJob& job) -> Result<IntervalSet> {
@@ -1456,10 +1433,9 @@ Result<TemporalRelation> FtlEvaluator::EvalInsideSoA(
   }
   if (!cand.empty()) {
     stats_.instantiations += cand.size();
-    if (stats_.instantiations > options_.max_instantiations) {
-      return Status::OutOfRange(
-          "instantiation limit exceeded (" +
-          std::to_string(options_.max_instantiations) + ")");
+    if (stats_.instantiations > kMaxInstantiations) {
+      return Status::OutOfRange("instantiation limit exceeded (" +
+                                std::to_string(kMaxInstantiations) + ")");
     }
   }
   for (uint32_t oi : cand) {
@@ -1551,10 +1527,9 @@ Result<TemporalRelation> FtlEvaluator::EvalDistSoA(
   const size_t n0 = ext0.size(), n1 = ext1.size();
   const size_t total = n0 * n1;
   stats_.instantiations += total;
-  if (stats_.instantiations > options_.max_instantiations) {
+  if (stats_.instantiations > kMaxInstantiations) {
     return Status::OutOfRange("instantiation limit exceeded (" +
-                              std::to_string(options_.max_instantiations) +
-                              ")");
+                              std::to_string(kMaxInstantiations) + ")");
   }
 
   // The bound is instantiation-independent here, so it is evaluated once
@@ -1626,7 +1601,7 @@ Result<TemporalRelation> FtlEvaluator::EvalAssign(const FtlFormula& f,
 
   Status status = EnumerateInstantiations(
       q_vars, domains.classes, domains.filters,
-      options_.max_instantiations, &stats_.instantiations,
+      kMaxInstantiations, &stats_.instantiations,
       [&](const std::vector<ObjectId>& binding, const Instantiation& inst) {
         // Decompose the term's value over the window into
         // (value, tick-interval) tuples: the relation Q of the appendix.

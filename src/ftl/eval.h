@@ -80,9 +80,10 @@ Result<std::map<std::string, const ObjectClass*>> ValidateQuery(
 /// all of its evaluations share.
 class FtlEvaluator {
  public:
+  /// Safety valve on domain enumeration (cross products).
+  static constexpr size_t kMaxInstantiations = 4u << 20;
+
   struct Options {
-    /// Safety valve on domain enumeration (cross products).
-    size_t max_instantiations = 4u << 20;
     /// Optional thread pool for atomic-predicate extraction: objects are
     /// independent until the join stages, so INSIDE / DIST / attribute
     /// range atoms are partitioned across the pool's workers and merged
@@ -139,16 +140,10 @@ class FtlEvaluator {
   Result<TemporalRelation> EvaluateQueryUnprojected(const FtlQuery& query,
                                                     Interval window);
 
-  /// Evaluates a formula whose object variables are bound to classes by
-  /// `var_classes`. Exposed for tests and for the query manager.
-  Result<TemporalRelation> EvalFormula(
-      const FormulaPtr& formula,
-      const std::map<std::string, std::string>& var_classes, Interval window);
-
   const FtlEvalStats& stats() const { return stats_; }
 
   /// Which budget limit aborted the last evaluation (kNone if it ran to
-  /// completion). Valid after EvaluateQuery*/EvalFormula returns.
+  /// completion). Valid after EvaluateQuery* returns.
   DegradeReason degrade_reason() const { return gate_.tripped(); }
 
  private:

@@ -179,12 +179,10 @@ void EvalContext::Generation::StoreRelation(const std::string& key,
 
 EvalContext::Snapshot EvalContext::Generation::GetSnapshot(
     const ObjectClass& cls, Interval window,
-    const std::shared_ptr<const std::set<ObjectId>>& scope,
-    bool exact_scope) {
+    const std::shared_ptr<const std::set<ObjectId>>& scope) {
   std::lock_guard<std::mutex> lock(mu_);
   for (const SnapshotEntry& e : snapshots_) {
-    if (e.cls == &cls && e.window == window &&
-        ((e.scope == nullptr && !exact_scope) || SameIds(e.scope, scope))) {
+    if (e.cls == &cls && e.window == window && SameIds(e.scope, scope)) {
       return {e.snapshot.get(), e.bytes, /*built=*/false};
     }
   }

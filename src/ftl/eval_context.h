@@ -99,15 +99,11 @@ class EvalContext {
     /// keeps the first; both are equal).
     void StoreRelation(const std::string& key, Restrictions restrictions,
                        SharedRelation shared);
-    /// The snapshot of `cls` over `window` for `scope` (null = the whole
-    /// class), built on first request. Unless `exact_scope`, a whole-class
-    /// snapshot serves a scoped request: the kernels reach rows only
-    /// through a restricted variable's ids when a class is scoped, and
-    /// every row is bit-equal to the same object's row of a scoped build.
+    /// The snapshot of `cls` over `window` for exactly `scope` (null =
+    /// the whole class), built on first request.
     Snapshot GetSnapshot(
         const ObjectClass& cls, Interval window,
-        const std::shared_ptr<const std::set<ObjectId>>& scope,
-        bool exact_scope);
+        const std::shared_ptr<const std::set<ObjectId>>& scope);
 
    private:
     struct RelationEntry {

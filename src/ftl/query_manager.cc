@@ -314,6 +314,73 @@ void QueryManager::SlideExpiredWindow(Continuous* cq, Tick now) const {
   cq->dirty = true;  // The materialized rows belong to the old window.
 }
 
+/// One refresh, as data: the passes it evaluates and the rows its install
+/// drops. Full and delta refreshes differ only in this plan; RunRefresh
+/// evaluates every pass before it touches the materialized answer.
+struct QueryManager::RefreshPlan {
+  /// One evaluation over the window, restricted by the partition and, when
+  /// `ids` is set, with `var` pinned to `ids`.
+  struct Pass {
+    std::string var;
+    std::shared_ptr<const std::set<ObjectId>> ids;
+    /// Profile node label under the root; empty profiles into the root.
+    std::string label;
+  };
+  /// A full plan has one pass, restricted by the partition alone, whose
+  /// relation replaces every row. A delta plan drops the rows binding a
+  /// dirty object and splices its passes in.
+  bool delta = false;
+  /// Why the plan runs: a full reason (initial/expired/forced/catalog/
+  /// dirty_fraction/delta_error) or "coalesced updates".
+  const char* reason = nullptr;
+  std::vector<Pass> passes;
+  /// Delta only: per column of `full`, the dirty ids whose rows the
+  /// install drops (null = the column's class saw no update).
+  std::vector<const std::set<ObjectId>*> drop;
+};
+
+QueryManager::RefreshPlan QueryManager::DeltaPlan(const Continuous& cq) const {
+  RefreshPlan plan;
+  plan.delta = true;
+  plan.reason = "coalesced updates";
+  const std::vector<std::string>& vars = cq.full.vars;
+  plan.drop.assign(vars.size(), nullptr);
+  const std::string* part_var =
+      (options_.domain_partition != nullptr && !cq.query.from.empty())
+          ? &cq.query.from.front().var
+          : nullptr;
+  for (size_t i = 0; i < vars.size(); ++i) {
+    for (const FromBinding& fb : cq.query.from) {
+      if (fb.var == vars[i]) {
+        auto it = cq.dirty_objects.find(fb.class_name);
+        if (it != cq.dirty_objects.end()) plan.drop[i] = &it->second;
+        break;
+      }
+    }
+    if (plan.drop[i] == nullptr) continue;
+    // One pass per dirty column: variable i pinned to the dirty ids, every
+    // other domain unrestricted. For the partitioned variable the pass
+    // takes the owned dirty ids only; when none is owned, no owned row
+    // binds a dirty id in this column and there is nothing to re-derive.
+    std::shared_ptr<const std::set<ObjectId>> ids;
+    if (part_var != nullptr && vars[i] == *part_var) {
+      auto owned_dirty = std::make_shared<std::set<ObjectId>>();
+      for (ObjectId id : *plan.drop[i]) {
+        if (options_.domain_partition->count(id) > 0) owned_dirty->insert(id);
+      }
+      if (owned_dirty->empty()) continue;
+      ids = std::move(owned_dirty);
+    } else {
+      ids = std::make_shared<const std::set<ObjectId>>(*plan.drop[i]);
+    }
+    plan.passes.push_back({vars[i], std::move(ids),
+                           "RestrictedPass " + vars[i] + " (" +
+                               std::to_string(plan.drop[i]->size()) +
+                               " dirty)"});
+  }
+  return plan;
+}
+
 Status QueryManager::Refresh(Continuous* cq,
                              const ResourceGovernor::Limits& limits) {
   Tick now = db_->Now();
@@ -356,62 +423,101 @@ Status QueryManager::Refresh(Continuous* cq,
         static_cast<double>(dirty_total) <=
             limits.delta_max_dirty_fraction *
                 static_cast<double>(domain_total)) {
-      Status delta = RefreshDelta(cq, limits.refresh_budget);
+      Status delta = RunRefresh(cq, DeltaPlan(*cq), limits.refresh_budget);
       if (delta.ok()) return delta;
-      // Delta failed (e.g. an injected fault): the relation may be
-      // half-spliced, so fall through to a full re-evaluation.
+      // Delta failed (e.g. an injected fault) and installed nothing: retry
+      // through the full plan.
       full_reason = "delta_error";
     } else {
       full_reason = "dirty_fraction";
     }
   }
-  return RefreshFull(cq, full_reason, limits.refresh_budget);
+  RefreshPlan full;  // One pass, restricted by the partition alone.
+  full.reason = full_reason;
+  full.passes.emplace_back();
+  return RunRefresh(cq, full, limits.refresh_budget);
 }
 
-Status QueryManager::RefreshFull(Continuous* cq, const char* reason,
-                                 const Budget& budget) {
-  obs::TraceSpan span("qm/refresh_full", "ftl");
+Status QueryManager::RunRefresh(Continuous* cq, const RefreshPlan& plan,
+                                const Budget& budget) {
+  if (plan.delta) MOST_FAILPOINT("ftl/delta/refresh");
+  const char* path = plan.delta ? "delta" : "full";
+  obs::TraceSpan span(plan.delta ? "qm/refresh_delta" : "qm/refresh_full",
+                      "ftl");
   Tick now = db_->Now();
   span.AnnotateU64("query_id", cq->id);
   span.AnnotateU64("tick", static_cast<uint64_t>(now));
-  span.Annotate("reason", reason);
+  if (!plan.delta) span.Annotate("reason", plan.reason);
   if (options_.shard_id >= 0) {
     span.AnnotateU64("shard", static_cast<uint64_t>(options_.shard_id));
   }
+  const size_t dirty_total = DirtyTotal(cq->dirty_objects);
   auto profile = std::make_shared<obs::QueryProfile>();
   profile->query = cq->query.ToString();
   profile->window = RenderWindow(cq->window_begin, cq->expires_at);
-  profile->path = "full";
-  profile->reason = reason;
+  profile->path = path;
+  profile->reason = plan.reason;
   profile->refresh_seq = cq->evaluations + 1;
-  profile->dirty_objects = DirtyTotal(cq->dirty_objects);
-  profile->root.label = "EvaluateQuery";
-  FtlEvaluator::Options opts = EvalOptions(budget);
-  ApplyPartition(&opts, cq->query);
-  opts.profile = &profile->root;
+  profile->dirty_objects = dirty_total;
+  profile->root.label = plan.delta ? "DeltaRefresh" : "EvaluateQuery";
+  const Interval window(cq->window_begin, cq->expires_at);
   const uint64_t t0 = obs::MonotonicNowNs();
-  FtlEvaluator eval(*db_, opts, &context_);
-  Result<TemporalRelation> evaluated = eval.EvaluateQueryUnprojected(
-      cq->query, Interval(cq->window_begin, cq->expires_at));
-  const uint64_t dur_ns = obs::MonotonicNowNs() - t0;
-  if (!evaluated.ok()) {
-    if (evaluated.status().code() != StatusCode::kResourceExhausted) {
-      return evaluated.status();
+  // 1. Evaluate every pass. Nothing is installed until all of them have
+  //    completed, so an error or a shed leaves the last completed answer.
+  std::vector<TemporalRelation> parts;
+  parts.reserve(plan.passes.size());
+  for (const RefreshPlan::Pass& pass : plan.passes) {
+    FtlEvaluator::Options opts = EvalOptions(budget);
+    ApplyPartition(&opts, cq->query);
+    if (pass.ids != nullptr) opts.domain_restrictions[pass.var] = pass.ids;
+    opts.profile = pass.label.empty() ? &profile->root
+                                      : profile->root.AddChild(pass.label);
+    FtlEvaluator eval(*db_, opts, &context_);
+    Result<TemporalRelation> part =
+        eval.EvaluateQueryUnprojected(cq->query, window);
+    if (!part.ok()) {
+      if (part.status().code() != StatusCode::kResourceExhausted) {
+        return part.status();
+      }
+      // Budget exhausted mid-evaluation. The half-built relation was
+      // discarded (truncating it would be unsound under negation —
+      // docs/robustness.md); the query keeps its last completed answer,
+      // served as kStale, and its dirty state, so a post-cooldown refresh
+      // recovers.
+      NoteShed(cq, eval.degrade_reason(), now, part.status().message(), path,
+               obs::MonotonicNowNs() - t0);
+      return Status::OK();
     }
-    // Budget exhausted mid-evaluation. The half-built relation was
-    // discarded (truncating it would be unsound under negation —
-    // docs/robustness.md); keep the previous materialized answer, serve
-    // it as kStale, and leave dirty state in place so a post-cooldown
-    // refresh recovers.
-    NoteShed(cq, eval.degrade_reason(), now, evaluated.status().message(),
-             "full", dur_ns);
-    return Status::OK();
+    profile->arena_bytes += eval.stats().arena_bytes;
+    profile->arena_heap_fallbacks += eval.stats().arena_heap_fallbacks;
+    parts.push_back(std::move(*part));
   }
-  cq->full = std::move(*evaluated);
-  profile->arena_bytes = eval.stats().arena_bytes;
-  profile->arena_heap_fallbacks = eval.stats().arena_heap_fallbacks;
+  // 2. Install. A full plan's one relation replaces every row. A delta
+  //    plan drops the rows binding a dirty object, which are exactly the
+  //    rows an update can have changed (the relation is pointwise in its
+  //    bindings; a deleted object's rows are dropped and re-derived by no
+  //    pass), then splices its passes in; a row several passes re-derive
+  //    has identical tick sets in each.
+  if (!plan.delta) {
+    cq->full = std::move(parts.front());
+  } else {
+    for (auto it = cq->full.rows.begin(); it != cq->full.rows.end();) {
+      bool evict = false;
+      for (size_t i = 0; i < plan.drop.size() && !evict; ++i) {
+        evict =
+            plan.drop[i] != nullptr && plan.drop[i]->count(it->first[i]) > 0;
+      }
+      it = evict ? cq->full.rows.erase(it) : std::next(it);
+    }
+    for (TemporalRelation& part : parts) {
+      for (auto& [binding, when] : part.rows) {
+        cq->full.rows.try_emplace(binding, std::move(when));
+      }
+    }
+  }
   cq->answer = std::make_shared<const TemporalRelation>(
       cq->full.Project(cq->query.retrieve));
+  const uint64_t dur_ns = obs::MonotonicNowNs() - t0;
   cq->evaluated_at = now;
   cq->catalog_changes = db_->catalog_changes();
   cq->dirty = false;
@@ -420,162 +526,32 @@ Status QueryManager::RefreshFull(Continuous* cq, const char* reason,
   cq->degrade_detail.clear();
   cq->first_dirty_at = -1;
   ++cq->evaluations;
-  ++cq->full_evaluations;
-  ++totals_.full_evaluations;
+  ++(plan.delta ? cq->delta_evaluations : cq->full_evaluations);
+  ++(plan.delta ? totals_.delta_evaluations : totals_.full_evaluations);
   profile->total_ns = dur_ns;
+  if (plan.delta) {  // The passes profiled as children; the root totals.
+    profile->root.duration_ns = dur_ns;
+    profile->root.tuples = cq->full.rows.size();
+  }
   cq->last_profile = std::move(profile);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   if (registry.enabled()) {
     const QmRegistrySeries& series = QmRegistrySeries::Get();
-    series.full_refreshes->Inc();
-    series.full_latency->Observe(static_cast<double>(dur_ns) * 1e-9);
-    CountFullRefreshReason(reason);
-  }
-  obs::SlowQueryLog& slow_log = obs::SlowQueryLog::Global();
-  if (slow_log.enabled()) {
-    obs::SlowQueryLog::Entry entry;
-    entry.query_id = cq->id;
-    entry.query = cq->query.ToString();
-    entry.path = "full";
-    entry.duration_ns = dur_ns;
-    entry.refresh_seq = cq->evaluations;
-    entry.shard_id = options_.shard_id;
-    entry.trace_id = span.context().trace_id;
-    slow_log.MaybeRecord(std::move(entry));
-  }
-  return Status::OK();
-}
-
-Status QueryManager::RefreshDelta(Continuous* cq, const Budget& budget) {
-  MOST_FAILPOINT("ftl/delta/refresh");
-  obs::TraceSpan span("qm/refresh_delta", "ftl");
-  Tick now = db_->Now();
-  span.AnnotateU64("query_id", cq->id);
-  span.AnnotateU64("tick", static_cast<uint64_t>(now));
-  if (options_.shard_id >= 0) {
-    span.AnnotateU64("shard", static_cast<uint64_t>(options_.shard_id));
-  }
-  Interval window(cq->window_begin, cq->expires_at);
-  const size_t dirty_total = DirtyTotal(cq->dirty_objects);
-  auto profile = std::make_shared<obs::QueryProfile>();
-  profile->query = cq->query.ToString();
-  profile->window = RenderWindow(cq->window_begin, cq->expires_at);
-  profile->path = "delta";
-  profile->reason = "coalesced updates";
-  profile->refresh_seq = cq->evaluations + 1;
-  profile->dirty_objects = dirty_total;
-  profile->root.label = "DeltaRefresh";
-  const uint64_t t0 = obs::MonotonicNowNs();
-  const std::vector<std::string>& vars = cq->full.vars;
-  // Dirty ids per relation column (null = column's class saw no update).
-  std::vector<const std::set<ObjectId>*> col_dirty(vars.size(), nullptr);
-  for (size_t i = 0; i < vars.size(); ++i) {
-    for (const FromBinding& fb : cq->query.from) {
-      if (fb.var == vars[i]) {
-        auto it = cq->dirty_objects.find(fb.class_name);
-        if (it != cq->dirty_objects.end()) col_dirty[i] = &it->second;
-        break;
-      }
-    }
-  }
-  // 1. Evict every row binding a dirty object: those are exactly the rows
-  //    an update can have changed (the relation is pointwise in its
-  //    bindings), including rows of deleted objects, which the restricted
-  //    passes will simply not re-derive.
-  for (auto it = cq->full.rows.begin(); it != cq->full.rows.end();) {
-    bool evict = false;
-    for (size_t i = 0; i < vars.size() && !evict; ++i) {
-      evict = col_dirty[i] != nullptr && col_dirty[i]->count(it->first[i]) > 0;
-    }
-    it = evict ? cq->full.rows.erase(it) : std::next(it);
-  }
-  // 2. One restricted pass per dirty column: variable i pinned to the
-  //    dirty ids, every other domain unrestricted. A row binding dirty
-  //    objects in several columns is re-derived by each of their passes
-  //    with identical tick sets, so the splice dedupes by binding. A
-  //    partitioned manager additionally pins the first FROM variable to
-  //    the owned partition in every pass (and intersects the pass's dirty
-  //    set with it when the dirty column *is* the partitioned variable),
-  //    so the passes re-derive exactly the evicted rows of the
-  //    partition-filtered relation (docs/sharding.md).
-  const std::string* part_var =
-      (options_.domain_partition != nullptr && !cq->query.from.empty())
-          ? &cq->query.from.front().var
-          : nullptr;
-  for (size_t i = 0; i < vars.size(); ++i) {
-    if (col_dirty[i] == nullptr) continue;
-    FtlEvaluator::Options opts = EvalOptions(budget);
-    ApplyPartition(&opts, cq->query);
-    if (part_var != nullptr && vars[i] == *part_var) {
-      auto owned_dirty = std::make_shared<std::set<ObjectId>>();
-      for (ObjectId id : *col_dirty[i]) {
-        if (options_.domain_partition->count(id) > 0) {
-          owned_dirty->insert(id);
-        }
-      }
-      // All dirty ids of this column are foreign: no owned row was
-      // evicted by this column, nothing to re-derive for it.
-      if (owned_dirty->empty()) continue;
-      opts.domain_restrictions[vars[i]] = std::move(owned_dirty);
+    (plan.delta ? series.delta_refreshes : series.full_refreshes)->Inc();
+    (plan.delta ? series.delta_latency : series.full_latency)
+        ->Observe(static_cast<double>(dur_ns) * 1e-9);
+    if (plan.delta) {
+      series.dirty_set_size->Observe(static_cast<double>(dirty_total));
     } else {
-      opts.domain_restrictions[vars[i]] =
-          std::make_shared<const std::set<ObjectId>>(*col_dirty[i]);
+      CountFullRefreshReason(plan.reason);
     }
-    opts.profile = profile->root.AddChild(
-        "RestrictedPass " + vars[i] + " (" +
-        std::to_string(col_dirty[i]->size()) + " dirty)");
-    FtlEvaluator eval(*db_, opts, &context_);
-    Result<TemporalRelation> part =
-        eval.EvaluateQueryUnprojected(cq->query, window);
-    if (!part.ok()) {
-      if (part.status().code() != StatusCode::kResourceExhausted) {
-        return part.status();
-      }
-      // Budget exhausted mid-delta. Every surviving row is exactly
-      // correct (eviction plus completed splices never fabricate rows),
-      // so the relation is a sound subset of the true answer: serve it
-      // as kStale. dirty_objects stays populated, so a post-cooldown
-      // refresh re-derives the missing rows.
-      cq->answer = std::make_shared<const TemporalRelation>(
-          cq->full.Project(cq->query.retrieve));
-      NoteShed(cq, eval.degrade_reason(), now, part.status().message(),
-               "delta", obs::MonotonicNowNs() - t0);
-      return Status::OK();
-    }
-    profile->arena_bytes += eval.stats().arena_bytes;
-    profile->arena_heap_fallbacks += eval.stats().arena_heap_fallbacks;
-    for (auto& [binding, when] : part->rows) {
-      cq->full.rows.emplace(binding, std::move(when));
-    }
-  }
-  cq->answer = std::make_shared<const TemporalRelation>(
-      cq->full.Project(cq->query.retrieve));
-  const uint64_t dur_ns = obs::MonotonicNowNs() - t0;
-  cq->evaluated_at = now;
-  cq->dirty_objects.clear();
-  cq->degrade = DegradeReason::kNone;
-  cq->degrade_detail.clear();
-  cq->first_dirty_at = -1;
-  ++cq->evaluations;
-  ++cq->delta_evaluations;
-  ++totals_.delta_evaluations;
-  profile->total_ns = dur_ns;
-  profile->root.duration_ns = dur_ns;
-  profile->root.tuples = cq->full.rows.size();
-  cq->last_profile = std::move(profile);
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  if (registry.enabled()) {
-    const QmRegistrySeries& series = QmRegistrySeries::Get();
-    series.delta_refreshes->Inc();
-    series.delta_latency->Observe(static_cast<double>(dur_ns) * 1e-9);
-    series.dirty_set_size->Observe(static_cast<double>(dirty_total));
   }
   obs::SlowQueryLog& slow_log = obs::SlowQueryLog::Global();
   if (slow_log.enabled()) {
     obs::SlowQueryLog::Entry entry;
     entry.query_id = cq->id;
     entry.query = cq->query.ToString();
-    entry.path = "delta";
+    entry.path = path;
     entry.duration_ns = dur_ns;
     entry.refresh_seq = cq->evaluations;
     entry.shard_id = options_.shard_id;
@@ -681,7 +657,7 @@ Result<std::vector<AnswerTuple>> QueryManager::ContinuousAnswerLocked(
   if (NeedsRefresh(cq, db_->Now())) {
     MOST_RETURN_IF_ERROR(Refresh(&cq, limits));
   }
-  // While degraded the materialized relation is a previous or partial
+  // While degraded the materialized relation is the last completed
   // answer: the engine will not vouch for any of it, so every tuple is
   // demoted to the may-answer regardless of per-object staleness.
   return FlattenAnswer(cq.query, *cq.answer,

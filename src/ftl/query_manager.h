@@ -176,7 +176,7 @@ class QueryManager {
   /// re-coalesce) before tuples are flattened, so handing out the tuple
   /// list would lose the byte-identity contract (docs/sharding.md).
   /// `degrade` is kNone while the relation is fully up to date; anything
-  /// else means this is a previous/partial answer the caller must not
+  /// else means this is the last completed answer the caller must not
   /// vouch for. The relation is shared, not copied: a refresh installs a
   /// new one and never mutates a relation it has handed out.
   struct AnswerSnapshot {
@@ -220,8 +220,8 @@ class QueryManager {
   /// Delta and full refreshes both count.
   Result<uint64_t> EvaluationCount(QueryId id) const;
 
-  /// How a query's refreshes were served: by the delta path (evict dirty
-  /// rows + restricted re-evaluation + splice) or by a full window
+  /// How a query's refreshes were served: by the delta path (restricted
+  /// re-evaluation of the dirty rows, then evict + splice) or by a full window
   /// re-evaluation. The benchmark and the CI differential stage assert
   /// delta_evaluations > 0 to prove the fast path actually ran.
   struct RefreshCounters {
@@ -235,7 +235,7 @@ class QueryManager {
 
   /// Degraded-answer state of one continuous query. `reason` is kNone
   /// while the answer is fully up to date; otherwise the query is serving
-  /// a stale (previous or partial) answer and every tuple reads kStale.
+  /// its last completed answer and every tuple reads kStale.
   struct DegradeInfo {
     DegradeReason reason = DegradeReason::kNone;
     std::string detail;
@@ -355,9 +355,9 @@ class QueryManager {
     uint64_t delta_evaluations = 0;
     uint64_t full_evaluations = 0;
     /// Degraded-answer state (docs/robustness.md). Non-kNone means the
-    /// last refresh attempt was shed and the materialized relation is a
-    /// previous (full path) or partial-but-correct (delta path) answer;
-    /// reads force every tuple to kStale until a refresh completes.
+    /// last refresh attempt was shed and the materialized relation is the
+    /// last completed answer; reads force every tuple to kStale until a
+    /// refresh completes.
     DegradeReason degrade = DegradeReason::kNone;
     std::string degrade_detail;
     Tick degraded_at = -1;        ///< Cooldown anchor (tick of last shed).
@@ -422,14 +422,17 @@ class QueryManager {
   /// errors), under the caller's snapshot of the governor's limits.
   /// Caller holds mu_.
   Status Refresh(Continuous* cq, const ResourceGovernor::Limits& limits);
-  /// Full re-evaluation over the entry's window. `reason` says why the
-  /// full path ran (initial/expired/forced/catalog/dirty_fraction/
-  /// delta_error) — recorded in the profile and the fallback counters.
-  Status RefreshFull(Continuous* cq, const char* reason, const Budget& budget);
-  /// Delta re-evaluation over the existing window: evicts rows binding a
-  /// dirty object, runs one domain-restricted pass per dirty column, and
-  /// splices the results back into the unprojected relation.
-  Status RefreshDelta(Continuous* cq, const Budget& budget);
+  /// A refresh's passes and the rows its install drops (defined in the .cc).
+  struct RefreshPlan;
+  /// The delta plan over the existing window: one domain-restricted pass
+  /// per dirty column, dropping the rows that bind a dirty object.
+  RefreshPlan DeltaPlan(const Continuous& cq) const;
+  /// The one refresh routine: evaluates every pass of `plan` over the
+  /// entry's window, then installs the result. A pass that errors or
+  /// exhausts the budget installs nothing: the entry keeps its last
+  /// completed answer and its dirty state.
+  Status RunRefresh(Continuous* cq, const RefreshPlan& plan,
+                    const Budget& budget);
 
   /// Per-column staleness lookup state, resolved once per relation read
   /// instead of rescanning query.from and the class registry for every

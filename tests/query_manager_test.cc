@@ -543,6 +543,58 @@ TEST_F(QueryManagerTest, BudgetShedServesStaleUntilTheBudgetLifts) {
   EXPECT_EQ(qm_.CurrentAnswer(*id)->size(), 2u);
 }
 
+// A shed delta refresh changes nothing: the query serves the answer of its
+// last completed refresh (the updated car's row included, not evicted),
+// every tuple kStale, and keeps its dirty set, so the refresh after the
+// budget lifts equals a fresh evaluation.
+TEST_F(QueryManagerTest, ShedDeltaRefreshKeepsThePreviousAnswer) {
+  std::vector<ObjectId> cars;
+  for (int i = 0; i < 8; ++i) {
+    // Even cars stand inside P, odd ones outside.
+    cars.push_back(AddCar(i % 2 == 0 ? Point2{1.0 + i, 5} : Point2{50, 5.0 + i},
+                          {0, 0}));
+  }
+  const FtlQuery q = Parse("RETRIEVE o FROM CARS o WHERE INSIDE(o, P)");
+  auto id = qm_.RegisterContinuous(q);
+  ASSERT_TRUE(id.ok());
+  auto before = qm_.ContinuousAnswer(*id);
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(before->size(), 4u);
+  {
+    test::ScopedGovernorLimits starve(
+        {.refresh_budget = {.max_arena_bytes = 1}});
+    // One dirty car of eight (12.5%): the refresh takes the delta path.
+    ASSERT_TRUE(db_.SetMotion("CARS", cars[0], {50, 50}, {0, 0}).ok());
+    db_.clock().Advance(1);
+    ASSERT_TRUE(qm_.TickAll().ok());
+    EXPECT_NE(qm_.QueryDegradeInfo(*id)->reason, DegradeReason::kNone);
+    auto stale = qm_.ContinuousAnswer(*id);
+    ASSERT_TRUE(stale.ok());
+    ASSERT_EQ(stale->size(), before->size());
+    for (size_t i = 0; i < stale->size(); ++i) {
+      EXPECT_EQ((*stale)[i].binding, (*before)[i].binding);
+      EXPECT_EQ((*stale)[i].interval, (*before)[i].interval);
+      EXPECT_EQ((*stale)[i].confidence, Confidence::kStale);
+    }
+    EXPECT_TRUE(qm_.CurrentAnswer(*id)->empty());
+  }
+  db_.clock().Advance(1);
+  ASSERT_TRUE(qm_.TickAll().ok());
+  EXPECT_EQ(qm_.QueryDegradeInfo(*id)->reason, DegradeReason::kNone);
+  auto counters = qm_.QueryRefreshCounters(*id);
+  ASSERT_TRUE(counters.ok());
+  EXPECT_EQ(counters->delta_evaluations, 1u);
+  auto fresh = FtlEvaluator(db_).EvaluateQuery(q, Interval(0, 200));
+  ASSERT_TRUE(fresh.ok());
+  auto after = qm_.ContinuousAnswer(*id);
+  ASSERT_TRUE(after.ok());
+  std::vector<AnswerTuple> want;
+  for (const auto& [binding, when] : fresh->rows) {
+    for (const Interval& iv : when.intervals()) want.push_back({binding, iv});
+  }
+  EXPECT_EQ(*after, want);
+}
+
 // The window slides on the first tick past expiry even when that tick's
 // refresh is held back by a cooldown: the later refresh runs over the
 // slid window, so managers ticking together agree on it whatever each

@@ -24,6 +24,7 @@
 #include "core/shard_router.h"
 #include "ftl/ast.h"
 #include "ftl/eval.h"
+#include "ftl/parser.h"
 #include "ftl/query_manager.h"
 #include "obs/governor.h"
 #include "obs/telemetry.h"
@@ -384,6 +385,68 @@ TEST(ShardedEngineTest, DegradedShardPoisonsGatherAsStale) {
   EXPECT_FALSE(got->missing_shards.empty());
   for (const AnswerTuple& t : got->tuples) {
     EXPECT_EQ(t.confidence, Confidence::kStale);
+  }
+}
+
+// A projection that drops the partitioned first variable: cars owned by
+// different shards pass one stationary taxi at different ticks, so several
+// shards hold a row for the same taxi and the gather must union (and
+// coalesce) their tick sets, for instantaneous and continuous answers.
+TEST(ShardedEngineTest, GatherUnionsRowsThatProjectionCollapses) {
+  const std::vector<double> starts = {-30, -40, -100, -131, -200, -260};
+  MostDatabase oracle_db;
+  MostDatabase engine_db;
+  std::vector<ObjectId> cars;
+  for (MostDatabase* db : {&oracle_db, &engine_db}) {
+    cars.clear();
+    ASSERT_TRUE(db->CreateClass("TAXIS", {}, /*spatial=*/true).ok());
+    ASSERT_TRUE(db->CreateClass("CARS", {}, /*spatial=*/true).ok());
+    auto taxi = db->CreateObject("TAXIS");
+    ASSERT_TRUE(taxi.ok());
+    ASSERT_TRUE(db->SetMotion("TAXIS", (*taxi)->id(), {0, 0}, {0, 0}).ok());
+    for (double x : starts) {
+      auto car = db->CreateObject("CARS");
+      ASSERT_TRUE(car.ok());
+      ASSERT_TRUE(db->SetMotion("CARS", (*car)->id(), {x, 0}, {1, 0}).ok());
+      cars.push_back((*car)->id());
+    }
+  }
+  std::set<size_t> owners;
+  for (ObjectId car : cars) owners.insert(ShardRouter(4).ShardOf(car));
+  ASSERT_GE(owners.size(), 2u) << "every car hashed to one shard";
+
+  QueryManager::Options qm_opt;
+  qm_opt.horizon = 300;
+  QueryManager oracle(&oracle_db, qm_opt);
+  ShardedEngine::Options eng_opt;
+  eng_opt.shard_count = 4;
+  eng_opt.query_options = qm_opt;
+  ShardedEngine engine(&engine_db, eng_opt);
+  auto q = ParseQuery("RETRIEVE n FROM CARS o, TAXIS n WHERE DIST(o, n) <= 15");
+  ASSERT_TRUE(q.ok()) << q.status();
+  auto oid = oracle.RegisterContinuous(*q);
+  auto eid = engine.RegisterContinuous(*q);
+  ASSERT_TRUE(oid.ok() && eid.ok());
+
+  for (Tick t = 0; t <= 1; ++t) {
+    if (t == 1) {  // One car turns back; its shard refreshes alone.
+      engine.EnqueueMotion("CARS", cars[2], {-99, 0}, {-1, 0});
+      ASSERT_TRUE(engine.Advance(1).ok());
+      oracle_db.clock().AdvanceTo(1);
+      ASSERT_TRUE(
+          oracle_db.SetMotion("CARS", cars[2], {-99, 0}, {-1, 0}).ok());
+    }
+    auto want_rel = oracle.Evaluate(*q);
+    auto got_rel = engine.Evaluate(*q);
+    ASSERT_TRUE(want_rel.ok() && got_rel.ok());
+    ASSERT_EQ(want_rel->rows.size(), 1u);
+    EXPECT_EQ(got_rel->vars, want_rel->vars);
+    EXPECT_EQ(got_rel->rows, want_rel->rows) << "at tick " << t;
+    auto want = oracle.ContinuousAnswer(*oid);
+    auto got = engine.ContinuousAnswer(*eid);
+    ASSERT_TRUE(want.ok() && got.ok());
+    EXPECT_TRUE(got->complete());
+    EXPECT_EQ(got->tuples, *want) << "at tick " << t;
   }
 }
 
