@@ -188,6 +188,19 @@ awk -v o="$trace_overhead" 'BEGIN {
 # Observability micro-costs (span create/record, telemetry OnTick, Chrome
 # export): smoke-run the bench so its JSON emitter stays healthy.
 (cd build-release && ./bench/bench_obs --benchmark_min_time=0.01 >/dev/null)
+# E9 overload grid: smoke-run bench_overload on a small fleet with the
+# interactive cells filtered out, so its calibration and JSON emitter stay
+# healthy. Only the six grid cells are checked; there is no timing gate.
+(cd build-release && MOST_BENCH_VEHICLES=60 \
+  ./bench/bench_overload --benchmark_filter=NONE >/dev/null 2>&1)
+python3 - build-release/BENCH_overload.json <<'PY'
+import json, sys
+cells = json.load(open(sys.argv[1]))["cells"]
+grid = {(c["overload"], c["governed"]) for c in cells}
+want = {(m, g) for m in (1, 4, 16) for g in (False, True)}
+print(f"bench_overload: {len(cells)} cells")
+sys.exit(0 if len(cells) == 6 and grid == want else 1)
+PY
 
 # Bench-regression stage: re-measure the serial FTL evaluation at the same
 # vehicle count as the last recorded bench/trajectories/ftl_eval.json

@@ -666,18 +666,15 @@ FtlEvaluator::~FtlEvaluator() = default;
 
 const ClassSnapshot& FtlEvaluator::GetSnapshot(const ObjectClass* cls,
                                                Interval window) {
-  NoteSnapshotRead(cls);
   auto it = snapshots_.find(cls);
   if (it != snapshots_.end()) return *it->second;
   auto scope = scopes_.find(cls);
-  // Built or borrowed, the snapshot is charged as if this evaluation had
-  // drawn it from its own arena.
   EvalContext::Snapshot snap = generation_->GetSnapshot(
       *cls, window, scope != scopes_.end() ? scope->second : nullptr);
-  snapshot_bytes_ += snap.bytes;
   if (snap.built) {
     ++stats_.snapshot_builds;
     stats_.arena_bytes += snap.bytes;
+    snapshot_bytes_ += snap.bytes;
   }
   snapshots_.emplace(cls, snap.snapshot);
   return *snap.snapshot;
@@ -685,15 +682,17 @@ const ClassSnapshot& FtlEvaluator::GetSnapshot(const ObjectClass* cls,
 
 void FtlEvaluator::BeginEvaluation() {
   snapshots_.clear();
-  snapshot_reads_.clear();
   scopes_.clear();
   node_keys_.clear();
   arena_.Reset();
   snapshot_bytes_ = 0;
-  borrowed_bytes_ = 0;
-  rows_seen_ = 0;
   gate_.Arm(options_.budget);
-  generation_ = context_->Acquire(db_);
+  // A budgeted evaluation works in a generation of its own: it neither
+  // reads nor stores anything of the shared context, so it is the
+  // evaluation a fresh evaluator would run, and it sheds exactly when that
+  // one would.
+  generation_ = gate_.active() ? std::make_shared<EvalContext::Generation>()
+                               : context_->Acquire(db_);
 }
 
 void FtlEvaluator::SetScopes(const Domains& domains) {
@@ -714,7 +713,6 @@ void FtlEvaluator::SetScopes(const Domains& domains) {
 }
 
 Status FtlEvaluator::BudgetCheckpoint(size_t rows_hint) {
-  rows_seen_ = std::max(rows_seen_, rows_hint);
   if (!gate_.active()) return Status::OK();
   // Only reachable with a budget armed: lets tests inject a sleep here to
   // trip tiny deadlines deterministically, with zero effect on unbudgeted
@@ -919,28 +917,13 @@ Result<RelationPtr> FtlEvaluator::Eval(const FormulaPtr& f,
     }
     key = EvalContext::SubformulaKey(node_key.structure, domains.classes,
                                      node_key.free_vars, window);
-    // Under a budget only a relation built for the same restrictions is
-    // borrowed: it is charged exactly what building it costs, while the
-    // intermediates of an unrestricted one are larger than a restricted
-    // build's.
-    if (std::optional<EvalContext::Hit> hit = generation_->FindRelation(
-            key, restrictions, /*allow_filtered=*/!gate_.active())) {
+    if (std::optional<EvalContext::Hit> hit =
+            generation_->FindRelation(key, restrictions)) {
       RelationPtr rel = hit->filtered
-                            ? FilterRows(hit->shared.relation, restrictions)
-                            : hit->shared.relation;
-      // Charged as if built: the snapshots it read (once per evaluation,
-      // over this evaluation's scopes), its arena bytes, and its largest
-      // relation to the row limit. The subtree is not profiled again.
+                            ? FilterRows(hit->relation, restrictions)
+                            : hit->relation;
+      // The subtree is not profiled again.
       ++stats_.shared_hits;
-      for (const ObjectClass* cls : hit->shared.snapshot_classes) {
-        if (gate_.active()) {
-          GetSnapshot(cls, window);
-        } else {
-          NoteSnapshotRead(cls);
-        }
-      }
-      borrowed_bytes_ += hit->shared.charge_bytes;
-      MOST_RETURN_IF_ERROR(BudgetCheckpoint(hit->shared.charge_rows));
       if (node != nullptr) {
         finish(*rel);
         node->Note("shared", 1);
@@ -951,15 +934,9 @@ Result<RelationPtr> FtlEvaluator::Eval(const FormulaPtr& f,
   }
 
   const FtlEvalStats before = stats_;
-  const size_t bytes_before = RelationBytes();
-  const size_t reads_before = snapshot_reads_.size();
-  const size_t rows_outer = rows_seen_;
-  rows_seen_ = 0;
   if (node != nullptr) profile_current_ = node;
   Result<TemporalRelation> result = EvalNode(f, domains, window);
   profile_current_ = parent;
-  const size_t rows_inner = rows_seen_;
-  rows_seen_ = std::max(rows_outer, rows_inner);
   if (node != nullptr) {
     if (result.ok()) {
       finish(*result);
@@ -972,20 +949,7 @@ Result<RelationPtr> FtlEvaluator::Eval(const FormulaPtr& f,
   // Allocated non-const so Own() may move it out later.
   RelationPtr rel =
       std::make_shared<TemporalRelation>(std::move(result).value());
-  if (keep) {
-    EvalContext::SharedRelation shared{rel, RelationBytes() - bytes_before,
-                                       {}, rows_inner};
-    for (size_t i = reads_before; i < snapshot_reads_.size(); ++i) {
-      const ObjectClass* cls = snapshot_reads_[i];
-      if (std::find(shared.snapshot_classes.begin(),
-                    shared.snapshot_classes.end(),
-                    cls) == shared.snapshot_classes.end()) {
-        shared.snapshot_classes.push_back(cls);
-      }
-    }
-    generation_->StoreRelation(key, std::move(restrictions),
-                               std::move(shared));
-  }
+  if (keep) generation_->StoreRelation(key, std::move(restrictions), rel);
   return rel;
 }
 

@@ -72,12 +72,13 @@ Result<std::map<std::string, const ObjectClass*>> ValidateQuery(
 /// after a predefined (but very large) amount of time"). Temporal
 /// operators treat window.end as the end of history.
 ///
-/// Every evaluation goes through an EvalContext: class snapshots and the
-/// relations of completed subformulas are taken from it when an earlier
-/// evaluation of the same database version built them, and left in it for
-/// later ones (docs/eval_internals.md). An evaluator built without one
-/// uses a private context; the query manager passes the one it owns, so
-/// all of its evaluations share.
+/// An unbudgeted evaluation goes through an EvalContext: class snapshots
+/// and the relations of completed subformulas are taken from it when an
+/// earlier evaluation of the same database version built them, and left in
+/// it for later ones (docs/eval_internals.md). An evaluator built without
+/// one uses a private context; the query manager passes the one it owns,
+/// so all of its unbudgeted evaluations share. An evaluation with a budget
+/// works in a generation of its own and shares only within itself.
 class FtlEvaluator {
  public:
   /// Safety valve on domain enumeration (cross products).
@@ -158,7 +159,8 @@ class FtlEvaluator {
   Result<TemporalRelation> EvaluateQueryUnprojectedImpl(const FtlQuery& query,
                                                         Interval window);
   /// Starts a top-level evaluation: fresh scratch, the armed budget and
-  /// the context generation of the database as it is now.
+  /// the context generation of the database as it is now, or a private
+  /// one when the budget is armed.
   void BeginEvaluation();
   /// Evaluates a subformula, or takes its relation from the context: one
   /// ProfileNode per subformula (when Options::profile is set), then a
@@ -197,17 +199,12 @@ class FtlEvaluator {
                                        const std::vector<std::string>& vars);
 
   /// The per-class SoA snapshot for this evaluation over the class's
-  /// scope, taken from the context generation (built there on first use)
-  /// and charged to this evaluation's budget either way. Every other
+  /// scope, taken from the context generation (built there on first use,
+  /// and charged to the evaluation that built it). Every other
   /// per-evaluation scratch structure lives in arena_, which
   /// BeginEvaluation() drops wholesale (nothing arena-allocated escapes an
   /// evaluation — docs/eval_internals.md).
   const ClassSnapshot& GetSnapshot(const ObjectClass* cls, Interval window);
-  void NoteSnapshotRead(const ObjectClass* cls) {
-    if (snapshot_reads_.empty() || snapshot_reads_.back() != cls) {
-      snapshot_reads_.push_back(cls);
-    }
-  }
   /// Sets each class's snapshot scope from the evaluation's top-level
   /// `domains`: the union of the restrictions on the variables over the
   /// class, or the whole class when one of them is unrestricted. Every
@@ -221,12 +218,10 @@ class FtlEvaluator {
   /// when the checkpoint guards time/memory only). A single branch when
   /// no budget is armed.
   Status BudgetCheckpoint(size_t rows_hint);
-  /// Bytes this evaluation is charged for: every snapshot it borrowed or
-  /// built in the context, plus its own arena draws and those of the
-  /// shared relations it borrowed.
-  size_t ChargedBytes() const { return snapshot_bytes_ + RelationBytes(); }
-  size_t RelationBytes() const {
-    return arena_.stats().bytes_allocated + borrowed_bytes_;
+  /// Bytes this evaluation is charged for: the snapshots it built plus
+  /// its own arena draws.
+  size_t ChargedBytes() const {
+    return snapshot_bytes_ + arena_.stats().bytes_allocated;
   }
   /// Folds the arena's per-cycle stats into stats_ (called once per
   /// top-level evaluation, after the result is produced).
@@ -242,19 +237,11 @@ class FtlEvaluator {
   FtlEvalStats stats_;
   BudgetGate gate_;
   BumpArena arena_;
-  /// Snapshots this evaluation took from the generation (each charged
-  /// once).
+  /// Snapshots this evaluation took from the generation.
   std::map<const ObjectClass*, const ClassSnapshot*> snapshots_;
-  /// Every class whose snapshot the evaluation read, in order of reading
-  /// (a subformula's reads are the suffix its evaluation appended).
-  std::vector<const ObjectClass*> snapshot_reads_;
-  size_t snapshot_bytes_ = 0;
-  size_t borrowed_bytes_ = 0;
+  size_t snapshot_bytes_ = 0;  ///< Arena bytes of the snapshots it built.
   /// KeyOf's memo for the evaluation, by node address.
   std::unordered_map<const FtlFormula*, NodeKey> node_keys_;
-  /// Largest rows_hint any budget checkpoint saw in the subformula being
-  /// evaluated (the rows a shared relation charges its borrowers).
-  size_t rows_seen_ = 0;
   /// Per-class snapshot scope (null = the whole class).
   std::map<const ObjectClass*, std::shared_ptr<const std::set<ObjectId>>>
       scopes_;

@@ -150,31 +150,30 @@ std::string EvalContext::SubformulaKey(
 }
 
 std::optional<EvalContext::Hit> EvalContext::Generation::FindRelation(
-    const std::string& key, const Restrictions& restrictions,
-    bool allow_filtered) {
+    const std::string& key, const Restrictions& restrictions) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = relations_.find(key);
   if (it == relations_.end()) return std::nullopt;
   const RelationEntry* unrestricted = nullptr;
   for (const RelationEntry& e : it->second) {
     if (SameRestrictions(e.restrictions, restrictions)) {
-      return Hit{e.shared, /*filtered=*/false};
+      return Hit{e.relation, /*filtered=*/false};
     }
     if (e.restrictions.empty()) unrestricted = &e;
   }
-  if (unrestricted == nullptr || !allow_filtered) return std::nullopt;
-  return Hit{unrestricted->shared, /*filtered=*/true};
+  if (unrestricted == nullptr) return std::nullopt;
+  return Hit{unrestricted->relation, /*filtered=*/true};
 }
 
 void EvalContext::Generation::StoreRelation(const std::string& key,
                                             Restrictions restrictions,
-                                            SharedRelation shared) {
+                                            RelationPtr relation) {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<RelationEntry>& entries = relations_[key];
   for (const RelationEntry& e : entries) {
     if (SameRestrictions(e.restrictions, restrictions)) return;
   }
-  entries.push_back({std::move(restrictions), std::move(shared)});
+  entries.push_back({std::move(restrictions), std::move(relation)});
 }
 
 EvalContext::Snapshot EvalContext::Generation::GetSnapshot(

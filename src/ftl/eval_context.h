@@ -52,24 +52,11 @@ class EvalContext {
       std::vector<std::pair<std::string,
                             std::shared_ptr<const std::set<ObjectId>>>>;
 
-  /// A stored relation and what building it cost. The costs are charged
-  /// again to every evaluation that borrows it, as if it had built it.
-  struct SharedRelation {
-    RelationPtr relation;
-    /// Arena bytes the build drew, borrowed relations' included and
-    /// snapshots excluded: a borrower is charged the snapshots itself,
-    /// once per evaluation and over its own scope, as a build would be.
-    size_t charge_bytes = 0;
-    /// Classes whose snapshots the build read.
-    std::vector<const ObjectClass*> snapshot_classes;
-    size_t charge_rows = 0;  ///< Largest relation its budget checks saw.
-  };
-
   /// A lookup hit. `filtered` says the relation is the unrestricted one
   /// and the borrower must cut it down to its restrictions, which is exact
   /// because FTL relations are pointwise in their bindings.
   struct Hit {
-    SharedRelation shared;
+    RelationPtr relation;
     bool filtered = false;
   };
 
@@ -83,22 +70,22 @@ class EvalContext {
 
   /// The contents for one key. Evaluations hold the generation they
   /// started under, so a concurrent key change never frees what they read.
+  /// A budgeted evaluation makes one of its own that no other evaluation
+  /// sees (FtlEvaluator::BeginEvaluation).
   class Generation {
    public:
     Generation() = default;
     Generation(const Generation&) = delete;
     Generation& operator=(const Generation&) = delete;
 
-    /// The stored relation under `key` with exactly `restrictions`, else,
-    /// when `allow_filtered`, the unrestricted one for a restricted
-    /// request.
+    /// The stored relation under `key` with exactly `restrictions`, else
+    /// the unrestricted one for a restricted request.
     std::optional<Hit> FindRelation(const std::string& key,
-                                    const Restrictions& restrictions,
-                                    bool allow_filtered);
+                                    const Restrictions& restrictions);
     /// Stores a completed relation (a second store of the same request
     /// keeps the first; both are equal).
     void StoreRelation(const std::string& key, Restrictions restrictions,
-                       SharedRelation shared);
+                       RelationPtr relation);
     /// The snapshot of `cls` over `window` for exactly `scope` (null =
     /// the whole class), built on first request.
     Snapshot GetSnapshot(
@@ -108,7 +95,7 @@ class EvalContext {
    private:
     struct RelationEntry {
       Restrictions restrictions;
-      SharedRelation shared;
+      RelationPtr relation;
     };
     struct SnapshotEntry {
       const ObjectClass* cls;

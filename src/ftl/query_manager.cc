@@ -105,12 +105,6 @@ QueryManager::~QueryManager() {
   if (options_.listen) db_->RemoveUpdateListener(listener_id_);
 }
 
-FtlEvaluator::Options QueryManager::EvalOptions(const Budget& budget) const {
-  FtlEvaluator::Options o;
-  o.budget = budget;
-  return o;
-}
-
 bool QueryManager::InCooldown(const Continuous& cq, Tick now, Tick cooldown) {
   // Only evaluation-budget sheds cool down; a queue shed just waits for
   // the next admission round, and kNone means nothing was shed at all.
@@ -232,8 +226,8 @@ void QueryManager::ApplyPartition(FtlEvaluator::Options* opts,
 
 Result<TemporalRelation> QueryManager::Evaluate(const FtlQuery& query) {
   Tick now = db_->Now();
-  FtlEvaluator::Options opts =
-      EvalOptions(ResourceGovernor::Global().limits().refresh_budget);
+  FtlEvaluator::Options opts;
+  opts.budget = ResourceGovernor::Global().limits().refresh_budget;
   ApplyPartition(&opts, query);
   FtlEvaluator eval(*db_, opts, &context_);
   return eval.EvaluateQuery(
@@ -303,7 +297,8 @@ Status QueryManager::Cancel(QueryId id) {
 }
 
 bool QueryManager::NeedsRefresh(const Continuous& cq, Tick now) const {
-  return cq.dirty || !cq.dirty_objects.empty() || now > cq.expires_at ||
+  return cq.evaluations == 0 || cq.window_begin > cq.evaluated_at ||
+         !cq.dirty_objects.empty() || now > cq.expires_at ||
          cq.catalog_changes != db_->catalog_changes();
 }
 
@@ -311,7 +306,6 @@ void QueryManager::SlideExpiredWindow(Continuous* cq, Tick now) const {
   if (now <= cq->expires_at) return;
   cq->window_begin = now;
   cq->expires_at = TickSaturatingAdd(now, options_.horizon);
-  cq->dirty = true;  // The materialized rows belong to the old window.
 }
 
 /// One refresh, as data: the passes it evaluates and the rows its install
@@ -330,7 +324,7 @@ struct QueryManager::RefreshPlan {
   /// relation replaces every row. A delta plan drops the rows binding a
   /// dirty object and splices its passes in.
   bool delta = false;
-  /// Why the plan runs: a full reason (initial/expired/forced/catalog/
+  /// Why the plan runs: a full reason (initial/expired/catalog/
   /// dirty_fraction/delta_error) or "coalesced updates".
   const char* reason = nullptr;
   std::vector<Pass> passes;
@@ -397,8 +391,6 @@ Status QueryManager::Refresh(Continuous* cq,
     full_reason = "initial";
   } else if (cq->window_begin > cq->evaluated_at) {
     full_reason = "expired";  // The window slid since the last evaluation.
-  } else if (cq->dirty) {
-    full_reason = "forced";
   } else if (cq->catalog_changes != db_->catalog_changes()) {
     full_reason = "catalog";  // A region may have been redefined.
   } else {
@@ -467,7 +459,8 @@ Status QueryManager::RunRefresh(Continuous* cq, const RefreshPlan& plan,
   std::vector<TemporalRelation> parts;
   parts.reserve(plan.passes.size());
   for (const RefreshPlan::Pass& pass : plan.passes) {
-    FtlEvaluator::Options opts = EvalOptions(budget);
+    FtlEvaluator::Options opts;
+    opts.budget = budget;
     ApplyPartition(&opts, cq->query);
     if (pass.ids != nullptr) opts.domain_restrictions[pass.var] = pass.ids;
     opts.profile = pass.label.empty() ? &profile->root
@@ -520,7 +513,6 @@ Status QueryManager::RunRefresh(Continuous* cq, const RefreshPlan& plan,
   const uint64_t dur_ns = obs::MonotonicNowNs() - t0;
   cq->evaluated_at = now;
   cq->catalog_changes = db_->catalog_changes();
-  cq->dirty = false;
   cq->dirty_objects.clear();
   cq->degrade = DegradeReason::kNone;
   cq->degrade_detail.clear();
@@ -782,8 +774,9 @@ Status QueryManager::TickAll() {
   if (queue_limit > 0 && stale.size() > queue_limit) {
     std::stable_sort(stale.begin(), stale.end(),
                      [](const Continuous* a, const Continuous* b) {
-                       // -1 (expired window / forced) sorts oldest; ties
-                       // break by id for determinism.
+                       // -1 (stale without an update, e.g. an expired
+                       // window) sorts oldest; ties break by id for
+                       // determinism.
                        if (a->first_dirty_at != b->first_dirty_at) {
                          return a->first_dirty_at < b->first_dirty_at;
                        }
@@ -1098,19 +1091,10 @@ Result<std::vector<AnswerTuple>> QueryManager::PersistentAnswer(QueryId id) {
                          Interval(pq.anchored_at,
                                   TickSaturatingAdd(pq.anchored_at,
                                                     options_.horizon))));
-  Tick now = db_->Now();
   // Staleness is judged against the live database, not the shadow
   // history: a silent object casts doubt on answers derived from its
   // recorded (and extrapolated) timeline too.
-  ConfidenceColumns cols = ResolveConfidenceColumns(pq.query, rel.vars);
-  std::vector<AnswerTuple> out;
-  for (const auto& [binding, when] : rel.rows) {
-    Confidence confidence = BindingConfidence(cols, binding, now);
-    for (const Interval& iv : when.intervals()) {
-      out.push_back({binding, iv, confidence});
-    }
-  }
-  return out;
+  return FlattenAnswer(pq.query, rel, /*force_stale=*/false);
 }
 
 }  // namespace most

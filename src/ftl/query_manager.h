@@ -80,12 +80,14 @@ void SpliceAnswerDelta(
 /// the updated objects, byte-identical to a full re-evaluation
 /// (docs/incremental_eval.md).
 ///
-/// Every evaluation the manager runs (instantaneous queries,
+/// Every unbudgeted evaluation the manager runs (instantaneous queries,
 /// registrations, full and delta refreshes) goes through the one
 /// EvalContext it owns, so within one database version a class snapshot
 /// or a subformula relation is built once and shared by every query that
-/// needs it (docs/eval_internals.md). Persistent queries evaluate over a
-/// shadow history database with a private context.
+/// needs it (docs/eval_internals.md). While the governor arms a refresh
+/// budget, each evaluation works in a generation of its own and shares
+/// nothing across queries. Persistent queries evaluate over a shadow
+/// history database with a private context.
 ///
 /// Refreshes are governed by ResourceGovernor::Global().limits() and by
 /// nothing else (docs/robustness.md): every entry point that can refresh
@@ -341,8 +343,6 @@ class QueryManager {
     /// byte for byte.
     Tick window_begin = 0;
     Tick expires_at = 0;
-    /// Force a full re-evaluation (registration; delta-path failure).
-    bool dirty = true;
     /// The database's catalog_changes() at the last completed evaluation.
     /// A region redefinition notifies no listener; a different count
     /// sends the next refresh down the full path.
@@ -405,17 +405,17 @@ class QueryManager {
     HistoryDatabase history;
   };
 
-  /// True when the entry's answer is not current: forced dirty, pending
-  /// coalesced updates, a catalog change (a region may have been
-  /// redefined) since its last evaluation, or the evaluation window has
-  /// expired.
+  /// True when the entry's answer is not current: never evaluated, its
+  /// window slid or expired since its last evaluation, pending coalesced
+  /// updates, or a catalog change (a region may have been redefined)
+  /// since its last evaluation.
   bool NeedsRefresh(const Continuous& cq, Tick now) const;
-  /// Slides an expired window to [now, now + horizon] and forces a full
-  /// refresh over it. The window is thus a function of the registration
-  /// tick and the ticks the manager is consulted on, never of which
-  /// refreshes were shed — managers that register a query on the same
-  /// tick and tick together (the sharded engine's shards) share one
-  /// window.
+  /// Slides an expired window to [now, now + horizon]; the next refresh
+  /// is then a full one over it (window_begin > evaluated_at). The window
+  /// is thus a function of the registration tick and the ticks the
+  /// manager is consulted on, never of which refreshes were shed —
+  /// managers that register a query on the same tick and tick together
+  /// (the sharded engine's shards) share one window.
   void SlideExpiredWindow(Continuous* cq, Tick now) const;
   /// Brings one entry up to date: no-op when clean, delta when only a
   /// small dirty set is pending, full otherwise (or when the delta path
@@ -451,7 +451,6 @@ class QueryManager {
   Confidence BindingConfidence(const ConfidenceColumns& cols,
                                const std::vector<ObjectId>& binding,
                                Tick now) const;
-  FtlEvaluator::Options EvalOptions(const Budget& budget) const;
   /// Composes Options::domain_partition into an evaluation: restricts the
   /// query's first FROM variable to the partition (no-op when
   /// unpartitioned or variable-free).

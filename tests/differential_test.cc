@@ -920,9 +920,6 @@ size_t CountNotes(const obs::ProfileNode& node, const std::string& note) {
 }
 
 TEST(DifferentialTest, SharedContextMatchesFreshEvaluation) {
-  // Worlds are a handful of objects: lift the dirty-fraction fallback so
-  // TickAll serves updates by the delta path too.
-  test::ScopedGovernorLimits limits({.delta_max_dirty_fraction = 1.0});
   constexpr Tick kHorizon = 24;
   obs::Counter* shared_total = obs::MetricsRegistry::Global().GetCounter(
       "most_ftl_shared_subformulas_total",
@@ -933,129 +930,142 @@ TEST(DifferentialTest, SharedContextMatchesFreshEvaluation) {
   for (size_t shards : ShardCounts()) configs.push_back(shards);
   int checks = 0;
   size_t filtered_nodes = 0;
-  for (uint64_t seed : test::SuiteSeeds("DifferentialTest.SharedContext",
-                                        {1, 2, 3, 5})) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    for (size_t shards : configs) {
-      SCOPED_TRACE("shards=" + std::to_string(shards));
-      Rng rng(seed * 6364136223846793005u + shards);
-      ContextHarness h(seed * 977 + 5, shards, kHorizon);
-      QueryManager::Options flat_opt;
-      flat_opt.listen = false;
-      QueryManager flattener(&h.db, flat_opt);
+  for (bool governed : {false, true}) {
+    // Worlds are a handful of objects: lift the dirty-fraction fallback so
+    // TickAll serves updates by the delta path too. The governed pass arms
+    // a refresh budget that never trips, so every evaluation works in a
+    // generation of its own instead of the manager's context; its answers
+    // must be the same.
+    test::ScopedGovernorLimits limits(
+        {.refresh_budget = {.max_rows = governed ? size_t{1} << 20 : 0},
+         .delta_max_dirty_fraction = 1.0});
+    SCOPED_TRACE(governed ? "governed" : "ungoverned");
+    for (uint64_t seed : test::SuiteSeeds("DifferentialTest.SharedContext",
+                                          {1, 2, 3, 5})) {
+      SCOPED_TRACE("seed=" + std::to_string(seed));
+      for (size_t shards : configs) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        Rng rng(seed * 6364136223846793005u + shards);
+        ContextHarness h(seed * 977 + 5, shards, kHorizon);
+        QueryManager::Options flat_opt;
+        flat_opt.listen = false;
+        QueryManager flattener(&h.db, flat_opt);
 
-      struct Live {
-        FtlQuery query;
-        uint64_t id;
-        Tick anchor;
-      };
-      auto check_all = [&](std::vector<Live>* live, const char* phase) {
-        const Tick now = h.db.Now();
-        for (Live& l : *live) {
-          SCOPED_TRACE(std::string(phase) +
-                       " formula: " + l.query.where->ToString());
-          ++checks;
-          const Interval inst(now, now + kHorizon);
-          auto got = h.Evaluate(l.query);
-          auto fresh = FtlEvaluator(h.db).EvaluateQuery(l.query, inst);
-          auto naive = NaiveFtlEvaluator(h.db).EvaluateQuery(l.query, inst);
-          ASSERT_TRUE(got.ok()) << got.status();
-          ASSERT_TRUE(fresh.ok()) << fresh.status();
-          ASSERT_TRUE(naive.ok()) << naive.status();
-          ASSERT_EQ(got->vars, fresh->vars);
-          ASSERT_EQ(got->rows, fresh->rows)
-              << "Evaluate diverged from a fresh evaluation\ngot: "
-              << got->ToString() << "\nwant: " << fresh->ToString();
-          ASSERT_EQ(got->rows, naive->rows)
-              << "Evaluate diverged from the oracle\ngot: " << got->ToString()
-              << "\nnaive: " << naive->ToString();
-          if (now > l.anchor + kHorizon) l.anchor = now;
-          const Interval window(l.anchor, l.anchor + kHorizon);
-          auto answer = h.Answer(l.id);
-          auto cfresh = FtlEvaluator(h.db).EvaluateQuery(l.query, window);
-          auto cnaive = NaiveFtlEvaluator(h.db).EvaluateQuery(l.query, window);
-          ASSERT_TRUE(answer.ok()) << answer.status();
-          ASSERT_TRUE(cfresh.ok() && cnaive.ok());
-          ASSERT_EQ(*answer, flattener.FlattenAnswer(l.query, *cfresh, false))
-              << "continuous answer diverged from a fresh evaluation";
-          ASSERT_EQ(*answer, flattener.FlattenAnswer(l.query, *cnaive, false))
-              << "continuous answer diverged from the oracle";
-        }
-      };
-
-      for (int batch = 0; batch < 2; ++batch) {
-        std::vector<FormulaPtr> pool;
-        for (int i = 0; i < 3; ++i) pool.push_back(RandomFormula(&rng, 1));
-        std::vector<Live> live;
-        for (int q = 0; q < 4; ++q) {
+        struct Live {
           FtlQuery query;
-          query.retrieve = {"o", "n"};
-          query.from = {{"M", "o"}, {"M", "n"}};
-          query.where = SharingFormula(&rng, pool);
-          auto id = h.Register(query);
-          ASSERT_TRUE(id.ok()) << id.status()
-                               << "\nformula: " << query.where->ToString();
-          live.push_back({query, *id, h.db.Now()});
-          if (h.qm) {
-            auto profile = h.qm->Profile(*id);
-            ASSERT_TRUE(profile.ok());
-            filtered_nodes += CountNotes((*profile)->root, "filtered");
+          uint64_t id;
+          Tick anchor;
+        };
+        auto check_all = [&](std::vector<Live>* live, const char* phase) {
+          const Tick now = h.db.Now();
+          for (Live& l : *live) {
+            SCOPED_TRACE(std::string(phase) +
+                         " formula: " + l.query.where->ToString());
+            ++checks;
+            const Interval inst(now, now + kHorizon);
+            auto got = h.Evaluate(l.query);
+            auto fresh = FtlEvaluator(h.db).EvaluateQuery(l.query, inst);
+            auto naive = NaiveFtlEvaluator(h.db).EvaluateQuery(l.query, inst);
+            ASSERT_TRUE(got.ok()) << got.status();
+            ASSERT_TRUE(fresh.ok()) << fresh.status();
+            ASSERT_TRUE(naive.ok()) << naive.status();
+            ASSERT_EQ(got->vars, fresh->vars);
+            ASSERT_EQ(got->rows, fresh->rows)
+                << "Evaluate diverged from a fresh evaluation\ngot: "
+                << got->ToString() << "\nwant: " << fresh->ToString();
+            ASSERT_EQ(got->rows, naive->rows)
+                << "Evaluate diverged from the oracle\ngot: " << got->ToString()
+                << "\nnaive: " << naive->ToString();
+            if (now > l.anchor + kHorizon) l.anchor = now;
+            const Interval window(l.anchor, l.anchor + kHorizon);
+            auto answer = h.Answer(l.id);
+            auto cfresh = FtlEvaluator(h.db).EvaluateQuery(l.query, window);
+            auto cnaive =
+                NaiveFtlEvaluator(h.db).EvaluateQuery(l.query, window);
+            ASSERT_TRUE(answer.ok()) << answer.status();
+            ASSERT_TRUE(cfresh.ok() && cnaive.ok());
+            ASSERT_EQ(*answer, flattener.FlattenAnswer(l.query, *cfresh, false))
+                << "continuous answer diverged from a fresh evaluation";
+            ASSERT_EQ(*answer, flattener.FlattenAnswer(l.query, *cnaive, false))
+                << "continuous answer diverged from the oracle";
           }
-        }
-        ASSERT_NO_FATAL_FAILURE(check_all(&live, "registered"));
-        for (int step = 0; step < 2; ++step) {
-          // Updates: motions, fuel, a creation or a deletion.
-          std::vector<ObjectId> ids;
-          for (const auto& [id, obj] : (*h.db.GetClass("M"))->objects()) {
-            ids.push_back(id);
-          }
-          const int n = static_cast<int>(rng.UniformInt(1, 3));
-          for (int u = 0; u < n; ++u) {
-            ObjectId target = ids[static_cast<size_t>(
-                rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1))];
-            if (rng.Bernoulli(0.3)) {
-              ASSERT_NO_FATAL_FAILURE(
-                  h.Fuel(target, Grid(&rng, 0, 100),
-                         TimeFunction::Linear(Grid(&rng, -2, 2))));
-            } else {
-              ASSERT_NO_FATAL_FAILURE(
-                  h.Move(target, {Grid(&rng, -20, 20), Grid(&rng, -20, 20)},
-                         {Grid(&rng, -2, 2), Grid(&rng, -2, 2)}));
+        };
+
+        for (int batch = 0; batch < 2; ++batch) {
+          std::vector<FormulaPtr> pool;
+          for (int i = 0; i < 3; ++i) pool.push_back(RandomFormula(&rng, 1));
+          std::vector<Live> live;
+          for (int q = 0; q < 4; ++q) {
+            FtlQuery query;
+            query.retrieve = {"o", "n"};
+            query.from = {{"M", "o"}, {"M", "n"}};
+            query.where = SharingFormula(&rng, pool);
+            auto id = h.Register(query);
+            ASSERT_TRUE(id.ok()) << id.status()
+                                 << "\nformula: " << query.where->ToString();
+            live.push_back({query, *id, h.db.Now()});
+            if (h.qm) {
+              auto profile = h.qm->Profile(*id);
+              ASSERT_TRUE(profile.ok());
+              filtered_nodes += CountNotes((*profile)->root, "filtered");
             }
           }
-          if (rng.Bernoulli(0.2) && ids.size() > 3) {
-            ASSERT_NO_FATAL_FAILURE(h.Delete(ids[static_cast<size_t>(
-                rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1))]));
-          } else if (rng.Bernoulli(0.2)) {
-            ASSERT_NO_FATAL_FAILURE(h.Create(&rng));
+          ASSERT_NO_FATAL_FAILURE(check_all(&live, "registered"));
+          for (int step = 0; step < 2; ++step) {
+            // Updates: motions, fuel, a creation or a deletion.
+            std::vector<ObjectId> ids;
+            for (const auto& [id, obj] : (*h.db.GetClass("M"))->objects()) {
+              ids.push_back(id);
+            }
+            const int n = static_cast<int>(rng.UniformInt(1, 3));
+            for (int u = 0; u < n; ++u) {
+              ObjectId target = ids[static_cast<size_t>(
+                  rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1))];
+              if (rng.Bernoulli(0.3)) {
+                ASSERT_NO_FATAL_FAILURE(
+                    h.Fuel(target, Grid(&rng, 0, 100),
+                           TimeFunction::Linear(Grid(&rng, -2, 2))));
+              } else {
+                ASSERT_NO_FATAL_FAILURE(
+                    h.Move(target, {Grid(&rng, -20, 20), Grid(&rng, -20, 20)},
+                           {Grid(&rng, -2, 2), Grid(&rng, -2, 2)}));
+              }
+            }
+            if (rng.Bernoulli(0.2) && ids.size() > 3) {
+              ASSERT_NO_FATAL_FAILURE(h.Delete(ids[static_cast<size_t>(
+                  rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1))]));
+            } else if (rng.Bernoulli(0.2)) {
+              ASSERT_NO_FATAL_FAILURE(h.Create(&rng));
+            }
+            ASSERT_TRUE(h.Refresh().ok());
+            ASSERT_NO_FATAL_FAILURE(check_all(&live, "updated"));
+            // The clock alone: no update, a new context all the same. A
+            // jump past the horizon sends TickAll down the full path.
+            ASSERT_TRUE(
+                h.AdvanceClock(rng.Bernoulli(0.25) ? kHorizon + 6
+                                                   : rng.UniformInt(1, 3))
+                    .ok());
+            ASSERT_NO_FATAL_FAILURE(check_all(&live, "clock"));
           }
+          // A region redefinition alone (grid-aligned, so the oracle stays
+          // exact). It notifies no listener; the catalog change alone must
+          // bring the registered answers onto the new polygon.
+          ASSERT_TRUE(h.db.DefineRegion(
+                            "R1", Polygon::Rectangle(
+                                      {Grid(&rng, -12, 0), Grid(&rng, -12, 0)},
+                                      {Grid(&rng, 2, 12), Grid(&rng, 2, 12)}))
+                          .ok());
           ASSERT_TRUE(h.Refresh().ok());
-          ASSERT_NO_FATAL_FAILURE(check_all(&live, "updated"));
-          // The clock alone: no update, a new context all the same. A
-          // jump past the horizon sends TickAll down the full path.
-          ASSERT_TRUE(
-              h.AdvanceClock(rng.Bernoulli(0.25) ? kHorizon + 6
-                                                 : rng.UniformInt(1, 3))
-                  .ok());
-          ASSERT_NO_FATAL_FAILURE(check_all(&live, "clock"));
+          ASSERT_NO_FATAL_FAILURE(check_all(&live, "region"));
+          for (const Live& l : live) ASSERT_TRUE(h.Cancel(l.id).ok());
         }
-        // A region redefinition alone (grid-aligned, so the oracle stays
-        // exact). It notifies no listener; the catalog change alone must
-        // bring the registered answers onto the new polygon.
-        ASSERT_TRUE(h.db.DefineRegion(
-                          "R1", Polygon::Rectangle(
-                                    {Grid(&rng, -12, 0), Grid(&rng, -12, 0)},
-                                    {Grid(&rng, 2, 12), Grid(&rng, 2, 12)}))
-                        .ok());
-        ASSERT_TRUE(h.Refresh().ok());
-        ASSERT_NO_FATAL_FAILURE(check_all(&live, "region"));
-        for (const Live& l : live) ASSERT_TRUE(h.Cancel(l.id).ok());
       }
     }
   }
   if (!test::SeedOverridden()) {
-    // 4 seeds x 2 batches x 6 checkpoints x 4 queries per configuration.
-    EXPECT_GE(checks, 192 * static_cast<int>(configs.size()))
+    // 4 seeds x 2 batches x 6 checkpoints x 4 queries per configuration,
+    // ungoverned and governed.
+    EXPECT_GE(checks, 2 * 192 * static_cast<int>(configs.size()))
         << "shared-context corpus shrank";
     // The corpus must actually exercise sharing, filtered hits included.
     EXPECT_GT(shared_total->value(), shared_before);

@@ -1,7 +1,8 @@
 // The per-version evaluation context (docs/eval_internals.md): what one
-// database version's evaluations share, when a new context starts, and
-// that a borrowed snapshot or relation answers and costs exactly what
-// building it would.
+// database version's evaluations share, when a new context starts, that a
+// borrowed relation answers exactly what building it would, and that an
+// evaluation under a budget neither reads nor writes a shared context, so
+// it passes and sheds exactly as a fresh evaluator does.
 
 #include "ftl/eval_context.h"
 
@@ -192,28 +193,69 @@ TEST_F(EvalContextTest, KeysTellApartLiteralsTheTextRoundsAlike) {
   EXPECT_NE(a->rows, b->rows);
 }
 
-// A borrowed snapshot is charged to the borrower as if built: a one-byte
-// arena budget sheds the evaluation exactly as it sheds a fresh one.
-TEST_F(EvalContextTest, BorrowedSnapshotIsChargedToTheBudget) {
+// A budgeted evaluation works in a generation of its own. After an
+// unbudgeted evaluation it borrows nothing and builds its own snapshot;
+// before one it leaves nothing behind, so the unbudgeted one builds too.
+// Either way it returns the fresh relation.
+TEST_F(EvalContextTest, BudgetedEvaluationNeitherReadsNorWritesTheContext) {
+  const FtlQuery q = Parse(
+      "RETRIEVE o FROM CARS o WHERE EVENTUALLY WITHIN 30 "
+      "(INSIDE(o, P) AND EVENTUALLY WITHIN 40 INSIDE(o, Q))");
+  const TemporalRelation want = Fresh(q, window_);
+  FtlEvaluator::Options governed;
+  governed.budget.max_rows = 1u << 20;  // Never trips.
+
+  {
+    EvalContext context;
+    FtlEvaluator unbudgeted(db_, {}, &context);
+    ASSERT_TRUE(unbudgeted.EvaluateQueryUnprojected(q, window_).ok());
+    EXPECT_EQ(unbudgeted.stats().snapshot_builds, 1u);
+    FtlEvaluator budgeted(db_, governed, &context);
+    auto rel = budgeted.EvaluateQueryUnprojected(q, window_);
+    ASSERT_TRUE(rel.ok()) << rel.status();
+    EXPECT_EQ(rel->rows, want.rows);
+    EXPECT_EQ(budgeted.stats().snapshot_builds, 1u);
+    EXPECT_EQ(budgeted.stats().shared_hits, 0u);
+  }
+  {
+    EvalContext context;
+    FtlEvaluator budgeted(db_, governed, &context);
+    auto rel = budgeted.EvaluateQueryUnprojected(q, window_);
+    ASSERT_TRUE(rel.ok()) << rel.status();
+    EXPECT_EQ(rel->rows, want.rows);
+    FtlEvaluator unbudgeted(db_, {}, &context);
+    auto after = unbudgeted.EvaluateQueryUnprojected(q, window_);
+    ASSERT_TRUE(after.ok()) << after.status();
+    EXPECT_EQ(after->rows, want.rows);
+    EXPECT_EQ(unbudgeted.stats().snapshot_builds, 1u);
+    EXPECT_EQ(unbudgeted.stats().shared_hits, 0u);
+  }
+}
+
+// A budgeted evaluation after an unbudgeted one builds and is charged its
+// own snapshot: a one-byte arena budget sheds it exactly as it sheds a
+// fresh one.
+TEST_F(EvalContextTest, BudgetedEvaluationIsChargedItsOwnSnapshot) {
   const FtlQuery q = Parse("RETRIEVE o FROM CARS o WHERE INSIDE(o, P)");
   EvalContext context;
   ASSERT_TRUE(FtlEvaluator(db_, {}, &context).EvaluateQuery(q, window_).ok());
   FtlEvaluator::Options opts;
   opts.budget.max_arena_bytes = 1;
-  FtlEvaluator borrower(db_, opts, &context);
-  auto rel = borrower.EvaluateQuery(q, window_);
-  EXPECT_EQ(borrower.stats().snapshot_builds, 0u);
+  FtlEvaluator budgeted(db_, opts, &context);
+  auto rel = budgeted.EvaluateQuery(q, window_);
+  EXPECT_EQ(budgeted.stats().snapshot_builds, 1u);
   ASSERT_FALSE(rel.ok());
   EXPECT_EQ(rel.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(borrower.degrade_reason(), DegradeReason::kMemory);
+  EXPECT_EQ(budgeted.degrade_reason(), DegradeReason::kMemory);
   FtlEvaluator fresh(db_, opts);
   EXPECT_EQ(fresh.EvaluateQuery(q, window_).status().code(),
             StatusCode::kResourceExhausted);
 }
 
-// A borrowed relation charges its largest intermediate to the row limit,
-// and a budget abort stores nothing half-built: the next evaluation in the
-// same context gets the exact answer.
+// A budget abort stores nothing half-built: the next evaluation in the
+// same context gets the exact answer. A budgeted evaluation after it takes
+// nothing from the context and sheds under the row limit as a fresh one
+// does.
 TEST_F(EvalContextTest, BudgetAbortLeavesNoPartialEntry) {
   const FtlQuery q = Parse(
       "RETRIEVE o FROM CARS o WHERE EVENTUALLY WITHIN 30 "
@@ -233,21 +275,25 @@ TEST_F(EvalContextTest, BudgetAbortLeavesNoPartialEntry) {
   ASSERT_TRUE(rel.ok()) << rel.status();
   EXPECT_EQ(rel->rows, want.rows);
 
-  // The conjunction is now in the context; borrowing it under the same
-  // row limit sheds again.
-  FtlEvaluator borrower(db_, opts, &context);
-  EXPECT_FALSE(borrower.EvaluateQueryUnprojected(q, window_).ok());
-  EXPECT_EQ(borrower.degrade_reason(), DegradeReason::kRows);
-  EXPECT_GT(borrower.stats().shared_hits, 0u);
+  // The conjunction is now in the context; an evaluation under the same
+  // row limit does not take it and sheds again, as a fresh one does.
+  FtlEvaluator budgeted(db_, opts, &context);
+  EXPECT_FALSE(budgeted.EvaluateQueryUnprojected(q, window_).ok());
+  EXPECT_EQ(budgeted.degrade_reason(), DegradeReason::kRows);
+  EXPECT_EQ(budgeted.stats().shared_hits, 0u);
+  FtlEvaluator fresh(db_, opts);
+  EXPECT_FALSE(fresh.EvaluateQueryUnprojected(q, window_).ok());
+  EXPECT_EQ(fresh.degrade_reason(), DegradeReason::kRows);
 }
 
-// A borrower is charged what its own request costs, not what the
-// unrestricted relation or the whole-class snapshot in the context cost: a
-// restricted evaluation under the smallest budget a fresh one passes (and
-// the unrestricted one does not) passes as well, both when the context
-// holds only unrestricted entries and when it holds the restricted ones;
-// one below that budget it is shed, as the fresh one is.
-TEST_F(EvalContextTest, BorrowerUnderARestrictedBudgetIsNotShed) {
+// A restricted evaluation in a shared context is charged what its own
+// request costs, not what the unrestricted relation or the whole-class
+// snapshot in the context cost: under the smallest budget a fresh one
+// passes (and the unrestricted one does not) it passes as well, and one
+// below that budget it is shed, as the fresh one is. A second round after
+// the first round's budgeted evaluations finds the context as they left
+// it: they stored nothing.
+TEST_F(EvalContextTest, BudgetedRestrictedEvaluationShedsAsAFreshOne) {
   const FtlQuery q = Parse(
       "RETRIEVE o FROM CARS o WHERE EVENTUALLY WITHIN 30 "
       "(INSIDE(o, P) AND EVENTUALLY WITHIN 40 INSIDE(o, Q))");
@@ -292,16 +338,15 @@ TEST_F(EvalContextTest, BorrowerUnderARestrictedBudgetIsNotShed) {
     ASSERT_TRUE(
         FtlEvaluator(db_, {}, &context).EvaluateQuery(q, window_).ok());
     for (int round = 0; round < 2; ++round) {
-      // Round 0 finds only unrestricted entries, round 1 also the
-      // restricted ones round 0 stored.
       FtlEvaluator shed(db_, tight, &context);
       EXPECT_FALSE(shed.EvaluateQueryUnprojected(q, window_).ok())
           << "round " << round;
-      FtlEvaluator borrower(db_, *budgeted, &context);
-      auto rel = borrower.EvaluateQueryUnprojected(q, window_);
+      FtlEvaluator passing(db_, *budgeted, &context);
+      auto rel = passing.EvaluateQueryUnprojected(q, window_);
       ASSERT_TRUE(rel.ok()) << "round " << round << ": " << rel.status();
       EXPECT_EQ(rel->rows, want.rows);
-      if (round == 1) EXPECT_GT(borrower.stats().shared_hits, 0u);
+      EXPECT_EQ(passing.stats().shared_hits, 0u) << "round " << round;
+      EXPECT_EQ(passing.stats().snapshot_builds, 1u) << "round " << round;
     }
   }
 }
