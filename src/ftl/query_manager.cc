@@ -826,13 +826,21 @@ Status QueryManager::Poll() {
   };
   std::vector<PendingFire> pending;
   const ResourceGovernor::Limits limits = ResourceGovernor::Global().limits();
+  // A failing refresh skips its trigger only: the firings collected for
+  // the others are already recorded in their fired state, so dropping
+  // them would lose them for good.
+  Status first_error = Status::OK();
   {
     std::lock_guard<std::mutex> lock(mu_);
     Tick now = db_->Now();
     for (auto& [id, cq] : continuous_) {
       if (!cq.action) continue;
       if (NeedsRefresh(cq, now)) {
-        MOST_RETURN_IF_ERROR(Refresh(&cq, limits));
+        Status s = Refresh(&cq, limits);
+        if (!s.ok()) {
+          if (first_error.ok()) first_error = s;
+          continue;
+        }
       }
       for (const auto& [binding, when] : cq.answer->rows) {
         for (const Interval& iv : when.intervals()) {
@@ -865,7 +873,7 @@ Status QueryManager::Poll() {
   for (PendingFire& fire : pending) {
     fire.action(fire.binding, fire.at);
   }
-  return Status::OK();
+  return first_error;
 }
 
 Result<size_t> QueryManager::TriggerFiredEntries(QueryId id) const {

@@ -313,7 +313,10 @@ class QueryManager {
   /// whose intervals were entered since the last poll. Fired-state entries
   /// whose intervals are entirely in the past (or whose binding left the
   /// answer, e.g. a deleted object) are garbage-collected so the per-
-  /// trigger memory tracks the live answer, not the query's history.
+  /// trigger memory tracks the live answer, not the query's history. A
+  /// trigger whose refresh fails is skipped until the next poll; the
+  /// others are polled and fired all the same, and the first error is
+  /// returned (as TickAll does).
   Status Poll();
 
   /// Number of (binding -> last fire tick) entries a trigger currently

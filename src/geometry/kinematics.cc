@@ -93,6 +93,11 @@ void InsidePolygonInto(const MovingPoint2& p, const Polygon& poly,
     if (poly.Contains(p.origin)) out->push_back(window);
     return;
   }
+  if (window.begin == window.end) {
+    // One instant (a one-tick motion segment): no piece between events.
+    if (poly.Contains(p.At(window.begin))) out->push_back(window);
+    return;
+  }
   // Candidate event times: the moving point crosses an edge's supporting
   // line. cross(b - a, p(t) - a) is linear in t.
   std::vector<double>& events = *events_buf;

@@ -584,7 +584,9 @@ class FaultSim {
     const bool rebuilt =
         s.ok() || s.message().find("re-registering") != std::string::npos;
     if (rebuilt) {
-      for (EngineWorld::Slot& slot : eng.slots) slot.anchor = eng.db.Now();
+      for (EngineWorld::Slot& slot : eng.slots) {
+        slot.window.Anchor(eng.db.Now());
+      }
     }
     if (s.ok()) return;
     ASSERT_TRUE(NamesArmedSite(s)) << s;

@@ -95,6 +95,18 @@ TEST(InsidePolygonTest, StationaryOutside) {
   EXPECT_TRUE(InsidePolygon(p, square, kWindow).empty());
 }
 
+// A one-tick motion segment (a piecewise route whose breakpoint is the
+// window's first or last tick) is solved over a one-instant window.
+TEST(InsidePolygonTest, OneInstantWindow) {
+  Polygon square = Polygon::Rectangle({0, 0}, {10, 10});
+  MovingPoint2 p({-7, 5}, {1, 0});  // Inside on [7, 17].
+  auto ivs = InsidePolygon(p, square, {12.0, 12.0});
+  ASSERT_EQ(ivs.size(), 1u);
+  EXPECT_DOUBLE_EQ(ivs[0].begin, 12.0);
+  EXPECT_DOUBLE_EQ(ivs[0].end, 12.0);
+  EXPECT_TRUE(InsidePolygon(p, square, {3.0, 3.0}).empty());
+}
+
 TEST(InsidePolygonTest, MissesPolygon) {
   Polygon square = Polygon::Rectangle({0, 0}, {10, 10});
   MovingPoint2 p({-10, 20}, {1, 0});

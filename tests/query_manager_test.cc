@@ -690,6 +690,42 @@ TEST_F(QueryManagerTest, MultiVariableTriggerFiresOncePerIntervalUnderDelta) {
   EXPECT_EQ((fires[{b, b}]).size(), 1u);
 }
 
+// One trigger's failing refresh must not swallow the firings Poll already
+// collected for the others: they fire on that poll, exactly once, and the
+// failing trigger fires on the next poll once its refresh succeeds.
+TEST_F(QueryManagerTest, PollFiresWhatItCollectedWhenALaterTriggerFails) {
+  ASSERT_TRUE(db_.CreateClass("TAXIS", {}, /*spatial=*/true).ok());
+  AddCar({5, 5}, {0, 0});  // In P from the start.
+  auto taxi = db_.CreateObject("TAXIS");
+  ASSERT_TRUE(taxi.ok());
+  const ObjectId taxi_id = (*taxi)->id();
+  ASSERT_TRUE(db_.SetMotion("TAXIS", taxi_id, {50, 50}, {0, 0}).ok());
+  test::ScopedGovernorLimits gate({.refresh_budget = {.max_rows = 1u << 20}});
+  int car_fires = 0;
+  int taxi_fires = 0;
+  ASSERT_TRUE(qm_.RegisterTrigger(
+                     Parse("RETRIEVE o FROM CARS o WHERE INSIDE(o, P)"),
+                     [&](const std::vector<ObjectId>&, Tick) { ++car_fires; })
+                  .ok());
+  ASSERT_TRUE(qm_.RegisterTrigger(
+                     Parse("RETRIEVE t FROM TAXIS t WHERE INSIDE(t, P)"),
+                     [&](const std::vector<ObjectId>&, Tick) { ++taxi_fires; })
+                  .ok());
+  // The taxi's update dirties the second trigger only; its refresh fails.
+  ASSERT_TRUE(db_.SetMotion("TAXIS", taxi_id, {6, 6}, {0, 0}).ok());
+  auto& reg = FailpointRegistry::Instance();
+  ASSERT_TRUE(reg.Arm("ftl/eval/checkpoint", "error").ok());
+  EXPECT_FALSE(qm_.Poll().ok()) << "the failed refresh must surface";
+  reg.Disarm("ftl/eval/checkpoint");
+  EXPECT_EQ(car_fires, 1) << "the first trigger's firing was dropped";
+  EXPECT_EQ(taxi_fires, 0);
+
+  db_.clock().Advance(1);
+  ASSERT_TRUE(qm_.Poll().ok());
+  EXPECT_EQ(car_fires, 1);
+  EXPECT_EQ(taxi_fires, 1);
+}
+
 TEST_F(QueryManagerTest, PollGarbageCollectsSpentFiredState) {
   // Car crosses P during [20, 30]; once the clock passes the interval the
   // fired entry is unreachable and must be dropped.

@@ -29,6 +29,7 @@
 #include "obs/governor.h"
 #include "obs/telemetry.h"
 #include "scoped_governor_limits.h"
+#include "sim_world.h"
 #include "workload/fleet.h"
 
 namespace most {
@@ -576,7 +577,7 @@ TEST(ShardedEngineTest, WatchdogArmingDuringParallelTickDegradesSoundly) {
     ASSERT_TRUE(id.ok()) << id.status();
     ids.push_back(*id);
   }
-  const Tick anchor = db.Now();
+  test::AnswerWindow window(kHorizon, db.Now());
   QueryManager::Options flat_opt;
   flat_opt.listen = false;
   QueryManager flattener(&db, flat_opt);
@@ -592,13 +593,6 @@ TEST(ShardedEngineTest, WatchdogArmingDuringParallelTickDegradesSoundly) {
     }
     return engine.Advance(1);
   };
-  auto oracle = [&](const FtlQuery& q) {
-    FtlEvaluator fresh(db);
-    auto rel = fresh.EvaluateQuery(q, Interval(anchor, anchor + kHorizon));
-    EXPECT_TRUE(rel.ok()) << rel.status();
-    return flattener.FlattenAnswer(q, rel.ok() ? *rel : TemporalRelation(),
-                                   /*force_stale=*/false);
-  };
 
   const uint64_t sheds_before = ResourceGovernor::Global().degrades_total();
   for (Tick t = 1; t <= 6; ++t) {
@@ -607,7 +601,8 @@ TEST(ShardedEngineTest, WatchdogArmingDuringParallelTickDegradesSoundly) {
     for (size_t i = 0; i < queries.size(); ++i) {
       auto got = engine.ContinuousAnswer(ids[i]);
       ASSERT_TRUE(got.ok()) << got.status();
-      const std::vector<AnswerTuple> want = oracle(queries[i]);
+      const std::vector<AnswerTuple> want =
+          window.Answer(db, queries[i], flattener);
       if (got->complete()) {
         EXPECT_EQ(got->tuples, want);
         continue;
@@ -630,7 +625,7 @@ TEST(ShardedEngineTest, WatchdogArmingDuringParallelTickDegradesSoundly) {
     auto got = engine.ContinuousAnswer(ids[i]);
     ASSERT_TRUE(got.ok()) << got.status();
     EXPECT_TRUE(got->complete());
-    EXPECT_EQ(got->tuples, oracle(queries[i]));
+    EXPECT_EQ(got->tuples, window.Answer(db, queries[i], flattener));
   }
   rec.set_enabled(false);
   rec.Clear();
