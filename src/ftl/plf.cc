@@ -136,7 +136,9 @@ IntervalSet Plf::TicksLe(const Plf& other) const {
         lo_t = std::max(t0, root);
         hi_t = t1;
       }
-      if (lo_t > hi_t) continue;
+      // A root within kEps past the piece's end (or before its start) is
+      // rounding noise: its end tick still holds.
+      if (lo_t > hi_t + kEps) continue;
     }
     Tick first = static_cast<Tick>(std::ceil(lo_t - kEps));
     Tick last = static_cast<Tick>(std::floor(hi_t + kEps));

@@ -5,6 +5,7 @@
 #include "common/rng.h"
 #include "ftl/naive_eval.h"
 #include "ftl/parser.h"
+#include "sim_world.h"
 
 namespace most {
 namespace {
@@ -368,88 +369,9 @@ TEST_F(FtlEvalTest, UnconstrainedRetrieveVarRangesOverClass) {
 
 // ---------------------------------------------------------------------------
 // Property test: the interval evaluator must agree with the state-stepping
-// reference evaluator on randomized worlds and formulas.
+// reference evaluator on randomized grid worlds and formulas (the
+// differential harness's generator, tests/sim_world.h).
 // ---------------------------------------------------------------------------
-
-// All geometry on a 0.25 grid so predicate flips at integer ticks are
-// computed identically (exactly) by both evaluators.
-double Grid(Rng* rng, double lo, double hi) {
-  int64_t steps = static_cast<int64_t>((hi - lo) * 4);
-  return lo + 0.25 * static_cast<double>(rng->UniformInt(0, steps));
-}
-
-FormulaPtr RandomAtom(Rng* rng) {
-  switch (rng->UniformInt(0, 8)) {
-    case 7:
-      // Moving region anchored at the other object.
-      return FtlFormula::Inside("o", rng->Bernoulli(0.5) ? "R1" : "R2", "n");
-    case 8:
-      return FtlFormula::Outside("n", rng->Bernoulli(0.5) ? "R1" : "R2",
-                                 "o");
-    case 0:
-      return FtlFormula::Inside("o", rng->Bernoulli(0.5) ? "R1" : "R2");
-    case 1:
-      return FtlFormula::Outside("o", rng->Bernoulli(0.5) ? "R1" : "R2");
-    case 2:
-      return FtlFormula::Inside("n", rng->Bernoulli(0.5) ? "R1" : "R2");
-    case 3: {
-      auto op = static_cast<FtlFormula::CmpOp>(rng->UniformInt(0, 5));
-      return FtlFormula::Compare(
-          op, FtlTerm::Dist("o", "n"),
-          FtlTerm::Literal(Value(Grid(rng, 1, 30))));
-    }
-    case 4: {
-      auto op = static_cast<FtlFormula::CmpOp>(rng->UniformInt(0, 5));
-      return FtlFormula::Compare(
-          op, FtlTerm::AttrRef("o", "FUEL"),
-          FtlTerm::Literal(Value(Grid(rng, 0, 100))));
-    }
-    case 5: {
-      auto op = static_cast<FtlFormula::CmpOp>(rng->UniformInt(0, 5));
-      return FtlFormula::Compare(op, FtlTerm::Time(),
-                                 FtlTerm::Literal(Value(static_cast<double>(
-                                     rng->UniformInt(0, 30)))));
-    }
-    default:
-      return FtlFormula::WithinSphere(Grid(rng, 1, 20), {"o", "n"});
-  }
-}
-
-FormulaPtr RandomFormula(Rng* rng, int depth) {
-  if (depth <= 0) return RandomAtom(rng);
-  switch (rng->UniformInt(0, 9)) {
-    case 0:
-      return FtlFormula::And(RandomFormula(rng, depth - 1),
-                             RandomFormula(rng, depth - 1));
-    case 1:
-      return FtlFormula::Or(RandomFormula(rng, depth - 1),
-                            RandomFormula(rng, depth - 1));
-    case 2:
-      return FtlFormula::Not(RandomFormula(rng, depth - 1));
-    case 3:
-      return FtlFormula::Until(RandomFormula(rng, depth - 1),
-                               RandomFormula(rng, depth - 1));
-    case 4:
-      return FtlFormula::UntilWithin(rng->UniformInt(0, 10),
-                                     RandomFormula(rng, depth - 1),
-                                     RandomFormula(rng, depth - 1));
-    case 5:
-      return FtlFormula::Nexttime(RandomFormula(rng, depth - 1));
-    case 6:
-      return FtlFormula::EventuallyWithin(rng->UniformInt(0, 12),
-                                          RandomFormula(rng, depth - 1));
-    case 7:
-      return FtlFormula::AlwaysFor(rng->UniformInt(0, 8),
-                                   RandomFormula(rng, depth - 1));
-    case 8:
-      return rng->Bernoulli(0.5)
-                 ? FtlFormula::Eventually(RandomFormula(rng, depth - 1))
-                 : FtlFormula::Always(RandomFormula(rng, depth - 1));
-    default:
-      return FtlFormula::EventuallyAfter(rng->UniformInt(0, 10),
-                                         RandomFormula(rng, depth - 1));
-  }
-}
 
 class FtlAgreementTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -457,45 +379,13 @@ TEST_P(FtlAgreementTest, IntervalEvaluatorMatchesNaive) {
   Rng rng(GetParam());
   for (int world = 0; world < 4; ++world) {
     MostDatabase db;
-    ASSERT_TRUE(
-        db.CreateClass("M", {{"FUEL", true, ValueType::kNull}}, true).ok());
-    ASSERT_TRUE(
-        db.DefineRegion("R1", Polygon::Rectangle({-10, -10}, {5, 5})).ok());
-    ASSERT_TRUE(
-        db.DefineRegion("R2", Polygon::Rectangle({0, 0}, {15, 12})).ok());
-    int num_objects = 3;
-    for (int i = 0; i < num_objects; ++i) {
-      auto obj = db.CreateObject("M");
-      ASSERT_TRUE(obj.ok());
-      ObjectId id = (*obj)->id();
-      // Half the objects get piecewise routes.
-      if (rng.Bernoulli(0.5)) {
-        ASSERT_TRUE(db.SetMotion("M", id,
-                                 {Grid(&rng, -20, 20), Grid(&rng, -20, 20)},
-                                 {Grid(&rng, -2, 2), Grid(&rng, -2, 2)})
-                        .ok());
-      } else {
-        auto fx = TimeFunction::Piecewise(
-            {{0, Grid(&rng, -2, 2)},
-             {rng.UniformInt(3, 15), Grid(&rng, -2, 2)}});
-        ASSERT_TRUE(fx.ok());
-        ASSERT_TRUE(db.UpdateDynamic("M", id, kAttrX, Grid(&rng, -20, 20),
-                                     *fx)
-                        .ok());
-        ASSERT_TRUE(db.UpdateDynamic("M", id, kAttrY, Grid(&rng, -20, 20),
-                                     TimeFunction::Linear(Grid(&rng, -2, 2)))
-                        .ok());
-      }
-      ASSERT_TRUE(db.UpdateDynamic("M", id, "FUEL", Grid(&rng, 0, 100),
-                                   TimeFunction::Linear(Grid(&rng, -2, 2)))
-                      .ok());
-    }
+    ASSERT_NO_FATAL_FAILURE(test::BuildWorld(&rng, &db, 3));
 
     for (int round = 0; round < 6; ++round) {
       FtlQuery query;
       query.retrieve = {"o", "n"};
       query.from = {{"M", "o"}, {"M", "n"}};
-      query.where = RandomFormula(&rng, 2);
+      query.where = test::RandomFormula(&rng, 2);
 
       Interval window(0, 30);
       FtlEvaluator fast(db);

@@ -80,6 +80,24 @@ TEST(PlfTest, CompareConstantFunctions) {
   EXPECT_EQ(a.TicksEq(a), IntervalSet(kWindow));
 }
 
+// Off the grid, a function compared with its own value at a tick holds at
+// that tick. At a window end the root then lands within rounding of the
+// tick, on either side of it, and the tolerance must still admit it.
+TEST(PlfTest, OwnValueHoldsAtItsTickOffTheGrid) {
+  const Interval window(11, 21);
+  Rng rng(7);
+  for (int round = 0; round < 200; ++round) {
+    const double value = rng.UniformDouble(-100, 100);
+    const double slope = rng.UniformDouble(-2, 2);
+    const Plf f = Plf::FromPieces(window, {{window, value, slope}});
+    for (Tick t = window.begin; t <= window.end; ++t) {
+      const Plf own = Plf::Constant(window, f.At(t));
+      EXPECT_TRUE(f.TicksLe(own).Contains(t)) << "t=" << t << " " << slope;
+      EXPECT_TRUE(f.TicksGe(own).Contains(t)) << "t=" << t << " " << slope;
+    }
+  }
+}
+
 class PlfPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 Plf RandomPlf(Rng* rng, Interval window) {
