@@ -188,9 +188,6 @@ awk -v o="$trace_overhead" 'BEGIN {
   printf "trace+telemetry overhead: %s%%\n", o
   if (o >= 5.0) { print "trace overhead exceeds the 5% budget"; exit 1 }
 }'
-# Observability micro-costs (span create/record, telemetry OnTick, Chrome
-# export): smoke-run the bench so its JSON emitter stays healthy.
-(cd build-release && ./bench/bench_obs --benchmark_min_time=0.01 >/dev/null)
 # E9 overload grid: smoke-run bench_overload on a small fleet with the
 # interactive cells filtered out, so its calibration and JSON emitter stay
 # healthy. Only the six grid cells are checked; there is no timing gate.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <sstream>
-#include <tuple>
 
 #include "common/failpoint.h"
 #include "obs/governor.h"
@@ -73,6 +72,58 @@ size_t DirtyTotal(const std::map<std::string, std::set<ObjectId>>& dirty) {
   size_t total = 0;
   for (const auto& [cls, ids] : dirty) total += ids.size();
   return total;
+}
+
+/// The limits a persistent query's history refreshes under: the governor's,
+/// unbudgeted and without cooldown (a cooldown measured on the history's
+/// clock, which stays at the anchor, would never end).
+ResourceGovernor::Limits HistoryLimits() {
+  ResourceGovernor::Limits limits = ResourceGovernor::Global().limits();
+  limits.refresh_budget = Budget();
+  limits.degrade_cooldown_ticks = 0;
+  return limits;
+}
+
+// ---- History attributes ---------------------------------------------------
+//
+// A history attribute is DynamicAttribute(0, anchor, f): each piece of f
+// starts at an offset from the anchor and resets to the value the object
+// had there, so an update that teleports a value stays a jump. Pieces are
+// built with starts strictly increasing from 0, so Piecewise cannot fail.
+
+using Piece = TimeFunction::Piece;
+
+/// Appends `dyn`'s linear pieces over [from, to] (none if empty).
+void AppendPieces(const DynamicAttribute& dyn, Tick from, Tick to, Tick anchor,
+                  std::vector<Piece>* pieces) {
+  if (from > to) return;
+  for (const auto& lp : dyn.LinearPieces(Interval(from, to))) {
+    pieces->push_back({lp.ticks.begin - anchor, lp.slope, /*has_reset=*/true,
+                       lp.value_at_begin});
+  }
+}
+
+/// The pieces of `f` that start before `offset`.
+std::vector<Piece> PiecesBefore(const TimeFunction& f, Tick offset) {
+  const std::vector<Piece>& all = f.pieces();
+  return {all.begin(),
+          std::partition_point(all.begin(), all.end(), [&](const Piece& p) {
+            return p.start < offset;
+          })};
+}
+
+/// The history attribute of non-empty `pieces`. An object created after
+/// the anchor has no piece at offset 0: its first piece is extended back.
+DynamicAttribute Stitch(std::vector<Piece> pieces, Tick anchor) {
+  if (pieces.front().start != 0) {
+    Piece lead = pieces.front();
+    double backstep = static_cast<double>(lead.start) * lead.slope;
+    lead.start = 0;
+    lead.reset_value -= backstep;
+    pieces.insert(pieces.begin(), lead);
+  }
+  return DynamicAttribute(
+      0.0, anchor, TimeFunction::Piecewise(std::move(pieces)).value());
 }
 
 }  // namespace
@@ -192,27 +243,18 @@ void QueryManager::NoteUpdatesLocked(const std::string& class_name,
       }
     }
   }
-  // Persistent queries record the updated objects' attribute states.
+  // Persistent queries append the updated objects to their histories.
   for (auto& [qid, pq] : persistent_) {
     bool relevant = false;
     for (const FromBinding& fb : pq.query.from) {
       if (fb.class_name == class_name) relevant = true;
     }
-    if (!relevant) continue;
+    if (!relevant || !pq.broken.ok()) continue;
     auto cls = db_->GetClass(class_name);
     if (!cls.ok()) continue;
     for (ObjectId id : ids) {
-      auto obj = (*cls)->Get(id);
-      if (!obj.ok()) continue;  // Deleted object: stop recording it.
-      for (const auto& [attr, dyn] : (*obj)->dynamics()) {
-        pq.recordings[{class_name, id, attr}].timeline.emplace_back(now, dyn);
-      }
-      for (const auto& [attr, val] : (*obj)->statics()) {
-        if (!val.is_numeric()) continue;
-        pq.recordings[{class_name, id, attr}].timeline.emplace_back(
-            now,
-            DynamicAttribute(val.AsDouble().value(), now, TimeFunction()));
-      }
+      pq.broken = MirrorUpdate(&pq, **cls, id, now);
+      if (!pq.broken.ok()) break;
     }
   }
 }
@@ -563,6 +605,11 @@ Result<QueryManager::AnswerSnapshot> QueryManager::SnapshotContinuousAnswer(
     QueryId id) {
   const ResourceGovernor::Limits limits = ResourceGovernor::Global().limits();
   std::lock_guard<std::mutex> lock(mu_);
+  return SnapshotLocked(id, limits);
+}
+
+Result<QueryManager::AnswerSnapshot> QueryManager::SnapshotLocked(
+    QueryId id, const ResourceGovernor::Limits& limits) {
   auto it = continuous_.find(id);
   if (it == continuous_.end()) {
     return Status::NotFound("continuous query " + std::to_string(id));
@@ -641,19 +688,12 @@ void QueryManager::SetDomainPartition(
 
 Result<std::vector<AnswerTuple>> QueryManager::ContinuousAnswerLocked(
     QueryId id, const ResourceGovernor::Limits& limits) {
-  auto it = continuous_.find(id);
-  if (it == continuous_.end()) {
-    return Status::NotFound("continuous query " + std::to_string(id));
-  }
-  Continuous& cq = it->second;
-  if (NeedsRefresh(cq, db_->Now())) {
-    MOST_RETURN_IF_ERROR(Refresh(&cq, limits));
-  }
+  MOST_ASSIGN_OR_RETURN(AnswerSnapshot snapshot, SnapshotLocked(id, limits));
   // While degraded the materialized relation is the last completed
   // answer: the engine will not vouch for any of it, so every tuple is
   // demoted to the may-answer regardless of per-object staleness.
-  return FlattenAnswer(cq.query, *cq.answer,
-                       /*force_stale=*/cq.degrade != DegradeReason::kNone);
+  return FlattenAnswer(continuous_.at(id).query, *snapshot.answer,
+                       /*force_stale=*/snapshot.degrade != DegradeReason::kNone);
 }
 
 Result<std::vector<std::vector<ObjectId>>> QueryManager::CurrentAnswer(
@@ -685,8 +725,16 @@ Result<std::vector<std::vector<ObjectId>>> QueryManager::PossibleAnswer(
   return out;
 }
 
+const QueryManager* QueryManager::HistoryManager(QueryId id) const {
+  auto it = persistent_.find(id);
+  return it == persistent_.end() ? nullptr : it->second.manager.get();
+}
+
 Result<uint64_t> QueryManager::EvaluationCount(QueryId id) const {
   std::lock_guard<std::mutex> lock(mu_);
+  if (const QueryManager* history = HistoryManager(id)) {
+    return history->EvaluationCount(id);
+  }
   auto it = continuous_.find(id);
   if (it == continuous_.end()) {
     return Status::NotFound("continuous query " + std::to_string(id));
@@ -697,6 +745,9 @@ Result<uint64_t> QueryManager::EvaluationCount(QueryId id) const {
 Result<QueryManager::RefreshCounters> QueryManager::QueryRefreshCounters(
     QueryId id) const {
   std::lock_guard<std::mutex> lock(mu_);
+  if (const QueryManager* history = HistoryManager(id)) {
+    return history->QueryRefreshCounters(id);
+  }
   auto it = continuous_.find(id);
   if (it == continuous_.end()) {
     return Status::NotFound("continuous query " + std::to_string(id));
@@ -732,6 +783,9 @@ Result<std::string> QueryManager::Explain(QueryId id,
 Result<std::shared_ptr<const obs::QueryProfile>> QueryManager::Profile(
     QueryId id) const {
   std::lock_guard<std::mutex> lock(mu_);
+  if (const QueryManager* history = HistoryManager(id)) {
+    return history->Profile(id);
+  }
   auto it = continuous_.find(id);
   if (it == continuous_.end()) {
     return Status::NotFound("continuous query " + std::to_string(id));
@@ -887,222 +941,151 @@ Result<size_t> QueryManager::TriggerFiredEntries(QueryId id) const {
 
 Result<QueryManager::QueryId> QueryManager::RegisterPersistent(
     const FtlQuery& query) {
+  const ResourceGovernor::Limits limits = HistoryLimits();
   std::lock_guard<std::mutex> lock(mu_);
   QueryId id = next_id_++;
   Persistent pq;
   pq.query = query;
   pq.anchored_at = db_->Now();
-  // Initial snapshot of every object of the referenced classes.
+  pq.catalog_changes = db_->catalog_changes();
+  pq.history = std::make_unique<MostDatabase>(pq.anchored_at);
+  for (const auto& [name, polygon] : db_->regions()) {
+    MOST_RETURN_IF_ERROR(pq.history->DefineRegion(name, polygon));
+  }
   for (const FromBinding& fb : query.from) {
     MOST_ASSIGN_OR_RETURN(const ObjectClass* cls, db_->GetClass(fb.class_name));
-    for (const auto& [oid, obj] : cls->objects()) {
-      for (const auto& [attr, dyn] : obj.dynamics()) {
-        pq.recordings[{fb.class_name, oid, attr}].timeline.emplace_back(
-            pq.anchored_at, dyn);
-      }
-      for (const auto& [attr, val] : obj.statics()) {
-        if (!val.is_numeric()) continue;
-        pq.recordings[{fb.class_name, oid, attr}].timeline.emplace_back(
-            pq.anchored_at,
-            DynamicAttribute(val.AsDouble().value(), pq.anchored_at,
-                             TimeFunction()));
-      }
+    if (pq.history->HasClass(fb.class_name)) continue;
+    // Re-declare the class (position attributes are added implicitly for
+    // spatial classes, so filter them out of the explicit list).
+    std::vector<AttributeDecl> decls;
+    for (const AttributeDecl& d : cls->attributes()) {
+      if (d.name == kAttrX || d.name == kAttrY) continue;
+      decls.push_back(d);
     }
+    MOST_RETURN_IF_ERROR(
+        pq.history->CreateClass(fb.class_name, decls, cls->spatial())
+            .status());
+    for (const auto& [oid, obj] : cls->objects()) {
+      MOST_RETURN_IF_ERROR(MirrorUpdate(&pq, *cls, oid, pq.anchored_at));
+    }
+  }
+  pq.manager = std::make_unique<QueryManager>(
+      pq.history.get(), Options{.horizon = options_.horizon});
+  pq.manager->next_id_ = id;  // The registration answers to this id.
+  {
+    std::lock_guard<std::mutex> history_lock(pq.manager->mu_);
+    MOST_RETURN_IF_ERROR(
+        pq.manager->RegisterContinuousLocked(query, limits).status());
   }
   persistent_.emplace(id, std::move(pq));
   return id;
 }
 
-Status QueryManager::SyncHistoryDatabase(Persistent* pq) {
-  HistoryDatabase& h = pq->history;
-  if (h.db == nullptr || h.catalog_changes != db_->catalog_changes()) {
-    // First read, or a class or region was defined since: start over.
-    h = HistoryDatabase();
-    h.db = std::make_unique<MostDatabase>(pq->anchored_at);
-    h.catalog_changes = db_->catalog_changes();
-    for (const auto& [name, polygon] : db_->regions()) {
-      MOST_RETURN_IF_ERROR(h.db->DefineRegion(name, polygon));
+Status QueryManager::MirrorUpdate(Persistent* pq, const ObjectClass& cls,
+                                  ObjectId id, Tick now) {
+  MostDatabase& history = *pq->history;
+  const std::string& name = cls.name();
+  const Tick anchor = pq->anchored_at;
+  const Tick end = TickSaturatingAdd(anchor, options_.horizon);
+  const Tick from = std::max(now, anchor);  // Where the new state starts.
+  MOST_ASSIGN_OR_RETURN(ObjectClass * mirrors, history.GetClass(name));
+  Result<MostObject*> mirror = mirrors->Get(id);
+  Result<const MostObject*> live = cls.Get(id);
+  // Where the object's history starts: its creation tick, or the anchor.
+  const auto born = pq->born.find({name, id});
+  const Tick born_at = born != pq->born.end() ? born->second : anchor;
+  // A further update in an object's creation tick restates the creation.
+  const bool fresh = !mirror.ok() || (born_at == now && now > anchor);
+  if (mirror.ok() && (!live.ok() || fresh)) {
+    MOST_RETURN_IF_ERROR(history.DeleteObject(name, id));
+  }
+  if (born != pq->born.end() && (!live.ok() || !fresh)) pq->born.erase(born);
+  if (!live.ok()) return Status::OK();
+  MostObject* target = nullptr;
+  if (fresh) {
+    MOST_ASSIGN_OR_RETURN(target, history.RestoreObject(name, id));
+    if (now > anchor) pq->born[{name, id}] = now;
+  } else {
+    target = *mirror;
+  }
+  // A fresh mirror is written in place (its RestoreObject moved the
+  // version and notified); an update through the mutators, but for a
+  // static's first history, which the UpdateStatic after it notifies.
+  auto write = [&](const std::string& attr, DynamicAttribute a) -> Status {
+    if (fresh || !target->HasDynamic(attr)) {
+      target->SetDynamic(attr, std::move(a));
+      return Status::OK();
+    }
+    return history.UpdateDynamic(name, id, attr, a.value(), a.function());
+  };
+  // A numeric static has a history (a dynamic of its name) once it is
+  // numeric in the anchor tick; before that, and for an object created
+  // after the anchor, its current value is what is evaluated.
+  for (const auto& [attr, value] : (*live)->statics()) {
+    const DynamicAttribute* had = target->MutableDynamic(attr);
+    if (value.is_numeric() && (had != nullptr || from == anchor)) {
+      std::vector<Piece> pieces;
+      if (had != nullptr) pieces = PiecesBefore(had->function(), from - anchor);
+      pieces.push_back({from - anchor, 0.0, /*has_reset=*/true,
+                        value.AsDouble().value()});
+      MOST_RETURN_IF_ERROR(write(attr, Stitch(std::move(pieces), anchor)));
+    }
+    if (fresh) {
+      target->SetStatic(attr, value);
+    } else {
+      MOST_RETURN_IF_ERROR(history.UpdateStatic(name, id, attr, value));
     }
   }
-  MostDatabase* shadow = h.db.get();
-  const Tick history_end =
-      TickSaturatingAdd(pq->anchored_at, options_.horizon);
-
-  std::set<std::string> synced;
-  for (const FromBinding& fb : pq->query.from) {
-    if (!synced.insert(fb.class_name).second) continue;
-    MOST_ASSIGN_OR_RETURN(const ObjectClass* cls, db_->GetClass(fb.class_name));
-    if (!shadow->HasClass(fb.class_name)) {
-      // Re-declare the class (position attributes are added implicitly
-      // for spatial classes, so filter them out of the explicit list).
-      std::vector<AttributeDecl> decls;
-      for (const AttributeDecl& d : cls->attributes()) {
-        if (d.name == kAttrX || d.name == kAttrY) continue;
-        decls.push_back(d);
-      }
-      MOST_RETURN_IF_ERROR(
-          shadow->CreateClass(fb.class_name, decls, cls->spatial()).status());
+  // Dynamics: the history before `from`, then the new state to the
+  // window's end. An object created past that end is kept as created
+  // until a later update cuts that state there.
+  for (const auto& [attr, dyn] : (*live)->dynamics()) {
+    const DynamicAttribute& had = *target->MutableDynamic(attr);
+    std::vector<Piece> pieces;
+    if (!fresh && born_at > end) {
+      AppendPieces(had, born_at, now - 1, anchor, &pieces);
+    } else if (!fresh) {
+      pieces = PiecesBefore(had.function(), from - anchor);
     }
-
-    // Live objects, their mirrors and their recordings (keyed by class,
-    // object, attribute) all iterate in id order: one forward walk pairs
-    // them up.
-    std::map<ObjectId, HistoryDatabase::Mirrored>& mirrored =
-        h.mirrored[fb.class_name];
-    auto m = mirrored.begin();
-    const auto rec_end = pq->recordings.end();
-    auto rec_it = pq->recordings.lower_bound(
-        {fb.class_name, ObjectId{0}, std::string()});
-    auto in_class = [&](auto it) {
-      return it != rec_end && std::get<0>(it->first) == fb.class_name;
-    };
-    for (const auto& [oid, obj] : cls->objects()) {
-      while (m != mirrored.end() && m->first < oid) {  // Deleted since.
-        MOST_RETURN_IF_ERROR(shadow->DeleteObject(fb.class_name, m->first));
-        m = mirrored.erase(m);
-      }
-      while (in_class(rec_it) && std::get<1>(rec_it->first) < oid) ++rec_it;
-      auto obj_end = rec_it;
-      size_t records = 0;
-      while (in_class(obj_end) && std::get<1>(obj_end->first) == oid) {
-        records += obj_end->second.timeline.size();
-        ++obj_end;
-      }
-      if (m != mirrored.end() && m->first == oid) {
-        // Values that compare equal across the numeric tower (1 == 1.0)
-        // evaluate alike, so they need no new mirror.
-        if (m->second.records == records &&
-            m->second.live.statics() == obj.statics() &&
-            m->second.live.dynamics() == obj.dynamics()) {
-          ++m;
-          continue;
-        }
-        MOST_RETURN_IF_ERROR(shadow->DeleteObject(fb.class_name, oid));
-      } else {
-        m = mirrored.emplace_hint(m, oid, HistoryDatabase::Mirrored());
-      }
-      auto find_rec = [&](const std::string& attr) {
-        for (auto r = rec_it; r != obj_end; ++r) {
-          if (std::get<2>(r->first) == attr) return r;
-        }
-        return rec_end;
-      };
-      MOST_ASSIGN_OR_RETURN(MostObject * mirror,
-                            shadow->RestoreObject(fb.class_name, oid));
-      // Non-numeric statics keep their current value (static history is
-      // recorded only for numeric attributes).
-      for (const auto& [attr, val] : obj.statics()) {
-        mirror->SetStatic(attr, val);
-      }
-      // Dynamic (and recorded numeric static) attributes: stitch the
-      // recorded timeline into one piecewise function with resets.
-      for (const auto& [attr, dyn] : obj.dynamics()) {
-        auto rec = find_rec(attr);
-        if (rec == rec_end) {
-          mirror->SetDynamic(attr, dyn);  // Created after anchoring.
-          continue;
-        }
-        const auto& timeline = rec->second.timeline;
-        std::vector<TimeFunction::Piece> pieces;
-        for (size_t i = 0; i < timeline.size(); ++i) {
-          Tick seg_begin = std::max(timeline[i].first, pq->anchored_at);
-          Tick seg_end = (i + 1 < timeline.size())
-                             ? timeline[i + 1].first - 1
-                             : history_end;
-          if (seg_begin > seg_end) continue;
-          for (const auto& lp :
-               timeline[i].second.LinearPieces(Interval(seg_begin, seg_end))) {
-            TimeFunction::Piece piece;
-            piece.start = lp.ticks.begin - pq->anchored_at;
-            piece.slope = lp.slope;
-            piece.has_reset = true;
-            piece.reset_value = lp.value_at_begin;
-            pieces.push_back(piece);
-          }
-        }
-        if (pieces.empty() || pieces.front().start != 0) {
-          // Extend the first record backwards to the anchor.
-          if (!pieces.empty()) {
-            TimeFunction::Piece lead = pieces.front();
-            double backstep =
-                static_cast<double>(pieces.front().start) * lead.slope;
-            lead.start = 0;
-            lead.reset_value -= backstep;
-            pieces.insert(pieces.begin(), lead);
-          }
-        }
-        if (pieces.empty()) {
-          mirror->SetDynamic(attr, dyn);
-          continue;
-        }
-        MOST_ASSIGN_OR_RETURN(TimeFunction stitched,
-                              TimeFunction::Piecewise(std::move(pieces)));
-        mirror->SetDynamic(
-            attr, DynamicAttribute(0.0, pq->anchored_at, std::move(stitched)));
-      }
-      // Recorded numeric statics become constant-piecewise dynamics so the
-      // evaluated history sees their changes over time.
-      for (const auto& [attr, val] : obj.statics()) {
-        auto rec = find_rec(attr);
-        if (rec == rec_end) continue;
-        const auto& timeline = rec->second.timeline;
-        std::vector<TimeFunction::Piece> pieces;
-        for (size_t i = 0; i < timeline.size(); ++i) {
-          TimeFunction::Piece piece;
-          piece.start =
-              std::max(timeline[i].first, pq->anchored_at) - pq->anchored_at;
-          piece.slope = 0.0;
-          piece.has_reset = true;
-          piece.reset_value = timeline[i].second.value();
-          if (!pieces.empty() && pieces.back().start == piece.start) {
-            pieces.back() = piece;
-          } else {
-            pieces.push_back(piece);
-          }
-        }
-        if (!pieces.empty() && pieces.front().start == 0) {
-          MOST_ASSIGN_OR_RETURN(TimeFunction stitched,
-                                TimeFunction::Piecewise(std::move(pieces)));
-          mirror->SetDynamic(attr, DynamicAttribute(0.0, pq->anchored_at,
-                                                    std::move(stitched)));
-        }
-      }
-      m->second.live = obj;
-      m->second.records = records;
-      ++m;
-    }
-    while (m != mirrored.end()) {  // Deleted since.
-      MOST_RETURN_IF_ERROR(shadow->DeleteObject(fb.class_name, m->first));
-      m = mirrored.erase(m);
-    }
+    AppendPieces(dyn, from, end, anchor, &pieces);
+    MOST_RETURN_IF_ERROR(
+        write(attr, pieces.empty() ? dyn : Stitch(std::move(pieces), anchor)));
   }
   return Status::OK();
 }
 
 Result<std::vector<AnswerTuple>> QueryManager::PersistentAnswer(QueryId id) {
+  const ResourceGovernor::Limits limits = HistoryLimits();
   std::lock_guard<std::mutex> lock(mu_);
   auto it = persistent_.find(id);
   if (it == persistent_.end()) {
     return Status::NotFound("persistent query " + std::to_string(id));
   }
   Persistent& pq = it->second;
-  if (Status synced = SyncHistoryDatabase(&pq); !synced.ok()) {
-    pq.history = HistoryDatabase();  // Half-synced: start over next read.
-    return synced;
+  MOST_RETURN_IF_ERROR(pq.broken);
+  if (pq.catalog_changes != db_->catalog_changes()) {
+    // A region may have been redefined. Defining every live region again
+    // is a catalog change of the history, which its manager answers with
+    // a full refresh.
+    for (const auto& [name, polygon] : db_->regions()) {
+      MOST_RETURN_IF_ERROR(pq.history->DefineRegion(name, polygon));
+    }
+    pq.catalog_changes = db_->catalog_changes();
   }
-  // The shadow is a different database: its evaluator has a private
-  // context, never this manager's.
-  FtlEvaluator eval(*pq.history.db);
-  MOST_ASSIGN_OR_RETURN(
-      TemporalRelation rel,
-      eval.EvaluateQuery(pq.query,
-                         Interval(pq.anchored_at,
-                                  TickSaturatingAdd(pq.anchored_at,
-                                                    options_.horizon))));
-  // Staleness is judged against the live database, not the shadow
-  // history: a silent object casts doubt on answers derived from its
-  // recorded (and extrapolated) timeline too.
-  return FlattenAnswer(pq.query, rel, /*force_stale=*/false);
+  QueryManager& manager = *pq.manager;
+  AnswerSnapshot snapshot;
+  {
+    std::lock_guard<std::mutex> history_lock(manager.mu_);
+    MOST_ASSIGN_OR_RETURN(snapshot, manager.SnapshotLocked(id, limits));
+  }
+  // As at the end of TickAll: the history's version moves with the next
+  // update, so what this read shared is freed now.
+  manager.context_.Release();
+  // Staleness is judged against the live database, not the history: a
+  // silent object casts doubt on answers derived from its recorded (and
+  // extrapolated) timeline too.
+  return FlattenAnswer(pq.query, *snapshot.answer,
+                       /*force_stale=*/snapshot.degrade != DegradeReason::kNone);
 }
 
 }  // namespace most

@@ -65,10 +65,11 @@ void SpliceAnswerDelta(
 ///   explicit database update triggers re-evaluation (Section 2.3), or
 ///   expiry of the evaluation window.
 /// * Persistent query at time t0: a sequence of instantaneous queries all
-///   evaluated on the history starting at t0. Updates between t0 and now
-///   are recorded and stitched into the evaluated history, so e.g. the
-///   paper's "speed doubled within 10 minutes" query R observes the two
-///   explicit speed updates.
+///   evaluated on the history starting at t0. That history is a database
+///   of its own whose clock stays at t0: each notified update between t0
+///   and now is appended to it, and the query is a continuous query over
+///   it, so e.g. the paper's "speed doubled within 10 minutes" query R
+///   observes the two explicit speed updates.
 ///
 /// Temporal triggers (Section 2.3) are continuous queries coupled with an
 /// action fired when a tuple's interval is entered.
@@ -86,8 +87,8 @@ void SpliceAnswerDelta(
 /// or a subformula relation is built once and shared by every query that
 /// needs it (docs/eval_internals.md). While the governor arms a refresh
 /// budget, each evaluation works in a generation of its own and shares
-/// nothing across queries. Persistent queries evaluate over a shadow
-/// history database with a private context.
+/// nothing across queries. A persistent query's history database has a
+/// manager, and so a context, of its own.
 ///
 /// Refreshes are governed by ResourceGovernor::Global().limits() and by
 /// nothing else (docs/robustness.md): every entry point that can refresh
@@ -219,7 +220,9 @@ class QueryManager {
 
   /// Number of times this query's Answer set was (re)computed — the
   /// quantity experiment E3 compares against per-tick re-evaluation.
-  /// Delta and full refreshes both count.
+  /// Delta and full refreshes both count. EvaluationCount,
+  /// QueryRefreshCounters, Explain and Profile also accept a persistent
+  /// query's id and answer from its registration over its history.
   Result<uint64_t> EvaluationCount(QueryId id) const;
 
   /// How a query's refreshes were served: by the delta path (restricted
@@ -275,7 +278,7 @@ class QueryManager {
 
   /// Batch form of the update listener, for managers created with
   /// Options::listen == false: marks continuous-query dirty sets and
-  /// extends persistent-query recordings — everything OnUpdate does, under
+  /// extends persistent-query histories — everything OnUpdate does, under
   /// one lock acquisition for the whole batch. Foreign ids dirty only
   /// multi-variable queries: a partitioned manager's single-variable
   /// query binds owned objects alone, so its marking costs O(owned
@@ -288,14 +291,17 @@ class QueryManager {
 
   // ---- Persistent queries ----------------------------------------------
 
-  /// Registers a persistent query anchored at the current time t0; from
-  /// now on updates to dynamic and numeric static attributes are recorded.
+  /// Registers a persistent query anchored at the current time t0, as a
+  /// continuous query over a copy of the FROM classes and regions whose
+  /// clock stays at t0. Every notified update to a FROM class is appended
+  /// to that history; a write that notifies no listener is not recorded,
+  /// as for continuous queries and triggers.
   Result<QueryId> RegisterPersistent(const FtlQuery& query);
 
-  /// Evaluates the persistent query on the recorded history starting at
-  /// its registration time and returns the tuples satisfied at that
-  /// anchor (the paper evaluates the same instantaneous query repeatedly
-  /// as the history gets refined by updates).
+  /// Refreshes the persistent query over its history, as any continuous
+  /// query is refreshed (a delta refresh over the objects updated since
+  /// the last read), and returns its tuples, staleness judged against the
+  /// live database. Reads ignore the governor's budget and cooldown.
   Result<std::vector<AnswerTuple>> PersistentAnswer(QueryId id);
 
   // ---- Temporal triggers -----------------------------------------------
@@ -377,35 +383,19 @@ class QueryManager {
     std::map<std::vector<ObjectId>, Tick> fired;  // binding -> last fire tick.
   };
 
-  struct RecordedAttribute {
-    // (update time, state). For numeric statics the state is a constant
-    // DynamicAttribute.
-    std::vector<std::pair<Tick, DynamicAttribute>> timeline;
-  };
-
-  /// The shadow database a persistent query is evaluated over, kept
-  /// between reads. Each object's mirror is a function of the object's
-  /// live state and its recordings alone, so a read mirrors again only
-  /// the objects whose state or recordings changed since it last did.
-  struct HistoryDatabase {
-    struct Mirrored {
-      MostObject live;     ///< The live object as last mirrored.
-      size_t records = 0;  ///< Its recorded states then (timelines grow).
-    };
-    std::unique_ptr<MostDatabase> db;
-    uint64_t catalog_changes = 0;  ///< The live database's, at creation.
-    /// class -> object id -> what its mirror was built from.
-    std::map<std::string, std::map<ObjectId, Mirrored>> mirrored;
-  };
-
   struct Persistent {
     FtlQuery query;
     Tick anchored_at = 0;
-    // (class, object, attribute) -> recorded timeline since t0.
-    std::map<std::tuple<std::string, ObjectId, std::string>,
-             RecordedAttribute>
-        recordings;
-    HistoryDatabase history;
+    uint64_t catalog_changes = 0;  ///< The live database's, at last sync.
+    /// (class, id) -> creation tick of an object created after the anchor
+    /// and not updated at a later tick since (see MirrorUpdate).
+    std::map<std::pair<std::string, ObjectId>, Tick> born;
+    /// The first failed write to the history, which every read returns.
+    Status broken = Status::OK();
+    /// The history (clock at `anchored_at`) and its manager, which holds
+    /// `query` under this id; destroyed first, it unlistens the history.
+    std::unique_ptr<MostDatabase> history;
+    std::unique_ptr<QueryManager> manager;
   };
 
   /// True when the entry's answer is not current: never evaluated, its
@@ -480,14 +470,18 @@ class QueryManager {
   // mu_-held implementations behind the public locking wrappers.
   Result<QueryId> RegisterContinuousLocked(
       const FtlQuery& query, const ResourceGovernor::Limits& limits);
+  Result<AnswerSnapshot> SnapshotLocked(QueryId id,
+                                        const ResourceGovernor::Limits& limits);
   Result<std::vector<AnswerTuple>> ContinuousAnswerLocked(
       QueryId id, const ResourceGovernor::Limits& limits);
+  /// Persistent query `id`'s history manager, or null. Caller holds mu_;
+  /// locks go in the order this mu_, then the history manager's.
+  const QueryManager* HistoryManager(QueryId id) const;
 
-  /// Brings the shadow database representing the history recorded by a
-  /// persistent query up to date: dynamic attributes become stitched
-  /// piecewise functions (with resets at update times). On error the
-  /// shadow is left half-synced; the caller discards it. Caller holds mu_.
-  Status SyncHistoryDatabase(Persistent* pq);
+  /// Appends a notified update of `cls`'s object `id` (live or just
+  /// deleted) at `now` to a persistent query's history. Caller holds mu_.
+  Status MirrorUpdate(Persistent* pq, const ObjectClass& cls, ObjectId id,
+                      Tick now);
 
   MostDatabase* db_;
   Options options_;

@@ -137,6 +137,60 @@ TEST_F(ExplainTest, SharedSubformulaGolden) {
             " shared=1)\n");
 }
 
+// Paper query R (Section 2.3) as a persistent query: each read refreshes
+// its registration over the history, so after the two speed updates the
+// last read took the delta path over the one updated car.
+TEST_F(ExplainTest, PersistentDeltaRefreshGolden) {
+  ObjectId car = AddCar({0, 0}, {5, 0});
+  for (int i = 0; i < 5; ++i) AddCar({100.0 + i, 100}, {0, 0});
+  auto id = qm_.RegisterPersistent(
+      Parse("RETRIEVE o FROM CARS o "
+            "WHERE [x := SPEED(o.X.POSITION)] EVENTUALLY WITHIN 10 "
+            "SPEED(o.X.POSITION) >= x * 2"));
+  ASSERT_TRUE(id.ok());
+  db_.clock().AdvanceTo(1);
+  ASSERT_TRUE(db_.UpdateDynamic("CARS", car, kAttrX, 5.0,
+                                TimeFunction::Linear(7.0))
+                  .ok());
+  ASSERT_TRUE(qm_.PersistentAnswer(*id).ok());
+  db_.clock().AdvanceTo(2);
+  ASSERT_TRUE(db_.UpdateDynamic("CARS", car, kAttrX, 12.0,
+                                TimeFunction::Linear(10.0))
+                  .ok());
+  ASSERT_TRUE(qm_.PersistentAnswer(*id).ok());
+
+  auto text = qm_.Explain(*id, /*include_timings=*/false);
+  ASSERT_TRUE(text.ok()) << text.status();
+  EXPECT_EQ(*text,
+            "Query: RETRIEVE o FROM CARS o WHERE [x := SPEED(o.X.POSITION)] "
+            "(EVENTUALLY WITHIN 10 (SPEED(o.X.POSITION) >= (x * 2)))\n"
+            "Window: [0, 200]\n"
+            "Path: delta (coalesced updates)\n"
+            "Refresh: #3 dirty_objects=1 total=..ns\n"
+            "-> DeltaRefresh  (tuples=6 intervals=0 time=..ns)\n"
+            "  -> RestrictedPass o (1 dirty)  (tuples=1 intervals=1"
+            " time=..ns)\n"
+            "    -> Assign [x := SPEED(o.X.POSITION)] (EVENTUALLY WITHIN 10"
+            " (SPEED(o...  (tuples=1 intervals=1 time=..ns atoms=3 inst=4"
+            " join_pairs=1 assign_subevals=3)\n"
+            // One subevaluation per speed the history holds: 5, 7 and 10.
+            "      -> EventuallyWithin EVENTUALLY WITHIN 10"
+            " (SPEED(o.X.POSITION) >= (5 * 2))  (tuples=1 intervals=1"
+            " time=..ns atoms=1 inst=1)\n"
+            "        -> Compare SPEED(o.X.POSITION) >= (5 * 2)  (tuples=1"
+            " intervals=1 time=..ns atoms=1 inst=1)\n"
+            "      -> EventuallyWithin EVENTUALLY WITHIN 10"
+            " (SPEED(o.X.POSITION) >= (7 * 2))  (tuples=0 intervals=0"
+            " time=..ns atoms=1 inst=1)\n"
+            "        -> Compare SPEED(o.X.POSITION) >= (7 * 2)  (tuples=0"
+            " intervals=0 time=..ns atoms=1 inst=1)\n"
+            "      -> EventuallyWithin EVENTUALLY WITHIN 10"
+            " (SPEED(o.X.POSITION) >= (10 * 2))  (tuples=0 intervals=0"
+            " time=..ns atoms=1 inst=1)\n"
+            "        -> Compare SPEED(o.X.POSITION) >= (10 * 2)  (tuples=0"
+            " intervals=0 time=..ns atoms=1 inst=1)\n");
+}
+
 TEST_F(ExplainTest, NestedFormulaMirrorsTheTree) {
   AddCar({-20, 5}, {1, 0});
   auto id = qm_.RegisterContinuous(Parse(

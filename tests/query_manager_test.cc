@@ -231,9 +231,10 @@ TEST_F(QueryManagerTest, PersistentQueryRecordsPositionHistory) {
 }
 
 TEST_F(QueryManagerTest, PersistentAnswerReadEveryTickMatchesFirstRead) {
-  // A read mirrors again only the objects that changed since the previous
-  // read; a manager's first read mirrors every object. Manager k, anchored
-  // with qm_, reads for the first time at tick k: both must agree.
+  // qm_ reads at every tick, each a refresh over the objects updated
+  // since the previous read; manager k, anchored with qm_, reads for the
+  // first time at tick k, one refresh over everything updated since the
+  // anchor. Both must agree.
   constexpr Tick kTicks = 12;
   std::vector<std::unique_ptr<QueryManager>> first_read;
   std::vector<QueryManager::QueryId> first_read_ids;
@@ -256,7 +257,7 @@ TEST_F(QueryManagerTest, PersistentAnswerReadEveryTickMatchesFirstRead) {
     ASSERT_TRUE(id.ok());
     first_read_ids.push_back(*id);
   }
-  MostObject* silent = nullptr;  // Changed behind the listeners' back.
+  ObjectId late = 0;  // Created after anchoring.
   for (Tick t = 1; t <= kTicks; ++t) {
     db_.clock().AdvanceTo(t);
     ASSERT_TRUE(db_.SetMotion("CARS", cars[1 + t % 5],
@@ -269,17 +270,27 @@ TEST_F(QueryManagerTest, PersistentAnswerReadEveryTickMatchesFirstRead) {
                       .ok());
     }
     if (t == 3) {
-      auto obj = db_.CreateObject("CARS");  // After anchoring.
+      auto obj = db_.CreateObject("CARS");
       ASSERT_TRUE(obj.ok());
-      silent = *obj;
-      silent->SetStatic("PRICE", Value(1.0));
-      silent->SetDynamic(kAttrX, DynamicAttribute(-4.0, t,
-                                                  TimeFunction::Linear(1.0)));
-      silent->SetDynamic(kAttrY, DynamicAttribute(5.0, t, TimeFunction()));
+      late = (*obj)->id();
+      ASSERT_TRUE(db_.UpdateStatic("CARS", late, "PRICE", Value(1.0)).ok());
+      ASSERT_TRUE(db_.UpdateDynamic("CARS", late, kAttrX, -4.0,
+                                    TimeFunction::Linear(1.0))
+                      .ok());
+      ASSERT_TRUE(
+          db_.UpdateDynamic("CARS", late, kAttrY, 5.0, TimeFunction()).ok());
     }
-    if (t == 5) silent->SetStatic("PRICE", Value(int64_t{50}));
-    if (t == 7) silent->SetStatic("PRICE", Value(int64_t{2}));
-    if (t == 8) silent->SetStatic("PRICE", Value(2.0));  // Equal to 2.
+    if (t == 5) {
+      ASSERT_TRUE(
+          db_.UpdateStatic("CARS", late, "PRICE", Value(int64_t{50})).ok());
+    }
+    if (t == 7) {
+      ASSERT_TRUE(
+          db_.UpdateStatic("CARS", late, "PRICE", Value(int64_t{2})).ok());
+    }
+    if (t == 8) {  // Equal to 2.
+      ASSERT_TRUE(db_.UpdateStatic("CARS", late, "PRICE", Value(2.0)).ok());
+    }
     if (t == 9) ASSERT_TRUE(db_.DeleteObject("CARS", cars[0]).ok());
     auto read = qm_.PersistentAnswer(*every);
     ASSERT_TRUE(read.ok()) << read.status();
@@ -296,6 +307,58 @@ TEST_F(QueryManagerTest, PersistentAnswerReadEveryTickMatchesFirstRead) {
   ASSERT_TRUE(fresh.ok());
   EXPECT_FALSE(fresh->empty());
   EXPECT_EQ(*read, *fresh);
+}
+
+TEST_F(QueryManagerTest, PersistentReadRefreshesOnlyChangedObjects) {
+  // Eight parked cars west of P. Each tick one drives east, into P, and a
+  // read sees it; a second read at that tick evaluates nothing; the car
+  // then stops again within the tick, and a third read sees that write
+  // too (the history's clock never leaves the anchor, so only its version
+  // tells the two states apart).
+  std::vector<ObjectId> cars;
+  for (int i = 0; i < 8; ++i) cars.push_back(AddCar({-10.0 - i, 5}, {0, 0}));
+  auto id = qm_.RegisterPersistent(
+      Parse("RETRIEVE o FROM CARS o WHERE EVENTUALLY INSIDE(o, P)"));
+  ASSERT_TRUE(id.ok());
+  auto binds = [](const std::vector<AnswerTuple>& tuples, ObjectId car) {
+    return std::any_of(tuples.begin(), tuples.end(), [&](const AnswerTuple& t) {
+      return t.binding == std::vector<ObjectId>{car};
+    });
+  };
+  for (Tick t = 1; t <= 8; ++t) {
+    SCOPED_TRACE("t=" + std::to_string(t));
+    db_.clock().AdvanceTo(t);
+    const ObjectId car = cars[t - 1];
+    const Point2 parked{-10.0 - static_cast<double>(t - 1), 5};
+    auto before = qm_.QueryRefreshCounters(*id);
+    ASSERT_TRUE(before.ok());
+    ASSERT_TRUE(db_.SetMotion("CARS", car, parked, {1, 0}).ok());
+    auto moving = qm_.PersistentAnswer(*id);
+    ASSERT_TRUE(moving.ok()) << moving.status();
+    EXPECT_TRUE(binds(*moving, car));
+    auto after = qm_.QueryRefreshCounters(*id);
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(after->delta_evaluations, before->delta_evaluations + 1);
+    EXPECT_EQ(after->full_evaluations, before->full_evaluations);
+    auto profile = qm_.Profile(*id);
+    ASSERT_TRUE(profile.ok());
+    EXPECT_EQ((*profile)->path, "delta");
+    EXPECT_EQ((*profile)->dirty_objects, 1u);
+
+    auto evaluations = qm_.EvaluationCount(*id);
+    ASSERT_TRUE(evaluations.ok());
+    auto again = qm_.PersistentAnswer(*id);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(*again, *moving);
+    EXPECT_EQ(qm_.EvaluationCount(*id).value(), *evaluations);
+
+    ASSERT_TRUE(db_.SetMotion("CARS", car, parked, {0, 0}).ok());
+    auto stopped = qm_.PersistentAnswer(*id);
+    ASSERT_TRUE(stopped.ok());
+    EXPECT_FALSE(binds(*stopped, car));
+    EXPECT_EQ(qm_.QueryRefreshCounters(*id)->delta_evaluations,
+              before->delta_evaluations + 2);
+  }
 }
 
 TEST_F(QueryManagerTest, TriggerFiresOnIntervalEntry) {

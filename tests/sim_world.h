@@ -604,6 +604,9 @@ struct SimSchedule {
   SimSpec spec;
   uint64_t world_seed = 0;  ///< Seeds BuildWorld.
   std::vector<SimRound> rounds;
+  /// The round after which each long-lived slot's persistent twin is read
+  /// for the first time (RunSchedule).
+  size_t twin_first_read = 0;
 };
 
 /// Draws a schedule: mostly one-tick rounds of one to three motion and
@@ -721,6 +724,9 @@ inline SimSchedule GenerateSchedule(const SimSpec& spec) {
     }
     schedule.rounds.push_back(std::move(round));
   }
+  // Drawn last, so the rounds are those of a seed without it.
+  schedule.twin_first_read = static_cast<size_t>(rng.UniformInt(
+      1, static_cast<int64_t>(schedule.rounds.size()) - 1));
   return schedule;
 }
 
@@ -882,7 +888,11 @@ inline std::vector<std::vector<ObjectId>> BindingsAt(
 ///    the instantaneous one. The window truncates the history a
 ///    continuous answer sees, so inside the truncation zone (now +
 ///    FutureDepth > window end) a difference is counted in the cell's
-///    `in_zone`; outside it, it fails.
+///    `in_zone`; outside it, it fails;
+///  * each long-lived slot's formula is also two persistent queries of the
+///    manager, registered with it: one read after every round, which must
+///    succeed, and a twin read for the first time after the schedule's
+///    `twin_first_read` round, where both answers must be equal.
 /// reports[i] accumulates what cells[i] saw; a manager seen by no cell is
 /// still checked.
 inline void RunSchedule(const SimSchedule& schedule,
@@ -947,6 +957,10 @@ inline void RunSchedule(const SimSchedule& schedule,
     std::vector<ShardedEngine::QueryId> engine_ids;  ///< One per engine.
     AnswerWindow window;
     Tick depth = 0;
+    /// Long-lived slots: the persistent query read every round, and its
+    /// twin (0 = none).
+    QueryManager::QueryId persistent = 0;
+    QueryManager::QueryId twin = 0;
   };
   std::map<size_t, Slot> slots;
 
@@ -968,6 +982,14 @@ inline void RunSchedule(const SimSchedule& schedule,
         ASSERT_TRUE(id.ok()) << id.status()
                              << "\nformula: " << op.query.where->ToString();
         slot.id = *id;
+        if (op.slot < static_cast<size_t>(spec.long_lived)) {
+          auto persistent = qm.RegisterPersistent(op.query);
+          auto twin = qm.RegisterPersistent(op.query);
+          ASSERT_TRUE(persistent.ok()) << persistent.status();
+          ASSERT_TRUE(twin.ok()) << twin.status();
+          slot.persistent = *persistent;
+          slot.twin = *twin;
+        }
         for (const auto& e : engines) {
           auto engine_id = e->engine->RegisterContinuous(op.query);
           ASSERT_TRUE(engine_id.ok()) << engine_id.status();
@@ -1116,7 +1138,21 @@ inline void RunSchedule(const SimSchedule& schedule,
     }
   };
 
-  for (const SimRound& round : schedule.rounds) {
+  // The persistent answers of a long-lived slot after round `round`.
+  auto check_persistent = [&](const Slot& slot, size_t round) {
+    auto every = qm.PersistentAnswer(slot.persistent);
+    ASSERT_TRUE(every.ok()) << every.status();
+    if (round != schedule.twin_first_read) return;
+    auto twin = qm.PersistentAnswer(slot.twin);
+    ASSERT_TRUE(twin.ok()) << twin.status();
+    ASSERT_EQ(*twin, *every)
+        << "a persistent answer read for the first time at tick " << db.Now()
+        << " differs from one read every round\ntwin: "
+        << SerializeTuples(*twin) << "\nevery: " << SerializeTuples(*every);
+  };
+
+  for (size_t r = 0; r < schedule.rounds.size(); ++r) {
+    const SimRound& round = schedule.rounds[r];
     for (const SimOp& op : round.ops) ASSERT_NO_FATAL_FAILURE(apply(op));
     db.clock().Advance(round.advance);
     ASSERT_TRUE(qm.TickAll().ok());
@@ -1129,7 +1165,12 @@ inline void RunSchedule(const SimSchedule& schedule,
       }
       ASSERT_EQ(e->db.Now(), db.Now());
     }
-    for (auto& [index, slot] : slots) ASSERT_NO_FATAL_FAILURE(check(&slot));
+    for (auto& [index, slot] : slots) {
+      ASSERT_NO_FATAL_FAILURE(check(&slot));
+      if (slot.persistent != 0) {
+        ASSERT_NO_FATAL_FAILURE(check_persistent(slot, r));
+      }
+    }
   }
 
   const QueryManager::RefreshCounters counters = qm.TotalRefreshCounters();
