@@ -58,7 +58,11 @@ MOST_FAILPOINTS="ftl/delta/refresh=noop" ./build-asan/tests/differential_test \
 # database, and every cell checks §2.3 at every tick (the continuous
 # answer at now equals the instantaneous answer outside the window's
 # truncation zone; docs/incremental_eval.md), so the sweep checks replay
-# and §2.3 at every shard count.
+# and §2.3 at every shard count. The filter also runs the projecting
+# slice (ShardedEngineProjectingSlot*: a long-lived RETRIEVE n FROM M o,
+# M n, whose rows collide across shards and which every refresh
+# reprojects), so the gather's one-pass k-way union is checked at 1, 2,
+# 4 and 8 shards.
 echo "=== shard-differential stage (MOST_SHARDS sweep, ASan+UBSan) ==="
 for shards in 1 2 4 8; do
   MOST_SHARDS="$shards" ./build-asan/tests/differential_test \
@@ -239,6 +243,10 @@ if [[ "${1:-}" == "tsan" ]]; then
   # evaluations from four threads share the manager's evaluation context
   # with registrations and TickAll (Evaluate takes no registry lock, so
   # the context's own locks are what TSan checks).
+  # TickAllTest.SnapshotReaderRacesDeltaRefreshes: a reader thread takes,
+  # reads and drops answer snapshots while TickAll splices the same
+  # relation in place whenever no snapshot holds it (the snapshot count's
+  # release/acquire hand-over; docs/incremental_eval.md, copy on write).
   ./build-tsan/tests/query_manager_test
   ./build-tsan/tests/differential_test \
     --gtest_filter='DifferentialTest.DeltaRefresh*'
@@ -250,7 +258,10 @@ if [[ "${1:-}" == "tsan" ]]; then
   # shards read the governor's limits on pool threads;
   # ShardedEngineTest.ConcurrentProducersEnqueueAcrossClasses enqueues
   # from four producer threads across two classes (the data plane's class
-  # lookup and the handoff queues).
+  # lookup and the handoff queues). The differential filter includes the
+  # projecting slice: each gather drops its shard snapshots on this
+  # thread, and the next tick's refreshes on pool threads then splice
+  # those relations in place.
   echo "=== sharded-engine concurrency suite (TSan) ==="
   ./build-tsan/tests/mpsc_queue_test
   ./build-tsan/tests/sharded_engine_test

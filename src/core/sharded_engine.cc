@@ -27,23 +27,6 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
-/// The gather's merge: unions the shards' relations binding by binding.
-/// Projection can collapse one binding into several shards' rows; their
-/// tick sets must union (and adjacent intervals re-coalesce) or flattening
-/// would not be byte-identical to the single-shard oracle.
-TemporalRelation MergeShardRelations(
-    const std::vector<const TemporalRelation*>& parts) {
-  TemporalRelation merged;
-  if (!parts.empty()) merged.vars = parts.front()->vars;
-  for (const TemporalRelation* part : parts) {
-    for (const auto& [binding, when] : part->rows) {
-      auto [row, inserted] = merged.rows.try_emplace(binding, when);
-      if (!inserted) row->second = row->second.Union(when);
-    }
-  }
-  return merged;
-}
-
 }  // namespace
 
 ShardedEngine::ShardedEngine(MostDatabase* db, Options options)
@@ -495,24 +478,24 @@ Result<ShardedEngine::ShardedAnswer> ShardedEngine::ContinuousAnswer(
     if (!s.ok()) return s;
   }
 
-  // Gather: merge the *relations* before flattening.
+  // Gather: the shards' *relations* are merged while flattening, in one
+  // pass over their sorted rows.
   ShardedAnswer out;
   std::vector<const TemporalRelation*> parts(n);
   for (size_t k = 0; k < n; ++k) {
     if (snaps[k].degrade != DegradeReason::kNone) out.missing_shards.push_back(k);
     parts[k] = snaps[k].answer.get();
   }
-  const TemporalRelation merged = MergeShardRelations(parts);
   if (obs::MetricsRegistry::Global().enabled()) {
     gather_merges_total_->Inc();
     if (!out.missing_shards.empty()) degraded_gathers_total_->Inc();
   }
-  // FlattenAnswer is the exact read path ContinuousAnswer uses, so
-  // confidence stamping cannot drift from the oracle. Any degraded shard
-  // poisons the whole gather: the union is incomplete, so no tuple is
-  // vouched for.
+  // FlattenAnswer stamps confidence exactly as the read path
+  // ContinuousAnswer uses, so it cannot drift from the oracle. Any
+  // degraded shard poisons the whole gather: the union is incomplete, so
+  // no tuple is vouched for.
   out.tuples = shards_[0]->qm->FlattenAnswer(
-      eq.query, merged, /*force_stale=*/!out.missing_shards.empty());
+      eq.query, parts, /*force_stale=*/!out.missing_shards.empty());
   return out;
 }
 
@@ -537,7 +520,13 @@ Result<TemporalRelation> ShardedEngine::Evaluate(const FtlQuery& query) {
   }
   std::vector<const TemporalRelation*> views;
   for (const TemporalRelation& part : parts) views.push_back(&part);
-  return MergeShardRelations(views);
+  TemporalRelation merged;
+  if (!parts.empty()) merged.vars = parts.front().vars;
+  ForEachUnionRow(views, [&](const std::vector<ObjectId>& binding,
+                             const IntervalSet& when) {
+    merged.rows.emplace_hint(merged.rows.end(), binding, when);
+  });
+  return merged;
 }
 
 QueryManager::RefreshCounters ShardedEngine::TotalRefreshCounters() const {

@@ -47,12 +47,13 @@ namespace most {
 /// commutes with every connective: shard k's full relation is exactly the
 /// oracle relation filtered to rows whose first binding is owned by k, so
 /// the disjoint union over shards *is* the oracle relation. The gather
-/// merges per-shard projected relations (projection can collapse a
-/// binding present in several shards, whose tick sets then union and
-/// re-coalesce) and flattens through QueryManager::FlattenAnswer — the
-/// same code path a single-shard read uses — so answers are byte-
-/// identical to an unsharded QueryManager at any shard count, which the
-/// differential suite enforces.
+/// flattens the per-shard answer relations through QueryManager::
+/// FlattenAnswer in one k-way merge pass over their sorted rows
+/// (projection can collapse a binding present in several shards, whose
+/// tick sets then union and re-coalesce), stamping confidence as a
+/// single-shard read does — so answers are byte-identical to an
+/// unsharded QueryManager at any shard count, which the differential
+/// suite enforces.
 ///
 /// Degradation follows the coordinator's completeness-marking idiom: a
 /// shard that blows its refresh budget keeps serving its previous answer

@@ -1,9 +1,11 @@
 #ifndef MOST_FTL_EVAL_H_
 #define MOST_FTL_EVAL_H_
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -37,6 +39,54 @@ struct TemporalRelation {
 
   std::string ToString() const;
 };
+
+/// Visits the union of `parts`, relations over the same columns, in
+/// binding order: fn(binding, when) once per distinct binding, where
+/// `when` unions its tick sets in every part that has it. One k-way merge
+/// pass over the parts' sorted rows; nothing is copied but the union of a
+/// binding several parts share.
+template <typename Fn>
+void ForEachUnionRow(std::span<const TemporalRelation* const> parts,
+                     Fn&& fn) {
+  using Row = std::map<std::vector<ObjectId>, IntervalSet>::const_iterator;
+  struct Head {
+    Row at, end;
+  };
+  std::vector<Head> heads;
+  heads.reserve(parts.size());
+  for (const TemporalRelation* part : parts) {
+    if (!part->rows.empty()) {
+      heads.push_back({part->rows.begin(), part->rows.end()});
+    }
+  }
+  std::vector<size_t> tied;  // Heads whose binding equals heads[least]'s.
+  IntervalSet merged;
+  while (!heads.empty()) {
+    size_t least = 0;
+    tied.clear();
+    for (size_t k = 1; k < heads.size(); ++k) {
+      const auto order = heads[k].at->first <=> heads[least].at->first;
+      if (order < 0) {
+        least = k;
+        tied.clear();
+      } else if (order == 0) {
+        tied.push_back(k);
+      }
+    }
+    const IntervalSet* when = &heads[least].at->second;
+    if (!tied.empty()) {
+      merged = *when;
+      for (size_t k : tied) merged = merged.Union(heads[k].at->second);
+      when = &merged;
+    }
+    fn(heads[least].at->first, *when);
+    bool exhausted = ++heads[least].at == heads[least].end;
+    for (size_t k : tied) exhausted |= ++heads[k].at == heads[k].end;
+    if (exhausted) {
+      std::erase_if(heads, [](const Head& h) { return h.at == h.end; });
+    }
+  }
+}
 
 /// Counters exposed for the benchmarks (experiments E4/E5).
 struct FtlEvalStats {

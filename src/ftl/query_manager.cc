@@ -74,6 +74,41 @@ size_t DirtyTotal(const std::map<std::string, std::set<ObjectId>>& dirty) {
   return total;
 }
 
+/// True when projecting a relation over `vars` (sorted, as every
+/// relation's columns are) onto `retrieve` keeps every column, so the
+/// projection is the relation itself.
+bool KeepsEveryColumn(const std::vector<std::string>& retrieve,
+                      const std::vector<std::string>& vars) {
+  const std::set<std::string> keep(retrieve.begin(), retrieve.end());
+  return std::equal(keep.begin(), keep.end(), vars.begin(), vars.end());
+}
+
+/// Drops the rows of `rel` binding an id of drop[i] in column i (null =
+/// none). Rows are sorted by binding, so column 0's ids are erased by
+/// range; only a dirty set in a later column needs a scan of every row.
+void EvictRows(const std::vector<const std::set<ObjectId>*>& drop,
+               TemporalRelation* rel) {
+  auto& rows = rel->rows;
+  if (!drop.empty() && drop.front() != nullptr) {
+    std::vector<ObjectId> key(1);
+    for (ObjectId id : *drop.front()) {
+      key.front() = id;
+      auto it = rows.lower_bound(key);
+      while (it != rows.end() && it->first.front() == id) it = rows.erase(it);
+    }
+  }
+  bool later = false;
+  for (size_t i = 1; i < drop.size(); ++i) later |= drop[i] != nullptr;
+  if (!later) return;
+  for (auto it = rows.begin(); it != rows.end();) {
+    bool evict = false;
+    for (size_t i = 1; i < drop.size() && !evict; ++i) {
+      evict = drop[i] != nullptr && drop[i]->count(it->first[i]) > 0;
+    }
+    it = evict ? rows.erase(it) : std::next(it);
+  }
+}
+
 /// The limits a persistent query's history refreshes under: the governor's,
 /// unbudgeted and without cooldown (a cooldown measured on the history's
 /// clock, which stays at the anchor, would never end).
@@ -379,7 +414,7 @@ QueryManager::RefreshPlan QueryManager::DeltaPlan(const Continuous& cq) const {
   RefreshPlan plan;
   plan.delta = true;
   plan.reason = "coalesced updates";
-  const std::vector<std::string>& vars = cq.full.vars;
+  const std::vector<std::string>& vars = cq.full->relation.vars;
   plan.drop.assign(vars.size(), nullptr);
   const std::string* part_var =
       (options_.domain_partition != nullptr && !cq.query.from.empty())
@@ -532,26 +567,27 @@ Status QueryManager::RunRefresh(Continuous* cq, const RefreshPlan& plan,
   //    rows an update can have changed (the relation is pointwise in its
   //    bindings; a deleted object's rows are dropped and re-derived by no
   //    pass), then splices its passes in; a row several passes re-derive
-  //    has identical tick sets in each.
+  //    has identical tick sets in each. The splice mutates `full` in place
+  //    unless a snapshot still holds it; then it works on a copy.
   if (!plan.delta) {
-    cq->full = std::move(parts.front());
+    cq->full = std::make_shared<HeldRelation>(std::move(parts.front()));
   } else {
-    for (auto it = cq->full.rows.begin(); it != cq->full.rows.end();) {
-      bool evict = false;
-      for (size_t i = 0; i < plan.drop.size() && !evict; ++i) {
-        evict =
-            plan.drop[i] != nullptr && plan.drop[i]->count(it->first[i]) > 0;
-      }
-      it = evict ? cq->full.rows.erase(it) : std::next(it);
+    if (cq->full->readers.load(std::memory_order_acquire) != 0) {
+      cq->full = std::make_shared<HeldRelation>(cq->full->relation);
     }
+    TemporalRelation& full = cq->full->relation;
+    EvictRows(plan.drop, &full);
     for (TemporalRelation& part : parts) {
       for (auto& [binding, when] : part.rows) {
-        cq->full.rows.try_emplace(binding, std::move(when));
+        full.rows.try_emplace(binding, std::move(when));
       }
     }
   }
-  cq->answer = std::make_shared<const TemporalRelation>(
-      cq->full.Project(cq->query.retrieve));
+  const TemporalRelation& full = cq->full->relation;
+  cq->answer = KeepsEveryColumn(cq->query.retrieve, full.vars)
+                   ? cq->full
+                   : std::make_shared<HeldRelation>(
+                         full.Project(cq->query.retrieve));
   const uint64_t dur_ns = obs::MonotonicNowNs() - t0;
   cq->evaluated_at = now;
   cq->catalog_changes = db_->catalog_changes();
@@ -565,7 +601,7 @@ Status QueryManager::RunRefresh(Continuous* cq, const RefreshPlan& plan,
   profile->total_ns = dur_ns;
   if (plan.delta) {  // The passes profiled as children; the root totals.
     profile->root.duration_ns = dur_ns;
-    profile->root.tuples = cq->full.rows.size();
+    profile->root.tuples = full.rows.size();
   }
   cq->last_profile = std::move(profile);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -618,7 +654,14 @@ Result<QueryManager::AnswerSnapshot> QueryManager::SnapshotLocked(
   if (NeedsRefresh(cq, db_->Now())) {
     MOST_RETURN_IF_ERROR(Refresh(&cq, limits));
   }
-  return AnswerSnapshot{cq.answer, cq.degrade, cq.evaluated_at};
+  // Counted until the last copy is dropped: a refresh that finds the
+  // count at 0 owns the relation again (HeldRelation).
+  cq.answer->readers.fetch_add(1, std::memory_order_relaxed);
+  std::shared_ptr<const TemporalRelation> answer(
+      &cq.answer->relation, [held = cq.answer](const TemporalRelation*) {
+        held->readers.fetch_sub(1, std::memory_order_release);
+      });
+  return AnswerSnapshot{std::move(answer), cq.degrade, cq.evaluated_at};
 }
 
 QueryManager::ConfidenceColumns QueryManager::ResolveConfidenceColumns(
@@ -666,6 +709,9 @@ std::vector<AnswerTuple> QueryManager::FlattenAnswer(
   Tick now = db_->Now();
   ConfidenceColumns cols = ResolveConfidenceColumns(query, relation.vars);
   std::vector<AnswerTuple> out;
+  // Most rows hold one interval. Growing the vector instead would move
+  // every tuple several times over.
+  out.reserve(relation.rows.size());
   for (const auto& [binding, when] : relation.rows) {
     // Confidence is re-derived at read time, not cached at evaluation
     // time: objects drift into staleness as the clock advances with no
@@ -677,6 +723,28 @@ std::vector<AnswerTuple> QueryManager::FlattenAnswer(
       out.push_back({binding, iv, confidence});
     }
   }
+  return out;
+}
+
+std::vector<AnswerTuple> QueryManager::FlattenAnswer(
+    const FtlQuery& query, std::span<const TemporalRelation* const> parts,
+    bool force_stale) const {
+  if (parts.size() == 1) return FlattenAnswer(query, *parts[0], force_stale);
+  std::vector<AnswerTuple> out;
+  if (parts.empty()) return out;
+  Tick now = db_->Now();
+  ConfidenceColumns cols = ResolveConfidenceColumns(query, parts[0]->vars);
+  size_t rows = 0;
+  for (const TemporalRelation* part : parts) rows += part->rows.size();
+  out.reserve(rows);
+  ForEachUnionRow(parts, [&](const std::vector<ObjectId>& binding,
+                             const IntervalSet& when) {
+    Confidence confidence = force_stale ? Confidence::kStale
+                                        : BindingConfidence(cols, binding, now);
+    for (const Interval& iv : when.intervals()) {
+      out.push_back({binding, iv, confidence});
+    }
+  });
   return out;
 }
 
@@ -896,7 +964,8 @@ Status QueryManager::Poll() {
           continue;
         }
       }
-      for (const auto& [binding, when] : cq.answer->rows) {
+      const TemporalRelation& answer = cq.answer->relation;
+      for (const auto& [binding, when] : answer.rows) {
         for (const Interval& iv : when.intervals()) {
           if (iv.begin > now) break;  // Intervals sorted; nothing entered yet.
           if (iv.end < cq.last_polled + 1) continue;  // Fully in the past.
@@ -917,8 +986,8 @@ Status QueryManager::Poll() {
       // or whose intervals all ended before now are dead weight — without
       // this the map grows with every binding the trigger ever fired on.
       for (auto fit = cq.fired.begin(); fit != cq.fired.end();) {
-        auto row = cq.answer->rows.find(fit->first);
-        bool live = row != cq.answer->rows.end() && !row->second.empty() &&
+        auto row = answer.rows.find(fit->first);
+        bool live = row != answer.rows.end() && !row->second.empty() &&
                     row->second.Max() >= now;
         fit = live ? std::next(fit) : cq.fired.erase(fit);
       }

@@ -1,6 +1,7 @@
 #ifndef MOST_FTL_QUERY_MANAGER_H_
 #define MOST_FTL_QUERY_MANAGER_H_
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -180,8 +181,11 @@ class QueryManager {
   /// list would lose the byte-identity contract (docs/sharding.md).
   /// `degrade` is kNone while the relation is fully up to date; anything
   /// else means this is the last completed answer the caller must not
-  /// vouch for. The relation is shared, not copied: a refresh installs a
-  /// new one and never mutates a relation it has handed out.
+  /// vouch for. The relation is shared, not copied, and counted as held
+  /// until the last copy of `answer` is dropped: a refresh never mutates
+  /// a relation it has handed out. While a snapshot holds the maintained
+  /// relation, a delta refresh splices into a copy; once every snapshot
+  /// is dropped, it splices in place (docs/incremental_eval.md).
   struct AnswerSnapshot {
     std::shared_ptr<const TemporalRelation> answer;
     DegradeReason degrade = DegradeReason::kNone;
@@ -199,6 +203,14 @@ class QueryManager {
   std::vector<AnswerTuple> FlattenAnswer(const FtlQuery& query,
                                          const TemporalRelation& relation,
                                          bool force_stale) const;
+  /// FlattenAnswer over the union of `parts` (the sharded engine's
+  /// gather): one k-way merge of the sorted relations while flattening,
+  /// with the tick sets of a binding several parts share unioned
+  /// (projection can collapse one binding into several shards' rows). A
+  /// single part takes the one-relation path.
+  std::vector<AnswerTuple> FlattenAnswer(
+      const FtlQuery& query, std::span<const TemporalRelation* const> parts,
+      bool force_stale) const;
 
   /// Replaces the standing domain partition (Options::domain_partition).
   /// The caller owns re-derivation: swap the partition, then mark every id
@@ -330,19 +342,33 @@ class QueryManager {
   Result<size_t> TriggerFiredEntries(QueryId id) const;
 
  private:
+  /// A relation a refresh installs and snapshots share. `readers` counts
+  /// the AnswerSnapshots that still hold it: SnapshotLocked increments it
+  /// under mu_, and the snapshot's deleter decrements it with release
+  /// order, so a refresh that reads 0 with acquire order (under mu_) owns
+  /// the relation and may mutate it in place.
+  struct HeldRelation {
+    HeldRelation() = default;
+    explicit HeldRelation(TemporalRelation r) : relation(std::move(r)) {}
+    TemporalRelation relation;
+    std::atomic<uint64_t> readers{0};
+  };
+
   struct Continuous {
     QueryId id = 0;  ///< Registry key, echoed into slow-query-log entries.
     FtlQuery query;
     /// Unprojected Answer relation (one column per WHERE/RETRIEVE
     /// variable). This is the representation the delta path maintains:
     /// its rows are pointwise in their bindings, so rows touching updated
-    /// objects can be evicted and re-derived independently. `answer` is
-    /// its projection onto the RETRIEVE variables (projection aggregates
-    /// over dropped columns, so it cannot be spliced directly), replaced
-    /// whole on every refresh so snapshots can share it.
-    TemporalRelation full;
-    std::shared_ptr<const TemporalRelation> answer =
-        std::make_shared<const TemporalRelation>();
+    /// objects can be evicted and re-derived independently. A delta
+    /// refresh splices into it in place, or into a copy while a snapshot
+    /// holds it; a full refresh installs a new one.
+    std::shared_ptr<HeldRelation> full = std::make_shared<HeldRelation>();
+    /// Answer(CQ). When RETRIEVE keeps every column, `full` itself.
+    /// Otherwise its projection onto the RETRIEVE variables (projection
+    /// unions over dropped columns, so it cannot be spliced directly),
+    /// installed anew by every refresh.
+    std::shared_ptr<HeldRelation> answer = full;
     Tick evaluated_at = 0;
     /// Evaluation window [window_begin, expires_at]. Anchored at
     /// registration and slid to [now, now + horizon] on the first tick

@@ -46,7 +46,9 @@ double TimeFunction::Eval(double t) const {
     bool last = (i + 1 == pieces_.size());
     double piece_end =
         last ? t : static_cast<double>(pieces_[i + 1].start);
-    if (t <= piece_end || last) {
+    // A piece owns [start, next start): at a piece's start tick its own
+    // reset applies, not the previous piece's end value.
+    if (t < piece_end || last) {
       acc += pieces_[i].slope * (t - piece_start);
       return acc;
     }

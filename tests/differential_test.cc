@@ -177,6 +177,23 @@ TEST(DifferentialTest, ShardedEngineMatchesUnshardedOracle) {
   }
 }
 
+// The sharded sweep with a projecting long-lived slot, RETRIEVE n FROM M
+// o, M n (SimSpec::projecting): every refresh installs the projection of
+// the maintained relation, and the gather unions a binding of n that
+// several shards' cars produce. The manager cell counts the checks at
+// which projection collapsed rows.
+TEST(DifferentialTest, ShardedEngineProjectingSlotMatchesUnshardedOracle) {
+  std::vector<SimConfig> cells = {{.shards = 0}};
+  for (size_t shards : ShardCounts()) cells.push_back({.shards = shards});
+  const std::vector<SimReport> reports = RunSlice(
+      "DifferentialTest.ShardedProjecting", {1, 2, 3, 5, 42, 1997},
+      {.objects = 5, .long_lived = 2, .projecting = true}, cells);
+  if (!test::SeedOverridden() && !HasFatalFailure()) {
+    EXPECT_GE(reports[0].collapsed, 100u) << "projecting corpus shrank";
+    EXPECT_GE(reports[0].delta_refreshes, 100u);
+  }
+}
+
 // The per-version evaluation context: live queries repeat subformulas of
 // a small pool, through one manager and through the engine (one context
 // per shard), ungoverned and under a budget that never trips (so each

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -361,6 +362,23 @@ TEST_F(QueryManagerTest, PersistentReadRefreshesOnlyChangedObjects) {
   }
 }
 
+TEST_F(QueryManagerTest, PersistentHistoryHoldsATeleportFromItsUpdateTick) {
+  // A car parked at (100, 100) is set down inside P at t = 1. The history
+  // holds it at (5, 5) from t = 1 on, so from the anchor on it eventually
+  // is inside P.
+  ObjectId car = AddCar({100, 100}, {0, 0});
+  auto id = qm_.RegisterPersistent(
+      Parse("RETRIEVE o FROM CARS o WHERE EVENTUALLY INSIDE(o, P)"));
+  ASSERT_TRUE(id.ok());
+  db_.clock().AdvanceTo(1);
+  ASSERT_TRUE(db_.SetMotion("CARS", car, {5, 5}, {0, 0}).ok());
+  auto answer = qm_.PersistentAnswer(*id);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  ASSERT_EQ(answer->size(), 1u);
+  EXPECT_EQ((*answer)[0].binding, std::vector<ObjectId>{car});
+  EXPECT_EQ((*answer)[0].interval, Interval(0, 200));
+}
+
 TEST_F(QueryManagerTest, TriggerFiresOnIntervalEntry) {
   AddCar({-20, 5}, {1, 0});  // In P during [20, 30].
   FtlQuery q = Parse("RETRIEVE o FROM CARS o WHERE INSIDE(o, P)");
@@ -446,6 +464,60 @@ TEST_F(QueryManagerTest, DeltaRefreshSplicesUpdatedRowsOnly) {
   EXPECT_EQ(counters->delta_evaluations, 2u);
   EXPECT_EQ(counters->full_evaluations, 1u);
   EXPECT_EQ(qm_.EvaluationCount(*id).value(), 3u);
+}
+
+TEST_F(QueryManagerTest, HeldSnapshotSurvivesDeltaRefreshAndPoll) {
+  // RETRIEVE keeps every column, so the answer is the maintained relation
+  // itself. A snapshot held across a delta refresh (TickAll) or a
+  // trigger's refresh (Poll) stays byte-identical; the refreshed answer
+  // equals a fresh evaluation; once every snapshot is dropped, the next
+  // delta refresh splices in place.
+  std::vector<ObjectId> cars;
+  for (int i = 0; i < 8; ++i) {
+    cars.push_back(AddCar({-20.0 - i, 5}, {1, 0}));
+  }
+  FtlQuery q = Parse("RETRIEVE o FROM CARS o WHERE INSIDE(o, P)");
+  auto id = qm_.RegisterContinuous(q);
+  int fires = 0;
+  auto trigger = qm_.RegisterTrigger(
+      q, [&](const std::vector<ObjectId>&, Tick) { ++fires; });
+  ASSERT_TRUE(id.ok() && trigger.ok());
+  auto fresh_answer = [&] {
+    auto rel = FtlEvaluator(db_).EvaluateQuery(q, Interval(0, 200));
+    EXPECT_TRUE(rel.ok()) << rel.status();
+    return qm_.FlattenAnswer(q, *rel, /*force_stale=*/false);
+  };
+  for (QueryManager::QueryId query : {*id, *trigger}) {
+    SCOPED_TRACE(query == *id ? "TickAll" : "Poll");
+    const Tick t = db_.Now() + 1;
+    db_.clock().AdvanceTo(t);
+    auto held = qm_.SnapshotContinuousAnswer(query);
+    ASSERT_TRUE(held.ok());
+    const TemporalRelation before = *held->answer;
+    ASSERT_EQ(before.rows.size(), 8u);
+    ASSERT_TRUE(db_.SetMotion("CARS", cars[t], {-50, 5}, {1, 0}).ok());
+    auto counters = qm_.QueryRefreshCounters(query);
+    ASSERT_TRUE(counters.ok());
+    ASSERT_TRUE(query == *id ? qm_.TickAll().ok() : qm_.Poll().ok());
+    EXPECT_EQ(qm_.QueryRefreshCounters(query)->delta_evaluations,
+              counters->delta_evaluations + 1);
+    EXPECT_EQ(held->answer->rows, before.rows);
+    EXPECT_EQ(held->answer->ToString(), before.ToString());
+    auto answer = qm_.ContinuousAnswer(query);
+    ASSERT_TRUE(answer.ok());
+    EXPECT_EQ(*answer, fresh_answer());
+    EXPECT_NE(held->answer->rows, (*qm_.SnapshotContinuousAnswer(query))
+                                      .answer->rows);
+  }
+  // No snapshot held: the next delta refresh keeps the relation's address.
+  const TemporalRelation* maintained =
+      qm_.SnapshotContinuousAnswer(*id)->answer.get();
+  ASSERT_TRUE(db_.SetMotion("CARS", cars[0], {-60, 5}, {1, 0}).ok());
+  ASSERT_TRUE(qm_.TickAll().ok());
+  auto after = qm_.SnapshotContinuousAnswer(*id);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->answer.get(), maintained);
+  EXPECT_EQ(*qm_.ContinuousAnswer(*id), fresh_answer());
 }
 
 TEST_F(QueryManagerTest, UpdateTriggeredRefreshKeepsWindowAnchor) {
@@ -1123,6 +1195,63 @@ TEST_F(TickAllTest, TotalRefreshCountersNeverTear) {
   reader.join();
   QueryManager::RefreshCounters final = qm_.TotalRefreshCounters();
   EXPECT_GT(final.delta_evaluations + final.full_evaluations, 0u);
+}
+
+TEST_F(TickAllTest, SnapshotReaderRacesDeltaRefreshes) {
+  // A reader takes, reads and drops snapshots of one query while TickAll
+  // splices that query's maintained relation. A held snapshot never
+  // changes, and a refresh that finds none held splices in place; run
+  // under -DMOST_SANITIZE=thread to check the hand-over is race-free.
+  // `db_mu` keeps database writes apart from the reader's refreshes (the
+  // documented contract); TickAll runs on the writing thread.
+  std::vector<ObjectId> cars;
+  for (int i = 0; i < 16; ++i) {
+    cars.push_back(AddCar({static_cast<double>(-3 * i - 2), 5.0}, {1, 0}));
+  }
+  const FtlQuery q = Parse("RETRIEVE o FROM CARS o WHERE INSIDE(o, P)");
+  auto id = qm_.RegisterContinuous(q);
+  ASSERT_TRUE(id.ok());
+  std::shared_mutex db_mu;
+  std::atomic<bool> stop{false};
+  std::atomic<int> reads{0};
+  std::atomic<bool> reader_done{false};
+  std::thread reader([&] {
+    [&] {
+      while (!stop.load()) {
+        std::shared_ptr<const TemporalRelation> held;
+        {
+          std::shared_lock<std::shared_mutex> lock(db_mu);
+          auto snapshot = qm_.SnapshotContinuousAnswer(*id);
+          ASSERT_TRUE(snapshot.ok());
+          held = snapshot->answer;
+        }
+        const std::string first = held->ToString();
+        std::this_thread::yield();
+        ASSERT_EQ(held->ToString(), first) << "a held snapshot changed";
+        ++reads;
+      }
+    }();
+    reader_done.store(true);
+  });
+  // At least 60 refreshes, and on until the reader has overlapped some.
+  for (size_t round = 0;
+       round < 60 || (reads.load() < 10 && !reader_done.load()); ++round) {
+    {
+      std::unique_lock<std::shared_mutex> lock(db_mu);
+      ASSERT_TRUE(db_.SetMotion("CARS", cars[round % cars.size()],
+                                {static_cast<double>(-2 - round % 7), 5.0},
+                                {1, 0})
+                      .ok());
+    }
+    ASSERT_TRUE(qm_.TickAll().ok());
+  }
+  stop.store(true);
+  reader.join();
+  EXPECT_GT(qm_.QueryRefreshCounters(*id)->delta_evaluations, 0u);
+  auto rel = FtlEvaluator(db_).EvaluateQuery(q, Interval(0, 200));
+  ASSERT_TRUE(rel.ok());
+  EXPECT_EQ(*qm_.ContinuousAnswer(*id),
+            qm_.FlattenAnswer(q, *rel, /*force_stale=*/false));
 }
 
 TEST_F(TickAllTest, ConcurrentRegistrationDuringTicks) {

@@ -306,6 +306,9 @@ struct EngineWorld {
              // The budget-buster: kCars^2 candidate rows trip max_rows
              // while the single-variable queries fit.
              "RETRIEVE o, n FROM CARS o, CARS n WHERE DIST(o, n) <= 25",
+             // Its projection: a car n near cars of several shards is a
+             // row of each, which the gather unions.
+             "RETRIEVE n FROM CARS o, CARS n WHERE DIST(o, n) <= 25",
          }) {
       slots.emplace_back().query = MustParse(text);
     }
@@ -567,6 +570,11 @@ struct SimSpec {
   /// formula with probability `churn` per round.
   int churned = 1;
   double churn = 0.3;
+  /// The last long-lived slot (at least slot 1) retrieves n alone:
+  /// RETRIEVE n FROM M o, M n. Its rows collapse every o into one binding,
+  /// so a refresh installs a projection of the maintained relation, and
+  /// the engine's gather unions one binding's rows across shards.
+  bool projecting = false;
   /// Two-variable formulas from a small pool of subformulas
   /// (SharingFormula), so live queries repeat subformulas.
   bool sharing = false;
@@ -631,7 +639,10 @@ inline SimSchedule GenerateSchedule(const SimSpec& spec) {
     if (slot == 0) {
       op.query.where = RandomFormula(&rng, 2, /*single_variable=*/true);
     } else {
-      op.query.retrieve.push_back("n");
+      const bool projecting =
+          spec.projecting && slot + 1 == static_cast<size_t>(spec.long_lived);
+      op.query.retrieve = projecting ? std::vector<std::string>{"n"}
+                                     : std::vector<std::string>{"o", "n"};
       op.query.from.push_back({"M", "n"});
       op.query.where = spec.sharing ? SharingFormula(&rng, pool)
                                     : RandomFormula(&rng, 2);
@@ -771,6 +782,9 @@ struct SimReport {
   /// EXPLAIN nodes served filtered by the evaluation context from another
   /// query's relation (registrations of the unsharded manager).
   size_t filtered_nodes = 0;
+  /// Checks of a projecting query at which projection collapsed rows
+  /// (the unprojected relation has more rows than the answer).
+  size_t collapsed = 0;
 
   std::string ToString() const {
     return "queries=" + std::to_string(queries) +
@@ -778,7 +792,8 @@ struct SimReport {
            " delta=" + std::to_string(delta_refreshes) +
            " full=" + std::to_string(full_refreshes) +
            " in_zone=" + std::to_string(in_zone) +
-           " filtered=" + std::to_string(filtered_nodes);
+           " filtered=" + std::to_string(filtered_nodes) +
+           " collapsed=" + std::to_string(collapsed);
   }
 };
 
@@ -882,7 +897,8 @@ inline std::vector<std::vector<ObjectId>> BindingsAt(
 ///    pool) and the oracle over [now, now + horizon]: the naive evaluator
 ///    on a grid world, the serial interval evaluator off the grid;
 ///  * the manager's continuous answer equals its AnswerWindow oracle;
-///  * each engine's scatter Evaluate and gather equal the manager's;
+///  * each engine's scatter Evaluate and gather equal the manager's (a
+///    projecting query's rows collide across shards, and both union them);
 ///  * §2.3, for the manager and for each engine: the instantaneous answer
 ///    at now equals the oracle's, and the continuous answer at now equals
 ///    the instantaneous one. The window truncates the history a
@@ -1094,6 +1110,14 @@ inline void RunSchedule(const SimSchedule& schedule,
         << "a fresh evaluation diverged from the oracle at tick " << now
         << "\nfast: " << fresh->ToString()
         << "\noracle: " << oracle->ToString();
+    if (q.retrieve.size() < q.from.size()) {
+      auto unprojected =
+          FtlEvaluator(db).EvaluateQueryUnprojected(q, instant);
+      ASSERT_TRUE(unprojected.ok()) << unprojected.status();
+      if (unprojected->rows.size() > fresh->rows.size()) {
+        for (SimReport& r : *reports) ++r.collapsed;
+      }
+    }
     auto got = qm.Evaluate(q);
     ASSERT_TRUE(got.ok()) << got.status();
     ASSERT_EQ(got->vars, fresh->vars);

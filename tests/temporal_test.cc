@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "temporal/clock.h"
 #include "temporal/dynamic_attribute.h"
 #include "temporal/time_function.h"
@@ -50,6 +54,48 @@ TEST(TimeFunctionTest, ValueAtPieceStart) {
   EXPECT_DOUBLE_EQ(f->ValueAtPieceStart(0), 0.0);
   EXPECT_DOUBLE_EQ(f->ValueAtPieceStart(1), 10.0);
   EXPECT_DOUBLE_EQ(f->ValueAtPieceStart(2), 5.0);
+}
+
+TEST(TimeFunctionTest, ResetAppliesFromItsStartTick) {
+  // A parked value set elsewhere at offset 4: the piece that starts there
+  // owns its start tick, so the jump is visible at 4, not only after it.
+  auto f = TimeFunction::Piecewise(
+      {{0, 0.0, /*has_reset=*/true, 100.0}, {4, 0.5, /*has_reset=*/true, 5.0}});
+  ASSERT_TRUE(f.ok());
+  EXPECT_EQ(f->Eval(3.5), 100.0);
+  EXPECT_EQ(f->Eval(4), 5.0);
+  EXPECT_EQ(f->Eval(4), f->ValueAtPieceStart(1));
+  EXPECT_EQ(f->Eval(6), 6.0);
+  // The segment a persistent history reads starts at the reset value.
+  DynamicAttribute a(0.0, 10, *f);
+  std::vector<DynamicAttribute::LinearPiece> pieces =
+      a.LinearPieces(Interval(10, 20));
+  ASSERT_EQ(pieces.size(), 2u);
+  EXPECT_EQ(pieces[1].ticks.begin, 14);
+  EXPECT_EQ(pieces[1].value_at_begin, 5.0);
+}
+
+TEST(TimeFunctionTest, ResetFreeBoundariesAreBitIdenticalToThePreviousPiece) {
+  // Without resets a boundary tick belongs to the next piece but must read
+  // exactly the previous piece's end value, bit for bit: the prefix sum
+  // of slope * length, summed in piece order.
+  auto f = TimeFunction::Piecewise(
+      {{0, 0.1}, {3, -0.7}, {7, 1.3}, {8, 0.0}, {13, -2.9}});
+  ASSERT_TRUE(f.ok());
+  const std::vector<TimeFunction::Piece>& pieces = f->pieces();
+  double end_of_previous = 0.0;
+  for (size_t i = 1; i < pieces.size(); ++i) {
+    end_of_previous +=
+        pieces[i - 1].slope *
+        static_cast<double>(pieces[i].start - pieces[i - 1].start);
+    const double at = f->Eval(static_cast<double>(pieces[i].start));
+    EXPECT_EQ(std::bit_cast<uint64_t>(at),
+              std::bit_cast<uint64_t>(end_of_previous))
+        << "boundary " << pieces[i].start << ": " << at << " vs "
+        << end_of_previous;
+    EXPECT_EQ(std::bit_cast<uint64_t>(at),
+              std::bit_cast<uint64_t>(f->ValueAtPieceStart(i)));
+  }
 }
 
 TEST(DynamicAttributeTest, PaperExampleSpeedFive) {
