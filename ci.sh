@@ -262,7 +262,12 @@ if [[ "${1:-}" == "tsan" ]]; then
   # projecting slice: each gather drops its shard snapshots on this
   # thread, and the next tick's refreshes on pool threads then splice
   # those relations in place.
+  # ObjectModelTest.ConcurrentSetMotionOnDisjointObjects is the drain's
+  # contract on the object store: four threads look up and update disjoint
+  # objects of one class, so every lookup must be a pure read.
   echo "=== sharded-engine concurrency suite (TSan) ==="
+  ./build-tsan/tests/object_model_test \
+    --gtest_filter='ObjectModelTest.ConcurrentSetMotionOnDisjointObjects'
   ./build-tsan/tests/mpsc_queue_test
   ./build-tsan/tests/sharded_engine_test
   MOST_SHARDS=4 ./build-tsan/tests/differential_test \

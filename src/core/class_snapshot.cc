@@ -38,10 +38,8 @@ void ClassSnapshot::Build(const ObjectClass& cls, Interval window,
   } else {
     // Both walks are ascending in id, so a scoped snapshot's rows are
     // exactly the whole-class snapshot's rows for the scope's ids.
-    const auto& objects = cls.objects();
     for (ObjectId id : *scope) {
-      auto it = objects.find(id);
-      if (it != objects.end()) AppendRow(id, it->second);
+      if (const MostObject* obj = cls.Find(id)) AppendRow(id, *obj);
     }
   }
   seg_begin_.push_back(static_cast<uint32_t>(seg_t0_.size()));
@@ -52,18 +50,7 @@ void ClassSnapshot::AppendRow(ObjectId id, const MostObject& obj) {
   objects_.push_back(&obj);
   last_update_.push_back(obj.last_update());
   seg_begin_.push_back(static_cast<uint32_t>(seg_t0_.size()));
-  // One walk over the (tiny) dynamic-attribute map replaces the four
-  // string-keyed lookups of IsSpatial() + GetDynamic(x) + GetDynamic(y).
-  const DynamicAttribute* xp = nullptr;
-  const DynamicAttribute* yp = nullptr;
-  for (const auto& [name, attr] : obj.dynamics()) {
-    if (name == kAttrX) {
-      xp = &attr;
-    } else if (name == kAttrY) {
-      yp = &attr;
-    }
-  }
-  const bool spatial = xp != nullptr && yp != nullptr;
+  const bool spatial = obj.IsSpatial();
   spatial_ok_.push_back(spatial ? 1 : 0);
   // An invalid window produces no motion segments (LinearPieces yields
   // none), so every kernel returns the empty set — same as the
@@ -72,8 +59,8 @@ void ClassSnapshot::AppendRow(ObjectId id, const MostObject& obj) {
   // Same derivation as MostObject::MotionSegments — identical clamping
   // and identical floating-point expressions, so the coefficients are
   // bit-equal to the per-object solvers'.
-  const DynamicAttribute& x = *xp;
-  const DynamicAttribute& y = *yp;
+  const DynamicAttribute& x = obj.position_x();
+  const DynamicAttribute& y = obj.position_y();
   if (x.function().IsLinear() && y.function().IsLinear()) {
     // Plain linear motion (the overwhelmingly common case): one piece
     // spanning the whole window on each axis, no LinearPieces vectors.

@@ -17,17 +17,19 @@ namespace most {
 /// its objects) over an evaluation window.
 ///
 /// The per-object solvers re-derive `MostObject::MotionSegments` (two
-/// string-keyed map lookups, two LinearPieces vectors, one merge vector —
-/// all heap-allocated) for every object inside every atomic predicate.
+/// LinearPieces vectors and one merge vector, all heap-allocated) for
+/// every object inside every atomic predicate.
 /// The snapshot performs that derivation once per class per database version,
 /// for just the objects the evaluation can bind (its scope,
 /// docs/eval_internals.md §1), and lays the results out as contiguous
 /// arrays: object ids (ascending), update timestamps, and a
 /// flattened segment table of motion coefficients (origin + velocity,
 /// parameterized by absolute tick, exactly as `MotionSegments` computes
-/// them). Atomic-predicate extraction (INSIDE / DIST crossings) then runs
-/// tight index loops over these arrays — no maps, no strings, no
-/// per-object allocation.
+/// them). The build itself walks the class's id-ordered row store and
+/// reads each object's inline position axes: no tree walk, no attribute
+/// name compared. Atomic-predicate extraction (INSIDE / DIST crossings)
+/// then runs tight index loops over these arrays — no maps, no strings,
+/// no per-object allocation.
 ///
 /// Coefficients are byte-identical to `MotionSegments`': Build() performs
 /// the same LinearPieces clamping and the same `origin = value_at(lo) -

@@ -144,7 +144,7 @@ void ShardedEngine::ReassignAfterStructuralChange(const std::string& class_name,
   Shard& owner = *shards_[router_.ShardOf(id)];
   bool exists = false;
   auto cls = db_->GetClass(class_name);
-  if (cls.ok()) exists = (*cls)->Get(id).ok();
+  if (cls.ok()) exists = (*cls)->Find(id) != nullptr;
   auto next = std::make_shared<std::set<ObjectId>>(*owner.partition);
   if (exists) {
     next->insert(id);

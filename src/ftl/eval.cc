@@ -109,8 +109,9 @@ Status EnumerateInstantiations(
     auto filter_it = filters.find(vars[i]);
     if (filter_it != filters.end() && filter_it->second != nullptr) {
       for (ObjectId id : *filter_it->second) {
-        auto obj = it->second->Get(id);
-        if (obj.ok()) extents[i].emplace_back(id, *obj);
+        if (const MostObject* obj = it->second->Find(id)) {
+          extents[i].emplace_back(id, obj);
+        }
       }
     } else {
       for (const auto& [id, obj] : it->second->objects()) {

@@ -200,7 +200,7 @@ Result<TemporalRelation> NaiveFtlEvaluator::EvaluateQuery(
   }
   const std::vector<std::string>& vars = full.vars;
 
-  std::vector<std::map<ObjectId, MostObject>::const_iterator> odometer;
+  std::vector<ObjectClass::Objects::const_iterator> odometer;
   for (const ObjectClass* oc : classes) {
     if (oc->objects().empty()) return full.Project(query.retrieve);
     odometer.push_back(oc->objects().begin());

@@ -207,10 +207,12 @@ IntervalSet SnapshotDistSide(const ClassSnapshot& a_snap, size_t ai,
                       {b_snap.vx()[j], b_snap.vy()[j]});
       Interval piece(lo, hi);
       RealInterval rw = ToReal(piece);
-      std::vector<RealInterval> reals =
-          within ? DistanceWithin(ma, mb, bound, rw)
-                 : DistanceAtLeast(ma, mb, bound, rw);
-      AppendClampedTicks(reals, piece, &scratch->ticks);
+      if (within) {
+        DistanceWithinInto(ma, mb, bound, rw, &scratch->reals);
+      } else {
+        DistanceAtLeastInto(ma, mb, bound, rw, &scratch->reals);
+      }
+      AppendClampedTicks(scratch->reals, piece, &scratch->ticks);
     }
     if (a_snap.seg_t1()[i] < b_snap.seg_t1()[j]) {
       ++i;

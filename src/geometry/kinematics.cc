@@ -7,15 +7,12 @@ namespace most {
 
 namespace {
 
-std::vector<RealInterval> ClipToWindow(std::vector<RealInterval> ivs,
-                                       RealInterval window) {
-  std::vector<RealInterval> out;
-  for (RealInterval& iv : ivs) {
-    iv.begin = std::max(iv.begin, window.begin);
-    iv.end = std::min(iv.end, window.end);
-    if (iv.valid()) out.push_back(iv);
-  }
-  return out;
+/// Appends `iv` clipped to `window` to *out, if anything is left of it.
+void AppendClipped(RealInterval iv, RealInterval window,
+                   std::vector<RealInterval>* out) {
+  iv.begin = std::max(iv.begin, window.begin);
+  iv.end = std::min(iv.end, window.end);
+  if (iv.valid()) out->push_back(iv);
 }
 
 }  // namespace
@@ -25,10 +22,10 @@ double DistanceSquaredAt(const MovingPoint2& a, const MovingPoint2& b,
   return a.At(t).DistanceSquaredTo(b.At(t));
 }
 
-std::vector<RealInterval> DistanceWithin(const MovingPoint2& a,
-                                         const MovingPoint2& b, double r,
-                                         RealInterval window) {
-  if (r < 0.0 || !window.valid()) return {};
+void DistanceWithinInto(const MovingPoint2& a, const MovingPoint2& b, double r,
+                        RealInterval window, std::vector<RealInterval>* out) {
+  out->clear();
+  if (r < 0.0 || !window.valid()) return;
   // |dp + dv*t|^2 <= r^2  <=>  A t^2 + B t + C <= 0.
   Vec2 dp = a.origin - b.origin;
   Vec2 dv = a.velocity - b.velocity;
@@ -38,28 +35,41 @@ std::vector<RealInterval> DistanceWithin(const MovingPoint2& a,
   if (A == 0.0) {
     if (B == 0.0) {
       // Constant distance.
-      if (C <= 0.0) return {window};
-      return {};
+      if (C <= 0.0) out->push_back(window);
+      return;
     }
     double root = -C / B;
     RealInterval iv = (B > 0.0)
                           ? RealInterval{window.begin, root}
                           : RealInterval{root, window.end};
-    return ClipToWindow({iv}, window);
+    AppendClipped(iv, window, out);
+    return;
   }
   double disc = B * B - 4.0 * A * C;
-  if (disc < 0.0) return {};  // Never within r (A > 0: parabola opens up).
+  if (disc < 0.0) return;  // Never within r (A > 0: parabola opens up).
   double sq = std::sqrt(disc);
   double t1 = (-B - sq) / (2.0 * A);
   double t2 = (-B + sq) / (2.0 * A);
-  return ClipToWindow({{t1, t2}}, window);
+  AppendClipped({t1, t2}, window, out);
 }
 
-std::vector<RealInterval> DistanceAtLeast(const MovingPoint2& a,
-                                          const MovingPoint2& b, double r,
-                                          RealInterval window) {
-  if (!window.valid()) return {};
-  if (r <= 0.0) return {window};
+std::vector<RealInterval> DistanceWithin(const MovingPoint2& a,
+                                         const MovingPoint2& b, double r,
+                                         RealInterval window) {
+  std::vector<RealInterval> out;
+  DistanceWithinInto(a, b, r, window, &out);
+  return out;
+}
+
+void DistanceAtLeastInto(const MovingPoint2& a, const MovingPoint2& b,
+                         double r, RealInterval window,
+                         std::vector<RealInterval>* out) {
+  out->clear();
+  if (!window.valid()) return;
+  if (r <= 0.0) {
+    out->push_back(window);
+    return;
+  }
   Vec2 dp = a.origin - b.origin;
   Vec2 dv = a.velocity - b.velocity;
   double A = dv.NormSquared();
@@ -67,21 +77,34 @@ std::vector<RealInterval> DistanceAtLeast(const MovingPoint2& a,
   double C = dp.NormSquared() - r * r;
   if (A == 0.0) {
     if (B == 0.0) {
-      if (C >= 0.0) return {window};
-      return {};
+      if (C >= 0.0) out->push_back(window);
+      return;
     }
     double root = -C / B;
     RealInterval iv = (B > 0.0)
                           ? RealInterval{root, window.end}
                           : RealInterval{window.begin, root};
-    return ClipToWindow({iv}, window);
+    AppendClipped(iv, window, out);
+    return;
   }
   double disc = B * B - 4.0 * A * C;
-  if (disc <= 0.0) return {window};  // q(t) >= 0 everywhere.
+  if (disc <= 0.0) {  // q(t) >= 0 everywhere.
+    out->push_back(window);
+    return;
+  }
   double sq = std::sqrt(disc);
   double t1 = (-B - sq) / (2.0 * A);
   double t2 = (-B + sq) / (2.0 * A);
-  return ClipToWindow({{window.begin, t1}, {t2, window.end}}, window);
+  AppendClipped({window.begin, t1}, window, out);
+  AppendClipped({t2, window.end}, window, out);
+}
+
+std::vector<RealInterval> DistanceAtLeast(const MovingPoint2& a,
+                                          const MovingPoint2& b, double r,
+                                          RealInterval window) {
+  std::vector<RealInterval> out;
+  DistanceAtLeastInto(a, b, r, window, &out);
+  return out;
 }
 
 void InsidePolygonInto(const MovingPoint2& p, const Polygon& poly,

@@ -31,6 +31,15 @@ std::vector<RealInterval> DistanceAtLeast(const MovingPoint2& a,
                                           const MovingPoint2& b, double r,
                                           RealInterval window);
 
+/// Allocation-free forms of DistanceWithin and DistanceAtLeast for hot
+/// loops: write the solution intervals to *out (cleared first). Identical
+/// arithmetic, so the endpoints are bit-equal to the returning forms'.
+void DistanceWithinInto(const MovingPoint2& a, const MovingPoint2& b, double r,
+                        RealInterval window, std::vector<RealInterval>* out);
+void DistanceAtLeastInto(const MovingPoint2& a, const MovingPoint2& b,
+                         double r, RealInterval window,
+                         std::vector<RealInterval>* out);
+
 /// Squared distance between a(t) and b(t) at real time t.
 double DistanceSquaredAt(const MovingPoint2& a, const MovingPoint2& b,
                          double t);
