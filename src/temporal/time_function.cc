@@ -1,5 +1,6 @@
 #include "temporal/time_function.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace most {
@@ -17,50 +18,57 @@ Result<TimeFunction> TimeFunction::Piecewise(std::vector<Piece> pieces) {
     }
   }
   TimeFunction f;
-  f.pieces_ = std::move(pieces);
+  if (pieces.size() == 1) {
+    f.linear_ = pieces.front();
+  } else {
+    f.route_ = std::move(pieces);
+  }
   return f;
 }
 
 double TimeFunction::ValueAtPieceStart(size_t i) const {
+  const std::span<const Piece> all = pieces();
   double acc = 0.0;
-  for (size_t k = 0; k <= i && k < pieces_.size(); ++k) {
-    if (pieces_[k].has_reset) acc = pieces_[k].reset_value;
+  for (size_t k = 0; k <= i && k < all.size(); ++k) {
+    if (all[k].has_reset) acc = all[k].reset_value;
     if (k == i) break;
-    if (k + 1 < pieces_.size()) {
-      acc += pieces_[k].slope *
-             static_cast<double>(pieces_[k + 1].start - pieces_[k].start);
+    if (k + 1 < all.size()) {
+      acc += all[k].slope *
+             static_cast<double>(all[k + 1].start - all[k].start);
     }
   }
   return acc;
 }
 
 double TimeFunction::Eval(double t) const {
+  const std::span<const Piece> all = pieces();
   if (t <= 0.0) {
-    double base = pieces_.front().has_reset ? pieces_.front().reset_value : 0.0;
-    return base + pieces_.front().slope * t;  // Backward extrapolation.
+    double base = all.front().has_reset ? all.front().reset_value : 0.0;
+    return base + all.front().slope * t;  // Backward extrapolation.
   }
   double acc = 0.0;
-  for (size_t i = 0; i < pieces_.size(); ++i) {
-    if (pieces_[i].has_reset) acc = pieces_[i].reset_value;
-    double piece_start = static_cast<double>(pieces_[i].start);
-    bool last = (i + 1 == pieces_.size());
+  for (size_t i = 0; i < all.size(); ++i) {
+    if (all[i].has_reset) acc = all[i].reset_value;
+    double piece_start = static_cast<double>(all[i].start);
+    bool last = (i + 1 == all.size());
     double piece_end =
-        last ? t : static_cast<double>(pieces_[i + 1].start);
+        last ? t : static_cast<double>(all[i + 1].start);
     // A piece owns [start, next start): at a piece's start tick its own
     // reset applies, not the previous piece's end value.
     if (t < piece_end || last) {
-      acc += pieces_[i].slope * (t - piece_start);
+      acc += all[i].slope * (t - piece_start);
       return acc;
     }
-    acc += pieces_[i].slope * (piece_end - piece_start);
+    acc += all[i].slope * (piece_end - piece_start);
   }
   return acc;
 }
 
 double TimeFunction::SlopeAt(double t) const {
-  if (t < 0.0) return pieces_.front().slope;
-  double slope = pieces_.front().slope;
-  for (const Piece& p : pieces_) {
+  const std::span<const Piece> all = pieces();
+  if (t < 0.0) return all.front().slope;
+  double slope = all.front().slope;
+  for (const Piece& p : all) {
     if (static_cast<double>(p.start) <= t) {
       slope = p.slope;
     } else {
@@ -71,30 +79,26 @@ double TimeFunction::SlopeAt(double t) const {
 }
 
 bool TimeFunction::operator==(const TimeFunction& o) const {
-  if (pieces_.size() != o.pieces_.size()) return false;
-  for (size_t i = 0; i < pieces_.size(); ++i) {
-    if (pieces_[i].start != o.pieces_[i].start ||
-        pieces_[i].slope != o.pieces_[i].slope ||
-        pieces_[i].has_reset != o.pieces_[i].has_reset ||
-        (pieces_[i].has_reset &&
-         pieces_[i].reset_value != o.pieces_[i].reset_value)) {
-      return false;
-    }
-  }
-  return true;
+  return std::ranges::equal(pieces(), o.pieces(), [](const Piece& a,
+                                                     const Piece& b) {
+    return a.start == b.start && a.slope == b.slope &&
+           a.has_reset == b.has_reset &&
+           (!a.has_reset || a.reset_value == b.reset_value);
+  });
 }
 
 std::string TimeFunction::ToString() const {
+  const std::span<const Piece> all = pieces();
   std::ostringstream os;
   if (IsLinear()) {
-    os << pieces_[0].slope << "*t";
+    os << all[0].slope << "*t";
     return os.str();
   }
   os << "piecewise[";
-  for (size_t i = 0; i < pieces_.size(); ++i) {
+  for (size_t i = 0; i < all.size(); ++i) {
     if (i) os << "; ";
-    os << "t>=" << pieces_[i].start << ": slope " << pieces_[i].slope;
-    if (pieces_[i].has_reset) os << " reset " << pieces_[i].reset_value;
+    os << "t>=" << all[i].start << ": slope " << all[i].slope;
+    if (all[i].has_reset) os << " reset " << all[i].reset_value;
   }
   os << "]";
   return os.str();

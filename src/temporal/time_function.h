@@ -1,6 +1,7 @@
 #ifndef MOST_TEMPORAL_TIME_FUNCTION_H_
 #define MOST_TEMPORAL_TIME_FUNCTION_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,7 +39,7 @@ class TimeFunction {
   };
 
   /// The zero function (static value).
-  TimeFunction() : pieces_{{0, 0.0}} {}
+  TimeFunction() = default;
 
   /// f(t) = slope * t.
   static TimeFunction Linear(double slope) {
@@ -47,16 +48,21 @@ class TimeFunction {
     return f;
   }
 
-  /// Makes this f(t) = slope * t, equal to Linear(slope), reusing the
-  /// piece storage.
-  void SetLinear(double slope) { pieces_.assign(1, Piece{0, slope}); }
+  /// Makes this f(t) = slope * t, equal to Linear(slope), in place.
+  void SetLinear(double slope) {
+    linear_ = Piece{0, slope};
+    route_.clear();
+  }
 
   /// Builds a piecewise function. Requirements: first piece starts at 0,
   /// piece starts strictly increase.
   static Result<TimeFunction> Piecewise(std::vector<Piece> pieces);
 
-  const std::vector<Piece>& pieces() const { return pieces_; }
-  bool IsLinear() const { return pieces_.size() == 1; }
+  std::span<const Piece> pieces() const {
+    if (route_.empty()) return {&linear_, 1};
+    return route_;
+  }
+  bool IsLinear() const { return route_.empty(); }
 
   /// f(t). f(0) == 0 by construction.
   double Eval(double t) const;
@@ -72,7 +78,11 @@ class TimeFunction {
   std::string ToString() const;
 
  private:
-  std::vector<Piece> pieces_;
+  /// A one-piece function's piece, held inline: the motion write and a
+  /// snapshot row touch no heap memory. Unused while route_ is non-empty.
+  Piece linear_;
+  /// Every piece of a function with more than one; otherwise empty.
+  std::vector<Piece> route_;
 };
 
 }  // namespace most

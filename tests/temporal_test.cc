@@ -82,7 +82,7 @@ TEST(TimeFunctionTest, ResetFreeBoundariesAreBitIdenticalToThePreviousPiece) {
   auto f = TimeFunction::Piecewise(
       {{0, 0.1}, {3, -0.7}, {7, 1.3}, {8, 0.0}, {13, -2.9}});
   ASSERT_TRUE(f.ok());
-  const std::vector<TimeFunction::Piece>& pieces = f->pieces();
+  const std::span<const TimeFunction::Piece> pieces = f->pieces();
   double end_of_previous = 0.0;
   for (size_t i = 1; i < pieces.size(); ++i) {
     end_of_previous +=
